@@ -9,6 +9,7 @@ delegated to the physical layer, the single place units exist.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -76,8 +77,8 @@ class ProtocolConfig:
     tolerance: float = 1e-10
 
     def __post_init__(self) -> None:
-        if not self.t_final or any(t <= 0.0 for t in self.t_final):
-            raise ConfigError("t_final must be a non-empty list of positive times")
+        if not self.t_final or not all(t > 0.0 and math.isfinite(t) for t in self.t_final):
+            raise ConfigError("t_final must be a non-empty list of positive finite times")
         if self.sample_count < 2:
             raise ConfigError(f"sample_count must be >= 2, got {self.sample_count}")
         if not 0.0 < self.tolerance <= 1e-3:

@@ -51,6 +51,8 @@ class TrajectorySpec:
             raise DesignError("boundary frequencies squared must be positive")
         if not self.t_final > 0.0:
             raise DesignError(f"t_final must be positive, got {self.t_final!r}")
+        if not math.isfinite(self.t_final * self.t_final):
+            raise DesignError(f"t_final = {self.t_final!r} is too long: t_final^2 overflows")
         if not math.isclose(self.chi**4 * self.omega_final_sq, self.omega0_sq, rel_tol=1e-12):
             raise DesignError("chi is inconsistent with the boundary frequencies")
 
@@ -139,8 +141,6 @@ def make_spec(params: PhysicalParams, t_final: float) -> TrajectorySpec:
     eta = params.eta
     if eta <= -1.0:
         raise DesignError(f"eta = {eta:.6g} <= -1: start frequency would not be real")
-    if not t_final > 0.0:
-        raise DesignError(f"t_final must be positive, got {t_final!r}")
     return TrajectorySpec.create(1.0 + eta, 1.0, t_final)
 
 

@@ -17,8 +17,10 @@ Three independent code paths cover the same dynamics:
 * ``propagate_covariance_ode`` -- oracle.  Integrates the moment ODEs
   directly with scipy's DOP853; shares no integration code with the
   transfer path.
-* ``solve_ermakov_forward`` -- the auxiliary nonlinear equation, used
-  to close the design/simulate loop and for the perturbation study.
+* ``solve_ermakov_forward`` -- oracle for the auxiliary nonlinear
+  equation, integrated forward with the RK solver in ``integrate``; it
+  closes the design/simulate loop and checks the sweep's closed-form
+  (Pinney) Ermakov end points.  No CLI command runs it.
 """
 
 from __future__ import annotations

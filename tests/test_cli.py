@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -225,3 +226,12 @@ class TestExitCodes:
         cfg = fast_config(tmp_path)
         assert main(["design", "--config", str(cfg), "--tol", "0.5"]) == 1
         assert "tolerance" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("t_final", ["inf", "nan", "1e300"])
+    def test_unusable_ramp_time_is_a_config_error(self, tmp_path, capsys, t_final):
+        cfg = fast_config(tmp_path, **{"t_final = 1.0": f"t_final = {t_final}"})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["params", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "t_final" in err and "Traceback" not in err

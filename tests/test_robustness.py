@@ -1,9 +1,12 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from biascool import integrate
 from biascool.design import control_function, make_trajectory
+from biascool.dynamics import solve_ermakov_forward
 from biascool.robustness import (
     REFERENCE_TARGETS,
     SweepOptions,
@@ -50,6 +53,25 @@ def small_sweep(device_params):
     return run_sweep(device_params, [0.5], [-0.1, 0.0, 0.1], SweepOptions(tolerance=1e-10))
 
 
+@pytest.fixture(scope="module")
+def rk_free_sweep(device_params):
+    """The default (t_final, epsilon) grid, swept with the RK solver disabled.
+
+    The solver is replaced under every name the package binds it to, so
+    any cell that still ran it would be recorded as failed.
+    """
+
+    def unavailable(*args, **kwargs):
+        raise integrate.IntegrationError("the sweep ran the RK solver", 0.0)
+
+    solve_rk = integrate.solve_rk
+    with pytest.MonkeyPatch.context() as mp:
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "biascool" and getattr(module, "solve_rk", None) is solve_rk:
+                mp.setattr(module, "solve_rk", unavailable)
+        return run_sweep(device_params, [0.5, 1.0, 2.0], [-0.1, 0.0, 0.1])
+
+
 class TestSweep:
     def test_unperturbed_row_reproduces_protocol(self, small_sweep):
         row = next(r for r in small_sweep if r.epsilon == 0.0)
@@ -83,6 +105,29 @@ class TestSweep:
             other = by_eps[row.epsilon]
             assert row.n_bar_final == other.n_bar_final
             assert row.ermakov_b_final == other.ermakov_b_final
+
+    def test_sweep_does_not_run_the_rk_solver(self, rk_free_sweep):
+        assert len(rk_free_sweep) == 9
+        assert all(row.status == "ok" for row in rk_free_sweep)
+
+    def test_pinney_end_point_matches_forward_ermakov(self, device_params, rk_free_sweep):
+        # the closed form from the transfer matrix against a disjoint integrator
+        for row in rk_free_sweep:
+            nominal = make_trajectory(device_params, row.t_final)
+            oracle = solve_ermakov_forward(
+                perturb_trajectory(nominal, row.epsilon),
+                1.0, 0.0, nominal.spec.omega0_sq, 0.0, row.t_final, tol=1e-12,
+            )
+            assert row.ermakov_b_final == pytest.approx(oracle.b_final, rel=1e-9)
+
+    def test_ermakov_end_point_ignores_start_state(self, device_params, small_sweep):
+        perturbed = run_sweep(
+            device_params, [0.5], [-0.1, 0.0, 0.1],
+            SweepOptions(tolerance=1e-10, initial_state="perturbed"),
+        )
+        for a, b in zip(small_sweep, perturbed):
+            assert (a.n_bar_final == b.n_bar_final) == (a.epsilon == 0.0)
+            assert a.ermakov_b_final == b.ermakov_b_final
 
     def test_small_error_envelope(self, device_params):
         # occupation deviation grows monotonically with the drive error
