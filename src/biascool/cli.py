@@ -16,6 +16,9 @@ functions of the configuration; two runs write byte-identical files.
 from __future__ import annotations
 
 import argparse
+# argparse's gettext imports locale at the first parser build; load it
+# here with the other start-up imports instead of inside the command
+import locale  # noqa: F401
 import math
 import sys
 from dataclasses import asdict, dataclass, field, replace
@@ -212,11 +215,12 @@ def _simulate_rows(
                 break
             states.append(state)
 
+    # the reference is the instantaneous nominal drive frequency, evaluated
+    # at the times of the states actually returned; in an inverted-potential
+    # window no occupation/temperature is defined
+    w_refs = traj.omega_eff_sq(np.array([state.time for state in states])).tolist()
     rows = []
-    for state in states:
-        # the reference is the instantaneous nominal drive frequency; in an
-        # inverted-potential window no occupation/temperature is defined
-        w_ref = traj.omega_eff_sq(state.time)
+    for state, w_ref in zip(states, w_refs):
         if w_ref > 0.0:
             n_inst = thermometry.occupation_from_state(state, w_ref)
             t_eff = thermometry.effective_temperature(

@@ -10,13 +10,15 @@ squared frequencies in omega_m^2 (so hbar = m = omega_m = 1 here).
 Three independent code paths cover the same dynamics:
 
 * ``propagate_transfer`` -- primary.  Builds the classical 2x2
-  fundamental matrix with an adaptive 4th-order Magnus scheme whose
-  elementary step is a closed-form exponential of a traceless matrix,
-  so each step is unimodular to rounding and the symplectic invariants
-  are conserved structurally, not by luck of the tolerance.
+  fundamental matrix with an adaptive 6th-order Magnus scheme (three
+  Gauss nodes per step) whose elementary step is a closed-form
+  exponential of a traceless matrix, so each step is unimodular to
+  rounding and the symplectic invariants are conserved structurally,
+  not by luck of the tolerance.
 * ``propagate_covariance_ode`` -- oracle.  Integrates the moment ODEs
   directly with scipy's DOP853; shares no integration code with the
-  transfer path.
+  transfer path.  scipy is imported on the first call, so importing
+  this module (and the CLI) does not load it.
 * ``solve_ermakov_forward`` -- oracle for the auxiliary nonlinear
   equation, integrated forward with the RK solver in ``integrate``; it
   closes the design/simulate loop and checks the sweep's closed-form
@@ -30,7 +32,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import thermometry
 from .design import ControlTrajectory
@@ -137,9 +138,16 @@ def _profile(traj: ControlTrajectory | FrequencyProfile) -> FrequencyProfile:
 
 # --- transfer-matrix propagation -------------------------------------------
 
-_GAUSS_LO = 0.5 - math.sqrt(3.0) / 6.0
-_GAUSS_HI = 0.5 + math.sqrt(3.0) / 6.0
-_COMM = math.sqrt(3.0) / 12.0
+_ROOT15 = math.sqrt(15.0)
+_GAUSS_LO = 0.5 - _ROOT15 / 10.0
+_GAUSS_HI = 0.5 + _ROOT15 / 10.0
+
+#: Upper bound on attempted steps per propagation.  Every step is at most
+#: ``max_phase`` long (the frequency scale is >= 1), so a span longer than
+#: ``_MAX_STEPS * max_phase`` is refused before marching instead of
+#: running for an unbounded time; a march that still exhausts the budget
+#: stops with the time it reached.
+_MAX_STEPS = 1_000_000
 
 
 def _exp_traceless(a: float, b: float, c: float) -> tuple[float, float, float, float]:
@@ -159,12 +167,30 @@ def _exp_traceless(a: float, b: float, c: float) -> tuple[float, float, float, f
     return (ch + sh * a, sh * b, sh * c, ch - sh * a)
 
 
-def _magnus4_step(w: FrequencyProfile, t: float, h: float) -> tuple[float, float, float, float]:
-    """4th-order Magnus step for x' = p, p' = -w(t) x (two-point Gauss)."""
+def _magnus6_step(
+    w: FrequencyProfile, t: float, h: float, wmid: float | None = None
+) -> tuple[float, float, float, float]:
+    """6th-order Magnus step for x' = p, p' = -w(t) x (three-point Gauss).
+
+    Blanes, Casas & Ros, BIT 40 (2000) 434: with A_i = A(t + c_i h),
+    a1 = h A_2, a2 = (sqrt(15) h/3)(A_3 - A_1), a3 = (10 h/3)(A_3 - 2 A_2 + A_1),
+    C1 = [a1, a2], C2 = -[a1, 2 a3 + C1]/60 and
+    Omega = a1 + a3/12 + [-20 a1 - a3 + C1, a2 + C2]/240.  For
+    A = [[0, 1], [-w, 0]] the commutators reduce to the scalar products
+    below.  ``wmid`` is w(t + h/2) when the caller already has it.
+    """
     w1 = w(t + _GAUSS_LO * h)
-    w2 = w(t + _GAUSS_HI * h)
-    a = _COMM * h * h * (w2 - w1)
-    return _exp_traceless(a, h, -0.5 * h * (w1 + w2))
+    w2 = w(t + 0.5 * h) if wmid is None else wmid
+    w3 = w(t + _GAUSS_HI * h)
+    # a1 = [[0, h], [r, 0]], a2 = [[0, 0], [p, 0]], a3 = [[0, 0], [q, 0]]
+    r = -h * w2
+    p = -_ROOT15 / 3.0 * h * (w3 - w1)
+    q = -10.0 / 3.0 * h * (w3 - 2.0 * w2 + w1)
+    hp2 = h * p * p
+    a = h * p * (-20.0 + h * (4.0 / 3.0 * r + q / 30.0)) / 240.0
+    b = h + h * h * (hp2 - 20.0 * q) / 3600.0
+    c = r + q / 12.0 + (h * q * (20.0 * r + q) / 30.0 - hp2 + h * r * hp2 / 30.0) / 120.0
+    return _exp_traceless(a, b, c)
 
 
 def _mmul(A, B):
@@ -187,16 +213,24 @@ def _integrate_transfer(
 ) -> tuple[list[tuple[float, float, float, float]], tuple[float, float, float, float]]:
     """Accumulate the fundamental matrix; emit it at each sample time.
 
+    Each step is the 6th-order Magnus exponential on three Gauss nodes.
     Step-doubling Richardson control: the accepted update is the pair of
     half steps (each an exact unit-det exponential); the coarse full step
-    only feeds the error estimate.  Off-diagonal errors are weighted by
-    the local frequency so the estimate is balanced for large omega.
+    only feeds the error estimate, (fine - coarse) / 63 for a 6th-order
+    method.  Off-diagonal errors are weighted by the local frequency so
+    the estimate is balanced for large omega.  The frequency probe at the
+    step midpoint doubles as the coarse step's middle node whenever the
+    step is not clipped to the phase limit.
 
     Sample emission never alters the marching step sequence: interior
     samples are reached by a single interpolating sub-step off the last
     accepted point, so the final matrix is bit-identical with or without
     sampling (series end points, one-shot propagation, and sweep cells
     must agree exactly).
+
+    Raises IntegrationError, with the time reached, on step-size
+    underflow or once ``_MAX_STEPS`` steps have been attempted; a span
+    that cannot fit in that budget is refused before the first step.
     """
     span = t1 - t0
     if not span > 0.0:
@@ -207,27 +241,36 @@ def _integrate_transfer(
             raise ValueError("samples must be strictly ascending")
     if targets and (targets[0] <= t0 or targets[-1] > t1 * (1 + 1e-15)):
         raise ValueError("samples must lie in (t0, t1]")
+    max_phase = 1.5  # keep per-step phase below the Magnus convergence radius
+    if span / max_phase > _MAX_STEPS:
+        raise IntegrationError(
+            f"span {span:.3g} needs more than {_MAX_STEPS} transfer-matrix steps", t0
+        )
 
     t = t0
     M = (1.0, 0.0, 0.0, 1.0)
     emitted: list[tuple[float, float, float, float]] = []
     next_target = 0
     h = span * 1e-4
-    max_phase = 1.5  # keep per-step phase below the Magnus convergence radius
+    steps = 0
 
     while t < t1:
         if h <= abs(t) * 1e-15 + span * 1e-16:
             raise IntegrationError("transfer-matrix step size underflow", t)
+        if steps == _MAX_STEPS:
+            raise IntegrationError(f"transfer-matrix step budget ({_MAX_STEPS}) exhausted", t)
+        steps += 1
         h_try = min(h, t1 - t)
         wmid = w(t + 0.5 * h_try)
         wscale = math.sqrt(max(abs(wmid), 1.0))
         if wscale * h_try > max_phase:
             h_try = max_phase / wscale
+            wmid = None  # no longer the midpoint of the step
         clipped = h_try < h
 
-        coarse = _magnus4_step(w, t, h_try)
+        coarse = _magnus6_step(w, t, h_try, wmid)
         half = 0.5 * h_try
-        fine = _mmul(_magnus4_step(w, t + half, half), _magnus4_step(w, t, half))
+        fine = _mmul(_magnus6_step(w, t + half, half), _magnus6_step(w, t, half))
         err = (
             max(
                 abs(fine[0] - coarse[0]),
@@ -235,7 +278,7 @@ def _integrate_transfer(
                 abs(fine[1] - coarse[1]) * wscale,
                 abs(fine[2] - coarse[2]) / wscale,
             )
-            / 15.0
+            / 63.0
         )
 
         accepted = err <= tol  # NaN error estimates reject
@@ -247,14 +290,14 @@ def _integrate_transfer(
                 if target >= t_new * (1 - 1e-15):
                     emitted.append(M_new)
                 else:
-                    emitted.append(_mmul(_magnus4_step(w, t, target - t), M))
+                    emitted.append(_mmul(_magnus6_step(w, t, target - t), M))
                 next_target += 1
             t = t_new
             M = M_new
         if not math.isfinite(err):
             factor = 0.2
         elif err > 0.0:
-            factor = 0.9 * (tol / err) ** 0.2
+            factor = 0.9 * (tol / err) ** (1.0 / 7.0)
         else:
             factor = 5.0
         h_new = h_try * min(5.0, max(0.2, factor))
@@ -324,6 +367,8 @@ def propagate_covariance_ode(
     Structurally disjoint from the transfer path: different equations,
     different integrator.
     """
+    from scipy.integrate import solve_ivp  # oracle only: keeps scipy off the CLI import path
+
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     w = _profile(traj)

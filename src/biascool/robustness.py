@@ -11,10 +11,11 @@ The Ermakov scale factor at t_f is not integrated: with b(0) = 1 and
 b'(0) = 0 the Pinney solution is b^2 = m11^2 + omega_0^2 m12^2, where
 m11, m12 are entries of the perturbed ramp's transfer matrix (Pinney,
 Proc. AMS 1 (1950) 681; Lewis & Riesenfeld, J. Math. Phys. 10 (1969)
-1458).  That matrix comes from a second propagation at tolerance/10,
-which keeps b within 1e-9 relative of an extended-precision reference;
-the occupation columns keep the tolerance run, so the epsilon = 0 cell
-equals the simulated series bit for bit.
+1458).  That matrix is the one the occupation columns come from, so each
+cell runs exactly one propagation; at the default tolerance the 6th-order
+Magnus march keeps b within 1e-9 relative of an extended-precision
+reference, and the epsilon = 0 cell equals the simulated series bit for
+bit.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ class SweepResult:
     n_bar_final: float  # referenced to omega_m
     t_eff_final: float  # kelvin, referenced to omega_m
     state_omega_final: float  # signed sqrt of pp/xx, omega_m units
-    ermakov_b_final: float  # Pinney scale factor at t_f, perturbed drive, tolerance/10 run
+    ermakov_b_final: float  # Pinney scale factor at t_f from the same perturbed-drive run
     status: str = "ok"
 
     @property
@@ -94,13 +95,11 @@ def _run_cell(
             )
     state0 = thermal_state(params, start_omega_sq, params.bath_temperature)
 
-    final, _ = propagate_transfer(perturbed, state0, 0.0, t_final, tol=options.tolerance)
+    final, m = propagate_transfer(perturbed, state0, 0.0, t_final, tol=options.tolerance)
     n_final = thermometry.occupation_from_state(final, 1.0)
     t_eff = thermometry.effective_temperature(params.bare_frequency, n_final)
     omega_sq = thermometry.state_frequency(final)
     state_omega = math.copysign(math.sqrt(abs(omega_sq)), omega_sq)
-
-    _, m = propagate_transfer(perturbed, state0, 0.0, t_final, tol=options.tolerance / 10.0)
     b_final = math.sqrt(m.m11 * m.m11 + nominal.spec.omega0_sq * m.m12 * m.m12)
     return SweepResult(epsilon, t_final, n_final, t_eff, state_omega, b_final)
 

@@ -1,10 +1,18 @@
 import json
+import os
+import subprocess
+import sys
+import time
 import warnings
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import biascool
 from biascool.cli import main
-from biascool.config import DEFAULT_CONFIG
+from biascool.config import DEFAULT_CONFIG, load_config
+from biascool.design import make_trajectory
 
 from conftest import CHI_DEFAULT, NBAR_COLD, OMEGA0_DEFAULT, TEFF_FINAL
 
@@ -125,6 +133,14 @@ class TestSimulate:
         spread = (max(purity) - min(purity)) / purity[0]
         assert spread < 1e-8
 
+    @pytest.mark.parametrize("t_final", [0.1, 1.0, 8.0])
+    def test_vector_reference_frequency_equals_scalar_calls(self, t_final):
+        # the per-row reference frequency comes from one vector call
+        traj = make_trajectory(load_config(None).physical, t_final)
+        times = np.linspace(0.0, t_final, 4001).tolist()
+        vector = traj.omega_eff_sq(np.array(times)).tolist()
+        assert vector == [traj.omega_eff_sq(t) for t in times]
+
 
 class TestSweep:
     def test_schema_and_exact_match_with_simulate(self, tmp_path):
@@ -235,3 +251,24 @@ class TestExitCodes:
             assert main(["params", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert "t_final" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_huge_ramp_time_is_a_numeric_error(self, tmp_path, capsys, command):
+        # a finite ramp far beyond the step budget fails at once, not after ages
+        cfg = fast_config(
+            tmp_path, **{"t_final = 1.0": "t_final = 1e150", "epsilon = -0.1, 0.0, 0.1": "epsilon = 0.0"}
+        )
+        start = time.perf_counter()
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy serves only the test oracles; the CLI must start without it
+    src = str(Path(biascool.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, biascool.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from biascool import dynamics
 from biascool.design import ControlTrajectory, b_polynomial, make_trajectory
 from biascool.dynamics import (
     GaussianState,
@@ -160,6 +161,57 @@ class TestTransferPropagation:
         with pytest.raises(IntegrationError) as excinfo:
             propagate_transfer(w, squeezed_state(), 0.0, 1.0, tol=1e-10)
         assert 0.4 < excinfo.value.time < 0.6
+
+    def test_sixth_order_on_fixed_steps(self):
+        # halving a fixed step must cut the error of the composed Magnus
+        # steps by 2^6 = 64
+        w = lambda t: 1.0 + 3.0 * math.sin(2.0 * t) ** 2
+
+        def march(n):
+            h = 2.0 / n
+            m = (1.0, 0.0, 0.0, 1.0)
+            for k in range(n):
+                m = dynamics._mmul(dynamics._magnus6_step(w, k * h, h), m)
+            return np.array(m)
+
+        reference = march(1280)
+        errors = [np.max(np.abs(march(n) - reference)) for n in (20, 40, 80)]
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 48.0 < coarse / fine < 80.0
+
+    def test_profile_evaluation_budget(self, device_params):
+        # deterministic work counter: 6th-order steps, one shared midpoint
+        traj = make_trajectory(device_params, 0.5)
+        state0 = thermal_state(device_params, traj.spec.omega0_sq, device_params.bath_temperature)
+        profile = traj.frequency_sq_fn()
+        calls = 0
+
+        def counted(t):
+            nonlocal calls
+            calls += 1
+            return profile(t)
+
+        _, m = propagate_transfer(counted, state0, 0.0, 0.5, tol=1e-10)
+        assert calls <= 6000
+        assert abs(m.det - 1.0) <= 1e-13
+
+    def test_span_beyond_step_budget_refused_before_marching(self):
+        calls = 0
+
+        def counted(t):
+            nonlocal calls
+            calls += 1
+            return 1.0
+
+        with pytest.raises(IntegrationError) as excinfo:
+            propagate_transfer(counted, squeezed_state(), 0.0, 1e150, tol=1e-10)
+        assert calls == 0 and excinfo.value.time == 0.0
+
+    def test_step_budget_stops_the_march(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "_MAX_STEPS", 50)
+        with pytest.raises(IntegrationError) as excinfo:
+            propagate_transfer(lambda t: 1e6, squeezed_state(), 0.0, 60.0, tol=1e-10)
+        assert "budget" in str(excinfo.value) and 0.0 < excinfo.value.time < 60.0
 
 
 class TestCovarianceOracle:

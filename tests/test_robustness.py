@@ -4,7 +4,8 @@ import sys
 import numpy as np
 import pytest
 
-from biascool import integrate
+from biascool import cli, integrate, robustness
+from biascool.config import load_config
 from biascool.design import control_function, make_trajectory
 from biascool.dynamics import solve_ermakov_forward
 from biascool.robustness import (
@@ -128,6 +129,27 @@ class TestSweep:
         for a, b in zip(small_sweep, perturbed):
             assert (a.n_bar_final == b.n_bar_final) == (a.epsilon == 0.0)
             assert a.ermakov_b_final == b.ermakov_b_final
+
+    def test_one_propagation_per_cell(self, device_params, monkeypatch):
+        calls = []
+        propagate = robustness.propagate_transfer
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("tol"))
+            return propagate(*args, **kwargs)
+
+        monkeypatch.setattr(robustness, "propagate_transfer", counted)
+        rows = run_sweep(device_params, [0.5], [-0.1, 0.0, 0.1], SweepOptions(tolerance=1e-10))
+        assert len(rows) == 3 and all(row.status == "ok" for row in rows)
+        assert calls == [1e-10] * 3
+
+    def test_unperturbed_cell_equals_simulate_bit_for_bit(self):
+        # the cell's single propagation and the sampled series share every step
+        cfg = load_config(None)
+        rows, final, failure = cli._simulate_rows(cfg, 0.5)
+        assert failure is None and final is not None
+        cell, = run_sweep(cfg.physical, [0.5], [0.0], SweepOptions(tolerance=cfg.protocol.tolerance))
+        assert cell.n_bar_final == rows[-1][2]
 
     def test_small_error_envelope(self, device_params):
         # occupation deviation grows monotonically with the drive error
