@@ -32,16 +32,11 @@ from .design import (
     DesignError,
     b_polynomial,
     control_function,
+    make_spec,
     make_trajectory,
     validate_trajectory,
 )
-from .dynamics import (
-    GaussianState,
-    IntegrationError,
-    propagate_transfer,
-    thermal_state,
-    transfer_series,
-)
+from .dynamics import GaussianState, IntegrationError, thermal_state, transfer_series
 from .outputs import (
     check_entry,
     checks_all_passed,
@@ -117,11 +112,8 @@ def build_report(cfg: RunConfig) -> CoolingReport:
     """Analysis-only part of the report (closed forms, no propagation)."""
     params = cfg.physical
     eta = params.eta
-    omega0_sq = 1.0 + eta
-    if omega0_sq <= 0.0:
-        raise ConfigError(
-            f"eta = {eta:.6g} <= -1: the full drive inverts the potential, no thermal start state"
-        )
+    spec = make_spec(params, cfg.protocol.t_final[0])
+    omega0_sq = spec.omega0_sq
     n_bar_hot = thermometry.thermal_occupation(params.bare_frequency, params.bath_temperature)
     n_bar_cold = thermometry.thermal_occupation(
         math.sqrt(omega0_sq) * params.bare_frequency, params.bath_temperature
@@ -131,7 +123,7 @@ def build_report(cfg: RunConfig) -> CoolingReport:
         sample_count=cfg.protocol.sample_count,
         tolerance=cfg.protocol.tolerance,
         eta=eta,
-        chi=omega0_sq**0.25,
+        chi=spec.chi,
         omega0_over_omega_m=math.sqrt(omega0_sq),
         n_bar_hot=n_bar_hot,
         n_bar_cold=n_bar_cold,
@@ -165,8 +157,8 @@ def _design_files(cfg: RunConfig, out_dir: Path) -> list[Path]:
         traj = make_trajectory(cfg.physical, t_final)
         label = tf_label(t_final)
         t = np.linspace(0.0, t_final, cfg.protocol.sample_count)
-        f = np.asarray(control_function(traj, t))
-        w = 1.0 + traj.eta * f
+        f = control_function(traj, t)
+        w = traj.omega_eff_sq(t)
         omega_eff = np.sign(w) * np.sqrt(np.abs(w))
         b, _, _ = b_polynomial(t / t_final, traj.spec.chi)
         for name, series in (("f_t", f), ("omega_eff_t", omega_eff), ("b_t", np.asarray(b))):
@@ -193,8 +185,8 @@ def _simulate_rows(
 ) -> tuple[list[tuple], GaussianState | None, IntegrationError | None]:
     """Per-sample (ThermometryRecord, state, occupation at the bare frequency).
 
-    On integration failure the rows computed so far are returned together
-    with the error so callers can write partial output.
+    On integration failure the rows of the states reached are returned
+    together with the error so callers can write partial output.
     """
     params = cfg.physical
     traj = make_trajectory(params, t_final)
@@ -205,15 +197,7 @@ def _simulate_rows(
         states, _ = transfer_series(traj, state0, times, tol=cfg.protocol.tolerance)
     except IntegrationError as exc:
         failure = exc
-        states = [state0]
-        for t_prev, t_next in zip(times, times[1:]):  # slow path, diagnostics only
-            try:
-                state, _ = propagate_transfer(
-                    traj, states[-1], t_prev, t_next, tol=cfg.protocol.tolerance
-                )
-            except IntegrationError:
-                break
-            states.append(state)
+        states = exc.states
 
     # the reference is the instantaneous nominal drive frequency, evaluated
     # at the times of the states actually returned; in an inverted-potential

@@ -87,29 +87,12 @@ class ControlTrajectory:
         """Whether f(t) still meets the designed boundary conditions."""
         return self.f_scale == 1.0
 
-    def control(self, t):
-        return control_function(self, t)
-
     def omega_eff_sq(self, t):
         return effective_frequency_profile(self, t)
 
     def frequency_sq_fn(self) -> Callable[[float], float]:
-        """Fast scalar omega_eff^2(t) closure for the integrators."""
-        c = self.spec.chi - 1.0
-        t_f = self.spec.t_final
-        om0sq = self.spec.omega0_sq
-        eta = self.eta
-        scale = self.f_scale
-
-        def w(t: float) -> float:
-            s = t / t_f
-            b = ((6.0 * c * s - 15.0 * c) * s + 10.0 * c) * s * s * s + 1.0
-            d2 = 60.0 * c * s * (2.0 * s - 1.0) * (s - 1.0) / (t_f * t_f)
-            b4 = (b * b) * (b * b)
-            f = (om0sq - b * b * b * d2 - b4) / (eta * b4)
-            return 1.0 + eta * scale * f
-
-        return w
+        """omega_eff^2(t) closure for the integrators: the drive kernel itself."""
+        return _drive(self, self.eta * self.f_scale, 1.0)
 
 
 def b_polynomial(s, chi: float):
@@ -124,7 +107,7 @@ def b_polynomial(s, chi: float):
     if np.any(s_arr < 0.0) or np.any(s_arr > 1.0):
         raise DesignError("s must lie in [0, 1]")
     c = chi - 1.0
-    b = ((6.0 * c * s_arr - 15.0 * c) * s_arr + 10.0 * c) * s_arr**3 + 1.0
+    b = ((6.0 * c * s_arr - 15.0 * c) * s_arr + 10.0 * c) * s_arr * s_arr * s_arr + 1.0
     db = 30.0 * c * s_arr**2 * (s_arr - 1.0) ** 2
     d2b = 60.0 * c * s_arr * (2.0 * s_arr - 1.0) * (s_arr - 1.0)
     if np.isscalar(s) or np.ndim(s) == 0:
@@ -146,29 +129,43 @@ def make_spec(params: PhysicalParams, t_final: float) -> TrajectorySpec:
 
 def make_trajectory(params: PhysicalParams, t_final: float) -> ControlTrajectory:
     """Designed drive for the full cooling ramp of a given device."""
-    if params.eta == 0.0:
-        raise DesignError("eta = 0: the gate drive has no effect, inverse design undefined")
     return ControlTrajectory(make_spec(params, t_final), params.eta)
 
 
-def control_function(traj: ControlTrajectory, t):
-    """Gate drive f(t) = (omega_0^2 - b^3 b'' - omega_m^2 b^4) / (eta b^4 omega_m^2).
+def _drive(traj: ControlTrajectory, gain: float, offset: float):
+    """The one closed form of the drive: t -> offset + gain * f0(t).
 
-    Evaluated in closed form from the quintic b; in reduced units
-    omega_m^2 = 1.  The trajectory's f_scale multiplies the result.
+    f0 = (omega_0^2 - b^3 b'' - omega_m^2 b^4) / (eta b^4 omega_m^2) is the
+    nominal drive from the quintic b (omega_m^2 = 1 in reduced units).
+    Plain float arithmetic, so the closure takes a float or a numpy array,
+    and an array gives, element by element, the bits of scalar calls.
     """
-    if traj.eta == 0.0:
-        raise DesignError("eta = 0: inverse design undefined")
-    spec = traj.spec
-    t_arr = np.asarray(t, dtype=float)
-    b, _, d2b = b_polynomial(t_arr / spec.t_final, spec.chi)
-    b_dd = np.asarray(d2b) / spec.t_final**2
-    b = np.asarray(b)
-    b4 = b**4
-    f = traj.f_scale * (spec.omega0_sq - b**3 * b_dd - b4) / (traj.eta * b4)
-    if np.isscalar(t) or np.ndim(t) == 0:
-        return float(f)
-    return f
+    eta = traj.eta
+    if eta == 0.0:
+        raise DesignError("eta = 0: the gate drive has no effect, inverse design undefined")
+    c = traj.spec.chi - 1.0
+    t_f = traj.spec.t_final
+    om0sq = traj.spec.omega0_sq
+
+    def drive(t):
+        s = t / t_f
+        b = ((6.0 * c * s - 15.0 * c) * s + 10.0 * c) * s * s * s + 1.0
+        d2 = 60.0 * c * s * (2.0 * s - 1.0) * (s - 1.0) / (t_f * t_f)
+        b4 = (b * b) * (b * b)
+        return offset + gain * ((om0sq - b * b * b * d2 - b4) / (eta * b4))
+
+    return drive
+
+
+def _evaluate(drive, t):
+    if np.ndim(t) == 0:
+        return drive(float(t))
+    return drive(np.asarray(t, dtype=float))
+
+
+def control_function(traj: ControlTrajectory, t):
+    """Gate drive f(t), scalar or array; the trajectory's f_scale multiplies f0."""
+    return _evaluate(_drive(traj, traj.f_scale, 0.0), t)
 
 
 def effective_frequency_profile(traj: ControlTrajectory, t):
@@ -177,7 +174,7 @@ def effective_frequency_profile(traj: ControlTrajectory, t):
     For the unperturbed ramp this equals omega_0^2/b^4 - b''/b by the
     Ermakov equation; both forms agree to rounding.
     """
-    return 1.0 + traj.eta * control_function(traj, t)
+    return _evaluate(_drive(traj, traj.eta * traj.f_scale, 1.0), t)
 
 
 @dataclass(frozen=True)
@@ -207,8 +204,8 @@ def validate_trajectory(traj: ControlTrajectory, n_samples: int = 2001) -> Traje
     if n_samples < 2:
         raise DesignError("n_samples must be at least 2")
     t = np.linspace(0.0, traj.t_final, n_samples)
-    f = np.asarray(control_function(traj, t))
-    w = 1.0 + traj.eta * f
+    f = control_function(traj, t)
+    w = effective_frequency_profile(traj, t)
 
     windows: list[tuple[float, float]] = []
     neg = w < 0.0

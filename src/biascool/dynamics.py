@@ -28,7 +28,7 @@ Three independent code paths cover the same dynamics:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -69,9 +69,6 @@ class GaussianState:
                 f"uncertainty product {self.purity_invariant!r} below the minimum 1/4"
             )
 
-    def at_time(self, time: float) -> "GaussianState":
-        return replace(self, time=time)
-
 
 @dataclass(frozen=True)
 class TransferMatrix:
@@ -81,10 +78,6 @@ class TransferMatrix:
     m12: float
     m21: float
     m22: float
-
-    @classmethod
-    def identity(cls) -> "TransferMatrix":
-        return cls(1.0, 0.0, 0.0, 1.0)
 
     @property
     def det(self) -> float:
@@ -210,8 +203,13 @@ def _integrate_transfer(
     t1: float,
     tol: float,
     samples: Sequence[float] | None = None,
-) -> tuple[list[tuple[float, float, float, float]], tuple[float, float, float, float]]:
-    """Accumulate the fundamental matrix; emit it at each sample time.
+    emitted: list[tuple[float, float, float, float]] | None = None,
+) -> tuple[float, float, float, float]:
+    """Accumulate the fundamental matrix; return it at t1.
+
+    The matrix at each sample time is appended to ``emitted`` as soon as
+    the march passes it, so a caller that catches IntegrationError keeps
+    the samples reached before the failure.
 
     Each step is the 6th-order Magnus exponential on three Gauss nodes.
     Step-doubling Richardson control: the accepted update is the pair of
@@ -247,9 +245,10 @@ def _integrate_transfer(
             f"span {span:.3g} needs more than {_MAX_STEPS} transfer-matrix steps", t0
         )
 
+    if emitted is None:
+        emitted = []
     t = t0
     M = (1.0, 0.0, 0.0, 1.0)
-    emitted: list[tuple[float, float, float, float]] = []
     next_target = 0
     h = span * 1e-4
     steps = 0
@@ -303,7 +302,7 @@ def _integrate_transfer(
         h_new = h_try * min(5.0, max(0.2, factor))
         h = max(h_new, h) if (clipped and accepted) else h_new
 
-    return emitted, M
+    return M
 
 
 def propagate_transfer(
@@ -321,7 +320,7 @@ def propagate_transfer(
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     w = _profile(traj)
-    _, m = _integrate_transfer(w, t0, t1, tol)
+    m = _integrate_transfer(w, t0, t1, tol)
     matrix = TransferMatrix(*m)
     return matrix.apply(state0, time=t1), matrix
 
@@ -335,17 +334,26 @@ def transfer_series(
     """States at the given times (ascending, starting at state0.time).
 
     The first entry of ``times`` must equal the state's own time; the
-    corresponding output is state0 itself.
+    corresponding output is state0 itself.  An IntegrationError carries
+    the states reached before the failure, state0 first, as ``.states``.
     """
     times = [float(v) for v in times]
     if not times or not math.isclose(times[0], state0.time, rel_tol=0.0, abs_tol=1e-12):
         raise ValueError("times must start at the state's own time")
     w = _profile(traj)
-    emitted, m = _integrate_transfer(w, times[0], times[-1], tol, samples=times[1:])
-    states = [state0]
-    for t, mat in zip(times[1:], emitted):
-        states.append(TransferMatrix(*mat).apply(state0, time=t))
-    return states, TransferMatrix(*m)
+    emitted: list[tuple[float, float, float, float]] = []
+
+    def states() -> list[GaussianState]:
+        return [state0] + [
+            TransferMatrix(*mat).apply(state0, time=t) for t, mat in zip(times[1:], emitted)
+        ]
+
+    try:
+        m = _integrate_transfer(w, times[0], times[-1], tol, times[1:], emitted)
+    except IntegrationError as exc:
+        exc.states = states()
+        raise
+    return states(), TransferMatrix(*m)
 
 
 # --- covariance-ODE oracle ---------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import biascool
+from biascool import dynamics
 from biascool.cli import main
 from biascool.config import DEFAULT_CONFIG, load_config
 from biascool.design import make_trajectory
@@ -142,6 +144,33 @@ class TestSimulate:
         assert vector == [traj.omega_eff_sq(t) for t in times]
 
 
+    def test_failed_march_writes_the_rows_it_reached(self, tmp_path, capsys, monkeypatch):
+        # one propagation; its partial states are the rows, all before the failure
+        monkeypatch.setattr(dynamics, "_MAX_STEPS", 2000)
+        marches = 0
+        march = dynamics._integrate_transfer
+
+        def counted(*args, **kwargs):
+            nonlocal marches
+            marches += 1
+            return march(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "_integrate_transfer", counted)
+        out = tmp_path / "out"
+        cfg = fast_config(tmp_path, **{"t_final = 1.0": "t_final = 8.0"})
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert marches == 1
+        assert "budget" in capsys.readouterr().err
+        for stem in ("n_bar_t", "t_eff_t", "moments_t"):
+            lines = (out / f"{stem}_tf8.csv").read_text(encoding="utf-8").splitlines()
+            error_line = lines[-1]
+            assert error_line.startswith("# integration_error:")
+            failed_at = float(re.search(r"at t = ([^)]+)\)", error_line).group(1))
+            times = [float(t) for t in column(out / f"{stem}_tf8.csv", "t_omega_m")]
+            assert 1 <= len(times) < 41
+            assert all(t < failed_at for t in times)
+
+
 class TestSweep:
     def test_schema_and_exact_match_with_simulate(self, tmp_path):
         out = tmp_path / "out"
@@ -237,6 +266,14 @@ class TestExitCodes:
         cfg = fast_config(tmp_path, **{"voltage_amplitude = 7.00 V": "voltage_amplitude = 0 V"})
         assert main(["design", "--config", str(cfg)]) == 1
         assert "eta" in capsys.readouterr().err
+
+    def test_inverting_coupling_is_a_config_error(self, tmp_path, capsys):
+        # eta <= -1: the full drive inverts the potential, there is no start state
+        cfg = fast_config(tmp_path, **{"voltage_amplitude = 7.00 V": "voltage_amplitude = -7.00 V"})
+        assert main(["params", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "eta" in err and "<= -1" in err and "Traceback" not in err
 
     def test_tolerance_override_validated(self, tmp_path, capsys):
         cfg = fast_config(tmp_path)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -173,6 +175,35 @@ class TestFrequencyProfile:
         w = traj.frequency_sq_fn()
         for t in np.linspace(0.0, 1.0, 97):
             assert w(float(t)) == pytest.approx(effective_frequency_profile(traj, float(t)), rel=1e-14)
+
+    @pytest.mark.parametrize("t_final", [0.1, 1.0, 8.0])
+    @pytest.mark.parametrize("f_scale", [0.9, 1.0, 1.1])
+    def test_one_kernel_bit_for_bit(self, device_params, t_final, f_scale):
+        # the integrators' closure, scalar calls and array calls are one formula
+        traj = replace(make_trajectory(device_params, t_final), f_scale=f_scale)
+        w = traj.frequency_sq_fn()
+        t = np.linspace(0.0, t_final, 4001)
+        vector = traj.omega_eff_sq(t)
+        for i, ti in enumerate(t.tolist()):
+            assert w(ti) == traj.omega_eff_sq(ti) == vector[i]
+
+    def test_zero_eta_closure_rejected(self):
+        traj = ControlTrajectory(TrajectorySpec.create(4.0, 1.0, 1.0), eta=0.0)
+        with pytest.raises(DesignError):
+            traj.frequency_sq_fn()
+
+    @pytest.mark.parametrize("t_final", [0.1, 1.0, 8.0])
+    def test_b_polynomial_is_the_kernel_quintic(self, device_params, t_final):
+        # the drive rebuilt from b_polynomial in the kernel's operation order
+        # equals the kernel bit for bit, so b and b'' are the kernel's own
+        traj = make_trajectory(device_params, t_final)
+        spec, eta = traj.spec, traj.eta
+        t = np.linspace(0.0, t_final, 4001)
+        b, _, d2b = b_polynomial(t / t_final, spec.chi)
+        b4 = (b * b) * (b * b)
+        rebuilt = 1.0 + eta * ((spec.omega0_sq - b * b * b * (d2b / (t_final * t_final)) - b4) / (eta * b4))
+        kernel = traj.frequency_sq_fn()(t)
+        assert np.array_equal(rebuilt, kernel)
 
     @pytest.mark.parametrize("t_final", [0.5, 1.0, 2.0])
     def test_ermakov_residual(self, device_params, t_final):

@@ -213,6 +213,20 @@ class TestTransferPropagation:
             propagate_transfer(lambda t: 1e6, squeezed_state(), 0.0, 60.0, tol=1e-10)
         assert "budget" in str(excinfo.value) and 0.0 < excinfo.value.time < 60.0
 
+    def test_failed_series_carries_the_states_reached(self, monkeypatch, device_params):
+        traj = make_trajectory(device_params, 8.0)
+        state0 = thermal_state(device_params, traj.spec.omega0_sq, device_params.bath_temperature)
+        times = np.linspace(0.0, 8.0, 41).tolist()
+        full, _ = transfer_series(traj, state0, times, tol=1e-10)
+        monkeypatch.setattr(dynamics, "_MAX_STEPS", 2000)
+        with pytest.raises(IntegrationError) as excinfo:
+            transfer_series(traj, state0, times, tol=1e-10)
+        partial = excinfo.value.states
+        # the prefix the march reached, bit for bit, and nothing past the failure
+        assert 1 < len(partial) < len(times)
+        assert partial == full[: len(partial)]
+        assert partial[-1].time <= excinfo.value.time < times[len(partial)]
+
 
 class TestCovarianceOracle:
     @pytest.mark.parametrize("t_final", T_FINALS)
