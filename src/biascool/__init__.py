@@ -12,7 +12,7 @@ from .design import ControlTrajectory, TrajectorySpec, make_spec, make_trajector
 from .dynamics import GaussianState, TransferMatrix, propagate_transfer, thermal_state
 from .physical import PhysicalParams, compute_eta
 from .robustness import SweepOptions, SweepResult, run_sweep
-from .thermometry import ThermometryRecord, effective_temperature, thermal_occupation
+from .thermometry import effective_temperature, thermal_occupation
 
 __all__ = [
     "__version__",
@@ -22,7 +22,6 @@ __all__ = [
     "RunConfig",
     "SweepOptions",
     "SweepResult",
-    "ThermometryRecord",
     "TrajectorySpec",
     "TransferMatrix",
     "compute_eta",

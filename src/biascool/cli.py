@@ -36,7 +36,7 @@ from .design import (
     make_trajectory,
     validate_trajectory,
 )
-from .dynamics import GaussianState, IntegrationError, thermal_state, transfer_series
+from .dynamics import IntegrationError, thermal_state, transfer_series
 from .outputs import (
     check_entry,
     checks_all_passed,
@@ -149,9 +149,23 @@ def cmd_params(cfg: RunConfig) -> int:
     return 0
 
 
-def _design_files(cfg: RunConfig, out_dir: Path) -> list[Path]:
-    output = cfg.output
-    suffix = table_suffix(output.format)
+def _write(cfg: RunConfig, stem: str, header: tuple[str, ...], rows, note: str | None = None) -> Path:
+    """Write one table into the output directory; return its path."""
+    path = _out_dir(cfg) / f"{stem}{table_suffix(cfg.output.format)}"
+    write_table(path, header, rows, cfg.output.precision, cfg.output.format, note)
+    return path
+
+
+def _report_failures(failure: IntegrationError | None, results: list[SweepResult]) -> int:
+    """Print the simulate failure and the failed sweep cells; 2 if any, else 0."""
+    errors = [str(failure)] if failure is not None else []
+    errors += [f"eps={r.epsilon} t_final={r.t_final}: {r.status}" for r in results if r.failed]
+    for error in errors:
+        print(f"error: {error}", file=sys.stderr)
+    return 2 if errors else 0
+
+
+def _design_files(cfg: RunConfig) -> list[Path]:
     written: list[Path] = []
     for t_final in cfg.protocol.t_final:
         traj = make_trajectory(cfg.physical, t_final)
@@ -162,30 +176,24 @@ def _design_files(cfg: RunConfig, out_dir: Path) -> list[Path]:
         omega_eff = np.sign(w) * np.sqrt(np.abs(w))
         b, _, _ = b_polynomial(t / t_final, traj.spec.chi)
         for name, series in (("f_t", f), ("omega_eff_t", omega_eff), ("b_t", np.asarray(b))):
-            path = out_dir / f"{name}_{label}{suffix}"
-            write_table(
-                path,
-                ("t_omega_m", "value"),
-                zip(t.tolist(), series.tolist()),
-                output.precision,
-                output.format,
-            )
-            written.append(path)
+            rows = zip(t.tolist(), series.tolist())
+            written.append(_write(cfg, f"{name}_{label}", ("t_omega_m", "value"), rows))
     return written
 
 
 def cmd_design(cfg: RunConfig) -> int:
-    for path in _design_files(cfg, _out_dir(cfg)):
+    for path in _design_files(cfg):
         print(path)
     return 0
 
 
 def _simulate_rows(
     cfg: RunConfig, t_final: float
-) -> tuple[list[tuple], GaussianState | None, IntegrationError | None]:
-    """Per-sample (ThermometryRecord, state, occupation at the bare frequency).
+) -> tuple[list[tuple], float | None, IntegrationError | None]:
+    """Per-sample (state, n_bar_ref_omega_eff, n_bar_ref_omega_m, t_eff).
 
-    On integration failure the rows of the states reached are returned
+    Also returns the final occupation at the bare frequency, None when
+    the march failed; the rows of the states reached are returned
     together with the error so callers can write partial output.
     """
     params = cfg.physical
@@ -205,75 +213,43 @@ def _simulate_rows(
     w_refs = traj.omega_eff_sq(np.array([state.time for state in states])).tolist()
     rows = []
     for state, w_ref in zip(states, w_refs):
+        n_inst = t_eff = math.nan
         if w_ref > 0.0:
             n_inst = thermometry.occupation_from_state(state, w_ref)
-            t_eff = thermometry.effective_temperature(
-                math.sqrt(w_ref) * params.bare_frequency, n_inst
-            )
-        else:
-            n_inst = math.nan
-            t_eff = math.nan
-        record = thermometry.ThermometryRecord(
-            time=state.time,
-            ref_omega_sq=w_ref,
-            n_bar=n_inst,
-            t_eff=t_eff,
-            state_omega_sq=thermometry.state_frequency(state),
-        )
-        rows.append((record, state, thermometry.occupation_from_state(state, 1.0)))
-    return rows, states[-1] if not failure else None, failure
+            t_eff = thermometry.effective_temperature(math.sqrt(w_ref) * params.bare_frequency, n_inst)
+        rows.append((state, n_inst, thermometry.occupation_from_state(state, 1.0), t_eff))
+    return rows, rows[-1][2] if failure is None else None, failure
 
 
-def _simulate_files(
-    cfg: RunConfig, out_dir: Path
-) -> tuple[list[Path], dict[str, GaussianState], IntegrationError | None]:
-    output = cfg.output
-    suffix = table_suffix(output.format)
+def _simulate_files(cfg: RunConfig) -> tuple[list[Path], dict[str, float], IntegrationError | None]:
+    """Write the series of every ramp; return the final bare occupation of each completed one."""
     written: list[Path] = []
-    finals: dict[str, GaussianState] = {}
+    finals: dict[str, float] = {}
     first_failure: IntegrationError | None = None
     for t_final in cfg.protocol.t_final:
         label = tf_label(t_final)
-        rows, final, failure = _simulate_rows(cfg, t_final)
-        if failure is not None and first_failure is None:
-            first_failure = failure
-        if final is not None:
-            finals[label] = final
-
-        def emit(name: str, header: tuple[str, ...], table_rows: list[tuple]) -> None:
-            path = out_dir / f"{name}_{label}{suffix}"
-            write_table(path, header, table_rows, output.precision, output.format)
-            if failure is not None and output.format == "csv":
-                with path.open("a", encoding="utf-8") as handle:
-                    handle.write(f"# integration_error: {failure}\n")
-            written.append(path)
-
-        emit(
-            "n_bar_t",
-            ("t_omega_m", "n_bar_ref_omega_eff", "n_bar_ref_omega_m"),
-            [(rec.time, rec.n_bar, n_bare) for rec, _, n_bare in rows],
+        rows, n_final, failure = _simulate_rows(cfg, t_final)
+        first_failure = first_failure or failure
+        if n_final is not None:
+            finals[label] = n_final
+        note = None if failure is None else f"integration_error: {failure}"
+        tables = (
+            ("n_bar_t", ("t_omega_m", "n_bar_ref_omega_eff", "n_bar_ref_omega_m"),
+             [(s.time, n_inst, n_bare) for s, n_inst, n_bare, _ in rows]),
+            ("t_eff_t", ("t_omega_m", "value"), [(s.time, t_eff) for s, _, _, t_eff in rows]),
+            ("moments_t", ("t_omega_m", "xx", "pp", "xp", "purity"),
+             [(s.time, s.xx, s.pp, s.xp, s.purity_invariant) for s, *_ in rows]),
         )
-        emit(
-            "t_eff_t",
-            ("t_omega_m", "value"),
-            [(rec.time, rec.t_eff) for rec, _, _ in rows],
-        )
-        emit(
-            "moments_t",
-            ("t_omega_m", "xx", "pp", "xp", "purity"),
-            [(s.time, s.xx, s.pp, s.xp, s.purity_invariant) for _, s, _ in rows],
-        )
+        for name, header, table in tables:
+            written.append(_write(cfg, f"{name}_{label}", header, table, note))
     return written, finals, first_failure
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
-    written, _, failure = _simulate_files(cfg, _out_dir(cfg))
+    written, _, failure = _simulate_files(cfg)
     for path in written:
         print(path)
-    if failure is not None:
-        print(f"error: {failure}", file=sys.stderr)
-        return 2
-    return 0
+    return _report_failures(failure, [])
 
 
 _SWEEP_HEADER = (
@@ -307,31 +283,20 @@ def _sweep_row(result: SweepResult) -> tuple:
     )
 
 
-def _sweep_file(cfg: RunConfig, out_dir: Path) -> tuple[Path, list[SweepResult]]:
+def _sweep_file(cfg: RunConfig) -> tuple[Path, list[SweepResult]]:
     results = run_sweep(
         cfg.physical,
         cfg.protocol.t_final,
         cfg.sweep.epsilon,
         SweepOptions(tolerance=cfg.protocol.tolerance, initial_state=cfg.sweep.initial_state),
     )
-    path = out_dir / f"sweep{table_suffix(cfg.output.format)}"
-    write_table(
-        path,
-        _SWEEP_HEADER,
-        [_sweep_row(r) for r in results],
-        cfg.output.precision,
-        cfg.output.format,
-    )
-    return path, results
+    return _write(cfg, "sweep", _SWEEP_HEADER, [_sweep_row(r) for r in results]), results
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    path, results = _sweep_file(cfg, _out_dir(cfg))
+    path, results = _sweep_file(cfg)
     print(path)
-    failed = [r for r in results if r.failed]
-    for r in failed:
-        print(f"error: eps={r.epsilon} t_final={r.t_final}: {r.status}", file=sys.stderr)
-    return 2 if failed else 0
+    return _report_failures(None, results)
 
 
 def _reproduce_checks(
@@ -365,20 +330,18 @@ def cmd_reproduce(cfg: RunConfig) -> int:
     out_dir = _out_dir(cfg)
     report = build_report(cfg)
 
-    written = _design_files(cfg, out_dir)
-    sim_written, finals, failure = _simulate_files(cfg, out_dir)
+    written = _design_files(cfg)
+    sim_written, finals, failure = _simulate_files(cfg)
     written.extend(sim_written)
     if failure is not None:
-        print(f"error: {failure}", file=sys.stderr)
-        return 2
-    for label, state in finals.items():
-        n_final = thermometry.occupation_from_state(state, 1.0)
+        return _report_failures(failure, [])
+    for label, n_final in finals.items():
         report.n_bar_final[label] = n_final
         report.t_eff_final[label] = thermometry.effective_temperature(
             cfg.physical.bare_frequency, n_final
         )
 
-    sweep_path, results = _sweep_file(cfg, out_dir)
+    sweep_path, results = _sweep_file(cfg)
     written.append(sweep_path)
 
     report_path = out_dir / "report.json"
@@ -410,12 +373,7 @@ def cmd_reproduce(cfg: RunConfig) -> int:
     print(manifest_path)
     if not manifest["all_passed"]:
         return 3
-    sweep_failures = [r for r in results if r.failed]
-    if sweep_failures:
-        for r in sweep_failures:
-            print(f"error: eps={r.epsilon} t_final={r.t_final}: {r.status}", file=sys.stderr)
-        return 2
-    return 0
+    return _report_failures(None, results)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .outputs import tf_label
 from .physical import ParameterError, PhysicalParams, parse_quantity
 
 
@@ -79,6 +80,9 @@ class ProtocolConfig:
     def __post_init__(self) -> None:
         if not self.t_final or not all(t > 0.0 and math.isfinite(t) for t in self.t_final):
             raise ConfigError("t_final must be a non-empty list of positive finite times")
+        labels = [tf_label(t) for t in self.t_final]
+        if len(set(labels)) < len(labels):
+            raise ConfigError(f"t_final values share a file label: {', '.join(labels)}")
         if self.sample_count < 2:
             raise ConfigError(f"sample_count must be >= 2, got {self.sample_count}")
         if not 0.0 < self.tolerance <= 1e-3:

@@ -7,22 +7,21 @@ the state is fully described by the second moments (<x^2>, <p^2>,
 1/omega_m, x in sqrt(hbar/(m omega_m)), p in sqrt(hbar m omega_m),
 squared frequencies in omega_m^2 (so hbar = m = omega_m = 1 here).
 
-Three independent code paths cover the same dynamics:
+Two code paths live here:
 
-* ``propagate_transfer`` -- primary.  Builds the classical 2x2
+* ``propagate_transfer`` -- the propagator.  Builds the classical 2x2
   fundamental matrix with an adaptive 6th-order Magnus scheme (three
   Gauss nodes per step) whose elementary step is a closed-form
   exponential of a traceless matrix, so each step is unimodular to
   rounding and the symplectic invariants are conserved structurally,
-  not by luck of the tolerance.
-* ``propagate_covariance_ode`` -- oracle.  Integrates the moment ODEs
-  directly with scipy's DOP853; shares no integration code with the
-  transfer path.  scipy is imported on the first call, so importing
-  this module (and the CLI) does not load it.
+  not by luck of the tolerance.  ``transfer_series`` samples it.
 * ``solve_ermakov_forward`` -- oracle for the auxiliary nonlinear
   equation, integrated forward with the RK solver in ``integrate``; it
   closes the design/simulate loop and checks the sweep's closed-form
   (Pinney) Ermakov end points.  No CLI command runs it.
+
+The independent covariance-ODE oracle (scipy's DOP853 on the moment
+equations) lives with the tests, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -354,61 +353,6 @@ def transfer_series(
         exc.states = states()
         raise
     return states(), TransferMatrix(*m)
-
-
-# --- covariance-ODE oracle ---------------------------------------------------
-
-
-def propagate_covariance_ode(
-    traj: ControlTrajectory | FrequencyProfile,
-    state0: GaussianState,
-    t0: float,
-    t1: float,
-    tol: float = 1e-10,
-    t_eval: Sequence[float] | None = None,
-) -> GaussianState | list[GaussianState]:
-    """Independent oracle: integrate d/dt (xx, xp, pp) = (2 xp, pp - w xx, -2 w xp).
-
-    Returns the final state, or the states at ``t_eval`` when given.
-    Sampling integrates segment by segment so every sample carries full
-    marching accuracy (the dense-output interpolant would not).
-    Structurally disjoint from the transfer path: different equations,
-    different integrator.
-    """
-    from scipy.integrate import solve_ivp  # oracle only: keeps scipy off the CLI import path
-
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    w = _profile(traj)
-
-    def rhs(t, y):
-        xx, xp, pp = y
-        wt = w(t)
-        return (2.0 * xp, pp - wt * xx, -2.0 * wt * xp)
-
-    scale = max(state0.xx, state0.pp, abs(state0.xp))
-
-    def march(y, a, b):
-        sol = solve_ivp(rhs, (a, b), y, method="DOP853", rtol=tol, atol=tol * scale)
-        if not sol.success:
-            raise IntegrationError(f"covariance ODE failed: {sol.message}", float(sol.t[-1]))
-        return tuple(float(v) for v in sol.y[:, -1])
-
-    if t_eval is None:
-        xx, xp, pp = march((state0.xx, state0.xp, state0.pp), t0, t1)
-        return GaussianState(xx=xx, pp=pp, xp=xp, time=t1)
-
-    states = []
-    y = (state0.xx, state0.xp, state0.pp)
-    t_prev = t0
-    for t in t_eval:
-        t = float(t)
-        if not t > t_prev:
-            raise ValueError("t_eval must be strictly ascending and start after t0")
-        y = march(y, t_prev, t)
-        states.append(GaussianState(xx=y[0], pp=y[2], xp=y[1], time=t))
-        t_prev = t
-    return states
 
 
 # --- auxiliary (Ermakov) equation -------------------------------------------

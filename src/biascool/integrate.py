@@ -61,7 +61,6 @@ def solve_rk(
     rtol: float = 1e-10,
     atol: float = 1e-12,
     t_eval: Sequence[float] | None = None,
-    max_step: float = math.inf,
     guard: Callable[[float, tuple], None] | None = None,
 ) -> RKResult:
     """Integrate y' = fun(t, y) forward from t0 to t1.
@@ -91,14 +90,14 @@ def solve_rk(
     ts = [t]
     ys = [y]
     span = t1 - t0
-    h = min(max_step, span * 1e-4)
+    h = span * 1e-4
     n_steps = 0
     n_rejected = 0
 
     while t < t1:
         if h <= abs(t) * 1e-15 + span * 1e-16:
             raise IntegrationError("step size underflow", t)
-        h_try = min(h, max_step, t1 - t)
+        h_try = min(h, t1 - t)
         if not capture_all and next_target < len(targets):
             h_try = min(h_try, targets[next_target] - t)
         clipped = h_try < h

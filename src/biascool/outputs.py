@@ -37,16 +37,25 @@ def write_table(
     rows: Iterable[Sequence],
     precision: int,
     fmt: str = "csv",
+    note: str | None = None,
 ) -> None:
-    """Write a table as CSV (default) or as a columnar JSON document."""
+    """Write a table as CSV (default) or as a columnar JSON document.
+
+    ``note`` (say, why the table stops early) is a trailing ``# note``
+    line in CSV and a ``"note"`` key in JSON.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
     formatted = [format_row(row, precision) for row in rows]
     if fmt == "csv":
         lines = [",".join(header)]
         lines.extend(",".join(cells) for cells in formatted)
+        if note is not None:
+            lines.append(f"# {note}")
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     elif fmt == "json":
         payload = {"columns": list(header), "rows": formatted}
+        if note is not None:
+            payload["note"] = note
         write_json(path, payload)
     else:
         raise ValueError(f"unknown table format {fmt!r}")

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .constants import BOLTZMANN, HBAR
@@ -26,17 +25,6 @@ if TYPE_CHECKING:  # avoids a circular import; only needed for annotations
 
 class ThermometryError(ValueError):
     """Occupation or temperature request outside the physical domain."""
-
-
-@dataclass(frozen=True)
-class ThermometryRecord:
-    """One row of the cooling diagnostics time series (reduced units + K)."""
-
-    time: float  # 1/omega_m
-    ref_omega_sq: float  # omega_m^2
-    n_bar: float
-    t_eff: float  # kelvin
-    state_omega_sq: float  # pp/xx, omega_m^2
 
 
 def thermal_occupation(omega: float, temperature: float) -> float:

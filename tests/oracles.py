@@ -1,0 +1,66 @@
+"""Independent oracles that check the package's propagators.
+
+They share no integration code with the product paths and are the only
+users of scipy, which is why they live with the tests: importing
+biascool never loads it.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+from scipy.integrate import solve_ivp
+
+from biascool import dynamics
+from biascool.design import ControlTrajectory
+from biascool.dynamics import FrequencyProfile, GaussianState, IntegrationError
+
+
+def propagate_covariance_ode(
+    traj: ControlTrajectory | FrequencyProfile,
+    state0: GaussianState,
+    t0: float,
+    t1: float,
+    tol: float = 1e-10,
+    t_eval: Sequence[float] | None = None,
+) -> GaussianState | list[GaussianState]:
+    """Independent oracle: integrate d/dt (xx, xp, pp) = (2 xp, pp - w xx, -2 w xp).
+
+    Returns the final state, or the states at ``t_eval`` when given.
+    Sampling integrates segment by segment so every sample carries full
+    marching accuracy (the dense-output interpolant would not).
+    Structurally disjoint from the transfer path: different equations,
+    different integrator.
+    """
+    if tol <= 0.0:
+        raise ValueError("tol must be positive")
+    w = dynamics._profile(traj)
+
+    def rhs(t, y):
+        xx, xp, pp = y
+        wt = w(t)
+        return (2.0 * xp, pp - wt * xx, -2.0 * wt * xp)
+
+    scale = max(state0.xx, state0.pp, abs(state0.xp))
+
+    def march(y, a, b):
+        sol = solve_ivp(rhs, (a, b), y, method="DOP853", rtol=tol, atol=tol * scale)
+        if not sol.success:
+            raise IntegrationError(f"covariance ODE failed: {sol.message}", float(sol.t[-1]))
+        return tuple(float(v) for v in sol.y[:, -1])
+
+    if t_eval is None:
+        xx, xp, pp = march((state0.xx, state0.xp, state0.pp), t0, t1)
+        return GaussianState(xx=xx, pp=pp, xp=xp, time=t1)
+
+    states = []
+    y = (state0.xx, state0.xp, state0.pp)
+    t_prev = t0
+    for t in t_eval:
+        t = float(t)
+        if not t > t_prev:
+            raise ValueError("t_eval must be strictly ascending and start after t0")
+        y = march(y, t_prev, t)
+        states.append(GaussianState(xx=y[0], pp=y[2], xp=y[1], time=t))
+        t_prev = t
+    return states

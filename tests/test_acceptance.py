@@ -19,7 +19,6 @@ from biascool.dynamics import (
     GaussianState,
     TransferMatrix,
     invariant_expectation,
-    propagate_covariance_ode,
     propagate_transfer,
     solve_ermakov_forward,
     thermal_state,
@@ -29,6 +28,7 @@ from biascool.robustness import REFERENCE_TARGETS, SweepOptions, run_sweep
 from biascool.thermometry import effective_temperature, occupation_from_state, thermal_occupation
 
 from conftest import make_params
+from oracles import propagate_covariance_ode
 
 T_FINALS = (0.5, 1.0, 2.0)
 TRANSFER_TOL = 1e-10

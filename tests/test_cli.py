@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import re
@@ -170,6 +171,18 @@ class TestSimulate:
             assert 1 <= len(times) < 41
             assert all(t < failed_at for t in times)
 
+    def test_failed_march_marks_json_tables(self, tmp_path, capsys, monkeypatch):
+        # JSON tables carry the failure as a "note" key, as CSV does as a trailer
+        monkeypatch.setattr(dynamics, "_MAX_STEPS", 2000)
+        out = tmp_path / "out"
+        cfg = fast_config(tmp_path, **{"t_final = 1.0": "t_final = 8.0", "format = csv": "format = json"})
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        error = capsys.readouterr().err.strip().removeprefix("error: ")
+        for stem in ("n_bar_t", "t_eff_t", "moments_t"):
+            payload = json.loads((out / f"{stem}_tf8.json").read_text(encoding="utf-8"))
+            assert payload["note"] == f"integration_error: {error}"
+            assert 1 <= len(payload["rows"]) < 41
+
 
 class TestSweep:
     def test_schema_and_exact_match_with_simulate(self, tmp_path):
@@ -280,7 +293,7 @@ class TestExitCodes:
         assert main(["design", "--config", str(cfg), "--tol", "0.5"]) == 1
         assert "tolerance" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("t_final", ["inf", "nan", "1e300"])
+    @pytest.mark.parametrize("t_final", ["inf", "nan", "1e300", "0.5, 0.5000000000001", "1.0, 1.0"])
     def test_unusable_ramp_time_is_a_config_error(self, tmp_path, capsys, t_final):
         cfg = fast_config(tmp_path, **{"t_final = 1.0": f"t_final = {t_final}"})
         with warnings.catch_warnings():
@@ -309,3 +322,23 @@ def test_cli_import_leaves_scipy_unloaded():
     code = "import sys, biascool.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_scipy_is_a_test_only_dependency():
+    # no module of the package imports scipy, and only the test extra asks for it
+    root = Path(__file__).resolve().parents[1]
+    for path in (root / "src" / "biascool").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            assert "scipy" not in [m.split(".")[0] for m in modules], path
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    project = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    groups = {"dependencies": project["dependencies"], **project["optional-dependencies"]}
+    name = re.compile(r"[A-Za-z0-9_.-]+")
+    with_scipy = [g for g, specs in groups.items() if any(name.match(s).group() == "scipy" for s in specs)]
+    assert with_scipy == ["test"]

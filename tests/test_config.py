@@ -84,6 +84,8 @@ def test_direct_charge_override_warns_when_inconsistent():
         (("initial_state = nominal", "initial_state = sideways"), "initial_state"),
         (("t_final = 0.5, 1.0, 2.0", "t_final = -1.0"), "t_final"),
         (("epsilon = -0.1, 0.0, 0.1", "epsilon = ,"), "epsilon"),
+        (("t_final = 0.5, 1.0, 2.0", "t_final = 0.5, 0.5000000000001"), "t_final"),
+        (("t_final = 0.5, 1.0, 2.0", "t_final = 1.0, 1.0"), "t_final"),
     ],
 )
 def test_invalid_values_rejected(mutation, message):

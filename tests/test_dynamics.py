@@ -11,7 +11,6 @@ from biascool.dynamics import (
     StateError,
     TransferMatrix,
     invariant_expectation,
-    propagate_covariance_ode,
     propagate_transfer,
     solve_ermakov_forward,
     thermal_state,
@@ -20,6 +19,7 @@ from biascool.dynamics import (
 from biascool.thermometry import occupation_from_state, thermal_occupation
 
 from conftest import NBAR_COLD
+from oracles import propagate_covariance_ode
 
 T_FINALS = (0.5, 1.0, 2.0)
 

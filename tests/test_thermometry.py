@@ -7,7 +7,6 @@ from biascool.constants import BOLTZMANN, HBAR
 from biascool.dynamics import GaussianState, thermal_state
 from biascool.thermometry import (
     ThermometryError,
-    ThermometryRecord,
     effective_temperature,
     occupation_from_state,
     state_frequency,
@@ -144,8 +143,3 @@ class TestStateFrequency:
     def test_mass_scaling(self):
         state = GaussianState(xx=1.0, pp=9.0)
         assert state_frequency(state, mass=3.0) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_record_fields():
-    record = ThermometryRecord(time=0.5, ref_omega_sq=1.0, n_bar=0.47, t_eff=6e-6, state_omega_sq=1.0)
-    assert record.n_bar == 0.47
