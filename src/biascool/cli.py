@@ -104,9 +104,6 @@ class CoolingReport:
             )
         return "\n".join(lines)
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 def build_report(cfg: RunConfig) -> CoolingReport:
     """Analysis-only part of the report (closed forms, no propagation)."""
@@ -345,18 +342,13 @@ def cmd_reproduce(cfg: RunConfig) -> int:
     written.append(sweep_path)
 
     report_path = out_dir / "report.json"
-    write_json(report_path, report.as_dict())
+    write_json(report_path, asdict(report))
     written.append(report_path)
 
     checks = _reproduce_checks(report, results)
     manifest = {
         "tool": {"name": "biascool", "version": __version__},
-        "config": {
-            "physical": cfg.physical.as_dict(),
-            "protocol": asdict(cfg.protocol),
-            "sweep": asdict(cfg.sweep),
-            "output": asdict(cfg.output),
-        },
+        "config": asdict(cfg),
         "files": hash_manifest(out_dir, written),
         "checks": checks,
         "all_passed": checks_all_passed(checks),

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .outputs import tf_label
-from .physical import ParameterError, PhysicalParams, parse_quantity
+from .physical import FIELD_UNITS, ParameterError, PhysicalParams, parse_quantity
 
 
 class ConfigError(ValueError):
@@ -49,18 +49,6 @@ format = csv
 precision = 12
 """
 
-_PHYSICAL_KEYS = (
-    "coulomb_k",
-    "capacitance",
-    "voltage_amplitude",
-    "charge_density",
-    "charge_area",
-    "resonator_charge",
-    "mass",
-    "bare_frequency",
-    "separation",
-    "bath_temperature",
-)
 _REQUIRED_PHYSICAL = (
     "capacitance",
     "voltage_amplitude",
@@ -128,9 +116,27 @@ def _float_list(raw: str) -> tuple[float, ...]:
     return tuple(float(part.strip()) for part in raw.split(",") if part.strip())
 
 
+# Every non-physical key: (section, dataclass field, parser), in
+# serialization order.  The section dataclasses hold the only defaults;
+# the physical keys are those of physical.FIELD_UNITS.
+_KEYS = {
+    "t_final": ("protocol", "t_final", _float_list),
+    "sample_count": ("protocol", "sample_count", int),
+    "tolerance": ("protocol", "tolerance", float),
+    "epsilon": ("sweep", "epsilon", _float_list),
+    "initial_state": ("sweep", "initial_state", str),
+    "output_dir": ("output", "directory", str),
+    "format": ("output", "format", str),
+    "precision": ("output", "precision", int),
+}
+_SECTIONS = {"protocol": ProtocolConfig, "sweep": SweepConfig, "output": OutputConfig}
+
+
 def parse_config(text: str, source: str = "<config>") -> RunConfig:
     """Parse config text; raise ConfigError with line/field context."""
-    raw: dict[str, tuple[str, int]] = {}
+    seen: dict[str, int] = {}
+    physical_kwargs: dict[str, float] = {}
+    sections: dict[str, dict] = {name: {} for name in _SECTIONS}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -140,46 +146,20 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
         key, value = (part.strip() for part in stripped.split("=", 1))
         if not key or not value:
             raise ConfigError(f"{source}:{lineno}: empty key or value")
-        if key in raw:
-            raise ConfigError(f"{source}:{lineno}: duplicate key {key!r} (first at line {raw[key][1]})")
-        raw[key] = (value, lineno)
-
-    def take(key: str) -> tuple[str, int] | None:
-        return raw.pop(key, None)
-
-    physical_kwargs: dict[str, float] = {}
-    for key in _PHYSICAL_KEYS:
-        entry = take(key)
-        if entry is None:
-            continue
-        value, lineno = entry
-        try:
-            physical_kwargs[key] = parse_quantity(key, value)
-        except ParameterError as exc:
-            raise ConfigError(f"{source}:{lineno}: {key}: {exc}") from exc
-
-    def scalar(key: str, default, conv):
-        entry = take(key)
-        if entry is None:
-            return default
-        value, lineno = entry
-        try:
-            return conv(value)
+        if key in seen:
+            raise ConfigError(f"{source}:{lineno}: duplicate key {key!r} (first at line {seen[key]})")
+        seen[key] = lineno
+        if key not in FIELD_UNITS and key not in _KEYS:
+            raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
+        try:  # ParameterError is a ValueError too
+            if key in FIELD_UNITS:
+                physical_kwargs[key] = parse_quantity(key, value)
+            else:
+                section, name, parse = _KEYS[key]
+                sections[section][name] = parse(value)
         except ValueError as exc:
             raise ConfigError(f"{source}:{lineno}: {key}: {exc}") from exc
 
-    t_final = scalar("t_final", ProtocolConfig.t_final, _float_list)
-    sample_count = scalar("sample_count", ProtocolConfig.sample_count, int)
-    tolerance = scalar("tolerance", ProtocolConfig.tolerance, float)
-    epsilon = scalar("epsilon", SweepConfig.epsilon, _float_list)
-    initial_state = scalar("initial_state", SweepConfig.initial_state, str)
-    directory = scalar("output_dir", OutputConfig.directory, str)
-    fmt = scalar("format", OutputConfig.format, str)
-    precision = scalar("precision", OutputConfig.precision, int)
-
-    if raw:
-        key, (_, lineno) = next(iter(raw.items()))
-        raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
     missing = [key for key in _REQUIRED_PHYSICAL if key not in physical_kwargs]
     if missing:
         raise ConfigError(f"{source}: missing required physical parameters: {', '.join(missing)}")
@@ -188,12 +168,7 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
         physical = PhysicalParams.create(**physical_kwargs)
     except ParameterError as exc:
         raise ConfigError(f"{source}: {exc}") from exc
-    return RunConfig(
-        physical=physical,
-        protocol=ProtocolConfig(t_final, sample_count, tolerance),
-        sweep=SweepConfig(epsilon, initial_state),
-        output=OutputConfig(directory, fmt, precision),
-    )
+    return RunConfig(physical, **{name: cls(**sections[name]) for name, cls in _SECTIONS.items()})
 
 
 def load_config(path: str | Path | None) -> RunConfig:
@@ -210,16 +185,8 @@ def load_config(path: str | Path | None) -> RunConfig:
 
 def serialize_config(cfg: RunConfig) -> str:
     """Canonical config text in base SI units; parses back to the same config."""
-    lines = []
-    for f in fields(PhysicalParams):
-        value = getattr(cfg.physical, f.name)
-        lines.append(f"{f.name} = {value!r}")
-    lines.append(f"t_final = {', '.join(repr(t) for t in cfg.protocol.t_final)}")
-    lines.append(f"sample_count = {cfg.protocol.sample_count}")
-    lines.append(f"tolerance = {cfg.protocol.tolerance!r}")
-    lines.append(f"epsilon = {', '.join(repr(e) for e in cfg.sweep.epsilon)}")
-    lines.append(f"initial_state = {cfg.sweep.initial_state}")
-    lines.append(f"output_dir = {cfg.output.directory}")
-    lines.append(f"format = {cfg.output.format}")
-    lines.append(f"precision = {cfg.output.precision}")
+    lines = [f"{f.name} = {getattr(cfg.physical, f.name)!r}" for f in fields(PhysicalParams)]
+    for key, (section, name, _) in _KEYS.items():
+        value = getattr(getattr(cfg, section), name)
+        lines.append(f"{key} = {', '.join(map(repr, value)) if isinstance(value, tuple) else value}")
     return "\n".join(lines) + "\n"

@@ -47,12 +47,22 @@ class TrajectorySpec:
     chi: float
 
     def __post_init__(self) -> None:
-        if not (self.omega0_sq > 0.0 and self.omega_final_sq > 0.0):
-            raise DesignError("boundary frequencies squared must be positive")
+        # finite here also catches an eta that overflows from finite device inputs
+        if not (0.0 < self.omega0_sq < math.inf and 0.0 < self.omega_final_sq < math.inf):
+            raise DesignError(
+                "boundary frequencies squared must be positive and finite, got "
+                f"{self.omega0_sq!r} and {self.omega_final_sq!r}"
+            )
         if not self.t_final > 0.0:
             raise DesignError(f"t_final must be positive, got {self.t_final!r}")
-        if not math.isfinite(self.t_final * self.t_final):
+        tf_sq = self.t_final * self.t_final
+        if not math.isfinite(tf_sq):
             raise DesignError(f"t_final = {self.t_final!r} is too long: t_final^2 overflows")
+        # |b^3 b''| in the drive stays below 60 |chi - 1| max(chi, 1)^3 / t_final^2
+        b_max = max(self.chi, 1.0)
+        b3_d2_bound = 60.0 * abs(self.chi - 1.0) * b_max * b_max * b_max
+        if not (tf_sq > 0.0 and math.isfinite(b3_d2_bound / tf_sq)):
+            raise DesignError(f"t_final = {self.t_final!r} is too short: the drive overflows")
         if not math.isclose(self.chi**4 * self.omega_final_sq, self.omega0_sq, rel_tol=1e-12):
             raise DesignError("chi is inconsistent with the boundary frequencies")
 

@@ -229,6 +229,8 @@ def _integrate_transfer(
     underflow or once ``_MAX_STEPS`` steps have been attempted; a span
     that cannot fit in that budget is refused before the first step.
     """
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
     span = t1 - t0
     if not span > 0.0:
         raise ValueError("require t1 > t0")
@@ -316,8 +318,6 @@ def propagate_transfer(
     Inverted-potential windows (omega_eff^2 < 0) need no special
     handling: the elementary exponential simply goes hyperbolic.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     w = _profile(traj)
     m = _integrate_transfer(w, t0, t1, tol)
     matrix = TransferMatrix(*m)

@@ -10,14 +10,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 
 def format_float(value: float, precision: int) -> str:
-    if isinstance(value, float) and math.isnan(value):
-        return "nan"
     return f"{value:.{precision}g}"
 
 

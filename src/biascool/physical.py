@@ -112,6 +112,10 @@ class PhysicalParams:
     bath_temperature: float = 0.0  # K
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ParameterError(f"{f.name} must be finite, got {value!r}")
         for name in ("capacitance", "mass", "bare_frequency", "separation", "bath_temperature"):
             if not getattr(self, name) > 0.0:
                 raise ParameterError(f"{name} must be strictly positive, got {getattr(self, name)!r}")
@@ -165,9 +169,6 @@ class PhysicalParams:
     def eta(self) -> float:
         """Dimensionless electrostatic coupling 4 k C0 U0 Q / (m omega_m^2 d^3)."""
         return compute_eta(self)
-
-    def as_dict(self) -> dict[str, float]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def compute_eta(params: PhysicalParams) -> float:

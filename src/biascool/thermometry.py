@@ -54,17 +54,17 @@ def effective_temperature(omega: float, n_bar: float) -> float:
     return HBAR * omega / (BOLTZMANN * math.log1p(1.0 / n_bar))
 
 
-def occupation_from_state(state: "GaussianState", ref_omega_sq: float, mass: float = 1.0) -> float:
+def occupation_from_state(state: "GaussianState", ref_omega_sq: float) -> float:
     """Energy-referenced occupation E/omega_ref - 1/2, reduced units.
 
-    E = pp/(2 m) + m omega_ref^2 xx / 2.  Tiny negative results (above
-    -1e-9) are rounding on a ground state and clamp silently to 0;
-    anything more negative clamps with a warning.
+    E = pp/2 + omega_ref^2 xx / 2 (the mass is 1 in reduced units).  Tiny
+    negative results (above -1e-9) are rounding on a ground state and
+    clamp silently to 0; anything more negative clamps with a warning.
     """
     if not ref_omega_sq > 0.0:
         raise ThermometryError(f"ref_omega_sq must be positive, got {ref_omega_sq!r}")
     omega_ref = math.sqrt(ref_omega_sq)
-    energy = 0.5 * (state.pp / mass + mass * ref_omega_sq * state.xx)
+    energy = 0.5 * (state.pp + ref_omega_sq * state.xx)
     n_bar = energy / omega_ref - 0.5
     if n_bar < 0.0:
         if n_bar < -1e-9:
@@ -76,11 +76,11 @@ def occupation_from_state(state: "GaussianState", ref_omega_sq: float, mass: flo
     return n_bar
 
 
-def state_frequency(state: "GaussianState", mass: float = 1.0) -> float:
-    """Squared frequency pp/(m^2 xx) a stationary thermal state would have.
+def state_frequency(state: "GaussianState") -> float:
+    """Squared frequency pp/xx a stationary thermal state would have.
 
     Matches omega^2 for a thermal state at omega; for squeezed states it
     is one possible frequency assignment among several (reported, never
     asserted against, in the perturbation study).
     """
-    return state.pp / (mass * mass * state.xx)
+    return state.pp / state.xx

@@ -293,7 +293,9 @@ class TestExitCodes:
         assert main(["design", "--config", str(cfg), "--tol", "0.5"]) == 1
         assert "tolerance" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("t_final", ["inf", "nan", "1e300", "0.5, 0.5000000000001", "1.0, 1.0"])
+    @pytest.mark.parametrize(
+        "t_final", ["inf", "nan", "1e300", "0.5, 0.5000000000001", "1.0, 1.0", "1e-200", "1e-160"]
+    )
     def test_unusable_ramp_time_is_a_config_error(self, tmp_path, capsys, t_final):
         cfg = fast_config(tmp_path, **{"t_final = 1.0": f"t_final = {t_final}"})
         with warnings.catch_warnings():
@@ -301,6 +303,27 @@ class TestExitCodes:
             assert main(["params", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert "t_final" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["params", "sweep"])
+    @pytest.mark.parametrize(
+        "device",
+        [
+            {"bath_temperature = 20 mK": "bath_temperature = inf"},
+            {"charge_density = 1.25e13 /cm^2": "charge_density = inf"},
+            {"capacitance = 27.5 nF": "capacitance = inf"},
+            # finite inputs whose coupling eta overflows
+            {"capacitance = 27.5 nF": "capacitance = 1e300 F",
+             "voltage_amplitude = 7.00 V": "voltage_amplitude = 1e300 V"},
+        ],
+        ids=["bath_temperature", "charge_density", "capacitance", "eta_overflow"],
+    )
+    def test_non_finite_device_is_a_config_error(self, tmp_path, capsys, command, device):
+        cfg = fast_config(tmp_path, **{"epsilon = -0.1, 0.0, 0.1": "epsilon = 0.0", **device})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     def test_huge_ramp_time_is_a_numeric_error(self, tmp_path, capsys, command):

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,7 @@ from biascool.config import (
     parse_config,
     serialize_config,
 )
+from biascool.physical import FIELD_UNITS
 
 from conftest import ETA_DEFAULT
 
@@ -138,3 +140,23 @@ def test_section_dataclass_validation():
         SweepConfig(epsilon=(0.1,), initial_state="other")
     with pytest.raises(ConfigError):
         OutputConfig(precision=30)
+
+
+def test_readme_shows_the_built_in_config_and_units():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    assert readme.split("```ini\n", 1)[1].split("```", 1)[0] == DEFAULT_CONFIG
+    table = readme.split("| field | units |\n| --- | --- |\n", 1)[1].split("\n\n", 1)[0]
+    listed = {}
+    for row in table.splitlines():
+        field, units = (cell.strip().strip("`") for cell in row.strip("|").split("|"))
+        listed[field] = set(units.split())
+    suffixes = {field: set(units) - {""} for field, units in FIELD_UNITS.items()}
+    assert listed == {field: units for field, units in suffixes.items() if units}
+
+
+def test_text_defaults_match_dataclass_defaults():
+    # the built-in text restates the section defaults; both must agree
+    physical_only = "\n".join(
+        line for line in DEFAULT_CONFIG.splitlines() if line.split("=")[0].strip() in FIELD_UNITS
+    )
+    assert parse_config(physical_only) == parse_config(DEFAULT_CONFIG)

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -212,6 +213,19 @@ class TestTransferPropagation:
         with pytest.raises(IntegrationError) as excinfo:
             propagate_transfer(lambda t: 1e6, squeezed_state(), 0.0, 60.0, tol=1e-10)
         assert "budget" in str(excinfo.value) and 0.0 < excinfo.value.time < 60.0
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan])
+    def test_unusable_tolerance_refused_before_marching(self, device_params, tol):
+        traj = make_trajectory(device_params, 1.0)
+        state0 = thermal_state(device_params, traj.spec.omega0_sq, device_params.bath_temperature)
+        for march in (
+            lambda: propagate_transfer(traj, state0, 0.0, 1.0, tol=tol),
+            lambda: transfer_series(traj, state0, [0.0, 0.5, 1.0], tol=tol),
+        ):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="tol"):
+                march()
+            assert time.perf_counter() - start < 0.1
 
     def test_failed_series_carries_the_states_reached(self, monkeypatch, device_params):
         traj = make_trajectory(device_params, 8.0)

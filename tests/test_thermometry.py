@@ -139,7 +139,3 @@ class TestStateFrequency:
         base = GaussianState(xx=1.0, pp=2.25)
         squeezed = GaussianState(xx=base.xx * 4.0, pp=base.pp / 4.0)
         assert state_frequency(squeezed) == pytest.approx(state_frequency(base) / 16.0, rel=1e-12)
-
-    def test_mass_scaling(self):
-        state = GaussianState(xx=1.0, pp=9.0)
-        assert state_frequency(state, mass=3.0) == pytest.approx(1.0, rel=1e-12)
