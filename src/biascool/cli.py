@@ -36,7 +36,7 @@ from .design import (
     make_trajectory,
     validate_trajectory,
 )
-from .dynamics import IntegrationError, thermal_state, transfer_series
+from .dynamics import IntegrationError, TransferMatrix, thermal_state, transfer_series
 from .outputs import (
     check_entry,
     checks_all_passed,
@@ -48,7 +48,7 @@ from .outputs import (
     write_table,
 )
 from .physical import ParameterError
-from .robustness import REFERENCE_TARGETS, SweepOptions, SweepResult, run_sweep
+from .robustness import REFERENCE_TARGETS, MarchedMatrices, SweepOptions, SweepResult, run_sweep
 
 # Hard-check targets and tolerances for the reproduction run.
 CHECK_ETA = (1.25e7, 0.01, "rel")
@@ -186,10 +186,10 @@ def cmd_design(cfg: RunConfig) -> int:
 
 def _simulate_rows(
     cfg: RunConfig, t_final: float
-) -> tuple[list[tuple], float | None, IntegrationError | None]:
+) -> tuple[list[tuple], TransferMatrix | None, IntegrationError | None]:
     """Per-sample (state, n_bar_ref_omega_eff, n_bar_ref_omega_m, t_eff).
 
-    Also returns the final occupation at the bare frequency, None when
+    Also returns the ramp's transfer matrix over [0, t_final], None when
     the march failed; the rows of the states reached are returned
     together with the error so callers can write partial output.
     """
@@ -198,8 +198,9 @@ def _simulate_rows(
     state0 = thermal_state(params, traj.spec.omega0_sq, params.bath_temperature)
     times = np.linspace(0.0, t_final, cfg.protocol.sample_count).tolist()
     failure: IntegrationError | None = None
+    matrix: TransferMatrix | None = None
     try:
-        states, _ = transfer_series(traj, state0, times, tol=cfg.protocol.tolerance)
+        states, matrix = transfer_series(traj, state0, times, tol=cfg.protocol.tolerance)
     except IntegrationError as exc:
         failure = exc
         states = exc.states
@@ -215,20 +216,28 @@ def _simulate_rows(
             n_inst = thermometry.occupation_from_state(state, w_ref)
             t_eff = thermometry.effective_temperature(math.sqrt(w_ref) * params.bare_frequency, n_inst)
         rows.append((state, n_inst, thermometry.occupation_from_state(state, 1.0), t_eff))
-    return rows, rows[-1][2] if failure is None else None, failure
+    return rows, matrix, failure
 
 
-def _simulate_files(cfg: RunConfig) -> tuple[list[Path], dict[str, float], IntegrationError | None]:
-    """Write the series of every ramp; return the final bare occupation of each completed one."""
+def _simulate_files(
+    cfg: RunConfig,
+) -> tuple[list[Path], dict[str, float], MarchedMatrices, IntegrationError | None]:
+    """Write the series of every ramp.
+
+    Returns the final bare occupation of each completed ramp by label,
+    and its transfer matrix keyed for ``run_sweep``.
+    """
     written: list[Path] = []
     finals: dict[str, float] = {}
+    marched: dict[tuple, TransferMatrix] = {}
     first_failure: IntegrationError | None = None
     for t_final in cfg.protocol.t_final:
         label = tf_label(t_final)
-        rows, n_final, failure = _simulate_rows(cfg, t_final)
+        rows, matrix, failure = _simulate_rows(cfg, t_final)
         first_failure = first_failure or failure
-        if n_final is not None:
-            finals[label] = n_final
+        if matrix is not None:
+            finals[label] = rows[-1][2]
+            marched[make_trajectory(cfg.physical, t_final), cfg.protocol.tolerance] = matrix
         note = None if failure is None else f"integration_error: {failure}"
         tables = (
             ("n_bar_t", ("t_omega_m", "n_bar_ref_omega_eff", "n_bar_ref_omega_m"),
@@ -239,11 +248,11 @@ def _simulate_files(cfg: RunConfig) -> tuple[list[Path], dict[str, float], Integ
         )
         for name, header, table in tables:
             written.append(_write(cfg, f"{name}_{label}", header, table, note))
-    return written, finals, first_failure
+    return written, finals, marched, first_failure
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
-    written, _, failure = _simulate_files(cfg)
+    written, _, _, failure = _simulate_files(cfg)
     for path in written:
         print(path)
     return _report_failures(failure, [])
@@ -280,12 +289,15 @@ def _sweep_row(result: SweepResult) -> tuple:
     )
 
 
-def _sweep_file(cfg: RunConfig) -> tuple[Path, list[SweepResult]]:
+def _sweep_file(
+    cfg: RunConfig, marched: MarchedMatrices | None = None
+) -> tuple[Path, list[SweepResult]]:
     results = run_sweep(
         cfg.physical,
         cfg.protocol.t_final,
         cfg.sweep.epsilon,
         SweepOptions(tolerance=cfg.protocol.tolerance, initial_state=cfg.sweep.initial_state),
+        marched,
     )
     return _write(cfg, "sweep", _SWEEP_HEADER, [_sweep_row(r) for r in results]), results
 
@@ -328,7 +340,7 @@ def cmd_reproduce(cfg: RunConfig) -> int:
     report = build_report(cfg)
 
     written = _design_files(cfg)
-    sim_written, finals, failure = _simulate_files(cfg)
+    sim_written, finals, marched, failure = _simulate_files(cfg)
     written.extend(sim_written)
     if failure is not None:
         return _report_failures(failure, [])
@@ -338,7 +350,7 @@ def cmd_reproduce(cfg: RunConfig) -> int:
             cfg.physical.bare_frequency, n_final
         )
 
-    sweep_path, results = _sweep_file(cfg)
+    sweep_path, results = _sweep_file(cfg, marched)
     written.append(sweep_path)
 
     report_path = out_dir / "report.json"

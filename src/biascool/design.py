@@ -156,13 +156,17 @@ def _drive(traj: ControlTrajectory, gain: float, offset: float):
     c = traj.spec.chi - 1.0
     t_f = traj.spec.t_final
     om0sq = traj.spec.omega0_sq
+    # hoisted products keep the left-to-right order, so the bits are unchanged
+    c6, c15, c10, c60 = 6.0 * c, 15.0 * c, 10.0 * c, 60.0 * c
+    tf_sq = t_f * t_f
 
     def drive(t):
         s = t / t_f
-        b = ((6.0 * c * s - 15.0 * c) * s + 10.0 * c) * s * s * s + 1.0
-        d2 = 60.0 * c * s * (2.0 * s - 1.0) * (s - 1.0) / (t_f * t_f)
-        b4 = (b * b) * (b * b)
-        return offset + gain * ((om0sq - b * b * b * d2 - b4) / (eta * b4))
+        b = ((c6 * s - c15) * s + c10) * s * s * s + 1.0
+        d2 = c60 * s * (2.0 * s - 1.0) * (s - 1.0) / tf_sq
+        b2 = b * b
+        b4 = b2 * b2
+        return offset + gain * ((om0sq - b2 * b * d2 - b4) / (eta * b4))
 
     return drive
 

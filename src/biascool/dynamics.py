@@ -133,6 +133,8 @@ def _profile(traj: ControlTrajectory | FrequencyProfile) -> FrequencyProfile:
 _ROOT15 = math.sqrt(15.0)
 _GAUSS_LO = 0.5 - _ROOT15 / 10.0
 _GAUSS_HI = 0.5 + _ROOT15 / 10.0
+_P_COEF = -_ROOT15 / 3.0  # literal-only coefficients are folded by the compiler
+_sqrt, _cos, _sin, _cosh, _sinh = math.sqrt, math.cos, math.sin, math.cosh, math.sinh
 
 #: Upper bound on attempted steps per propagation.  Every step is at most
 #: ``max_phase`` long (the frequency scale is >= 1), so a span longer than
@@ -140,23 +142,6 @@ _GAUSS_HI = 0.5 + _ROOT15 / 10.0
 #: running for an unbounded time; a march that still exhausts the budget
 #: stops with the time it reached.
 _MAX_STEPS = 1_000_000
-
-
-def _exp_traceless(a: float, b: float, c: float) -> tuple[float, float, float, float]:
-    """exp of [[a, b], [c, -a]] via cosh/sinh(sqrt(a^2 + bc)); unit det."""
-    delta = a * a + b * c
-    if delta > 1e-12:
-        rt = math.sqrt(delta)
-        ch = math.cosh(rt)
-        sh = math.sinh(rt) / rt
-    elif delta < -1e-12:
-        rt = math.sqrt(-delta)
-        ch = math.cos(rt)
-        sh = math.sin(rt) / rt
-    else:
-        ch = 1.0 + 0.5 * delta * (1.0 + delta / 12.0)
-        sh = 1.0 + delta / 6.0 * (1.0 + delta / 20.0)
-    return (ch + sh * a, sh * b, sh * c, ch - sh * a)
 
 
 def _magnus6_step(
@@ -169,20 +154,34 @@ def _magnus6_step(
     C1 = [a1, a2], C2 = -[a1, 2 a3 + C1]/60 and
     Omega = a1 + a3/12 + [-20 a1 - a3 + C1, a2 + C2]/240.  For
     A = [[0, 1], [-w, 0]] the commutators reduce to the scalar products
-    below.  ``wmid`` is w(t + h/2) when the caller already has it.
+    below, and Omega = [[a, b], [c, -a]] is traceless, so its exponential
+    is cosh/sinh(sqrt(a^2 + bc)) in closed form with unit determinant.
+    ``wmid`` is w(t + h/2) when the caller already has it.
     """
     w1 = w(t + _GAUSS_LO * h)
     w2 = w(t + 0.5 * h) if wmid is None else wmid
     w3 = w(t + _GAUSS_HI * h)
     # a1 = [[0, h], [r, 0]], a2 = [[0, 0], [p, 0]], a3 = [[0, 0], [q, 0]]
     r = -h * w2
-    p = -_ROOT15 / 3.0 * h * (w3 - w1)
+    p = _P_COEF * h * (w3 - w1)
     q = -10.0 / 3.0 * h * (w3 - 2.0 * w2 + w1)
     hp2 = h * p * p
     a = h * p * (-20.0 + h * (4.0 / 3.0 * r + q / 30.0)) / 240.0
     b = h + h * h * (hp2 - 20.0 * q) / 3600.0
     c = r + q / 12.0 + (h * q * (20.0 * r + q) / 30.0 - hp2 + h * r * hp2 / 30.0) / 120.0
-    return _exp_traceless(a, b, c)
+    delta = a * a + b * c
+    if delta > 1e-12:
+        rt = _sqrt(delta)
+        ch = _cosh(rt)
+        sh = _sinh(rt) / rt
+    elif delta < -1e-12:
+        rt = _sqrt(-delta)
+        ch = _cos(rt)
+        sh = _sin(rt) / rt
+    else:
+        ch = 1.0 + 0.5 * delta * (1.0 + delta / 12.0)
+        sh = 1.0 + delta / 6.0 * (1.0 + delta / 20.0)
+    return (ch + sh * a, sh * b, sh * c, ch - sh * a)
 
 
 def _mmul(A, B):
@@ -238,7 +237,8 @@ def _integrate_transfer(
     for a, b in zip(targets, targets[1:]):
         if not b > a:
             raise ValueError("samples must be strictly ascending")
-    if targets and (targets[0] <= t0 or targets[-1] > t1 * (1 + 1e-15)):
+    # sample times match the march's to 1e-15 relative, on either side and whatever the sign
+    if targets and (targets[0] <= t0 or targets[-1] > max(t1 * (1 + 1e-15), t1 * (1 - 1e-15))):
         raise ValueError("samples must lie in (t0, t1]")
     max_phase = 1.5  # keep per-step phase below the Magnus convergence radius
     if span / max_phase > _MAX_STEPS:
@@ -248,6 +248,8 @@ def _integrate_transfer(
 
     if emitted is None:
         emitted = []
+    step, mmul, sqrt, isfinite = _magnus6_step, _mmul, _sqrt, math.isfinite
+    n_targets = len(targets)
     t = t0
     M = (1.0, 0.0, 0.0, 1.0)
     next_target = 0
@@ -262,21 +264,26 @@ def _integrate_transfer(
         steps += 1
         h_try = min(h, t1 - t)
         wmid = w(t + 0.5 * h_try)
-        wscale = math.sqrt(max(abs(wmid), 1.0))
+        wscale = sqrt(max(abs(wmid), 1.0))
         if wscale * h_try > max_phase:
             h_try = max_phase / wscale
             wmid = None  # no longer the midpoint of the step
         clipped = h_try < h
 
-        coarse = _magnus6_step(w, t, h_try, wmid)
+        c11, c12, c21, c22 = step(w, t, h_try, wmid)
         half = 0.5 * h_try
-        fine = _mmul(_magnus6_step(w, t + half, half), _magnus6_step(w, t, half))
+        a11, a12, a21, a22 = step(w, t + half, half)
+        b11, b12, b21, b22 = step(w, t, half)
+        f11 = a11 * b11 + a12 * b21
+        f12 = a11 * b12 + a12 * b22
+        f21 = a21 * b11 + a22 * b21
+        f22 = a21 * b12 + a22 * b22
         err = (
             max(
-                abs(fine[0] - coarse[0]),
-                abs(fine[3] - coarse[3]),
-                abs(fine[1] - coarse[1]) * wscale,
-                abs(fine[2] - coarse[2]) / wscale,
+                abs(f11 - c11),
+                abs(f22 - c22),
+                abs(f12 - c12) * wscale,
+                abs(f21 - c21) / wscale,
             )
             / 63.0
         )
@@ -284,17 +291,18 @@ def _integrate_transfer(
         accepted = err <= tol  # NaN error estimates reject
         if accepted:
             t_new = t + h_try
-            M_new = _mmul(fine, M)
-            while next_target < len(targets) and targets[next_target] <= t_new * (1 + 1e-15):
-                target = targets[next_target]
-                if target >= t_new * (1 - 1e-15):
-                    emitted.append(M_new)
-                else:
-                    emitted.append(_mmul(_magnus6_step(w, t, target - t), M))
-                next_target += 1
+            M_new = mmul((f11, f12, f21, f22), M)
+            if next_target < n_targets:
+                hi, lo = t_new * (1 + 1e-15), t_new * (1 - 1e-15)
+                if t_new < 0.0:  # the relative slack flips with the sign
+                    hi, lo = lo, hi
+                while next_target < n_targets and targets[next_target] <= hi:
+                    target = targets[next_target]
+                    emitted.append(M_new if target >= lo else mmul(step(w, t, target - t), M))
+                    next_target += 1
             t = t_new
             M = M_new
-        if not math.isfinite(err):
+        if not isfinite(err):
             factor = 0.2
         elif err > 0.0:
             factor = 0.9 * (tol / err) ** (1.0 / 7.0)

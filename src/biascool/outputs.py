@@ -1,9 +1,9 @@
 """Deterministic CSV/JSON emission and the reproduction manifest.
 
-All numeric formatting funnels through :func:`format_float` with the
-configured significant-digit count, files end with a newline and use LF
-endings, and JSON is sorted -- two runs of the same config produce
-byte-identical files, which the manifest check relies on.
+Table cells are rendered by :func:`write_table` with ``%.{precision}g``
+for floats, the same digits as :func:`format_float`; files end with a
+newline and use LF endings, and JSON is sorted -- two runs of the same
+config produce byte-identical files, which the manifest check relies on.
 """
 
 from __future__ import annotations
@@ -18,14 +18,12 @@ def format_float(value: float, precision: int) -> str:
     return f"{value:.{precision}g}"
 
 
-def format_row(row: Sequence, precision: int) -> list[str]:
-    out = []
-    for cell in row:
-        if isinstance(cell, float):
-            out.append(format_float(cell, precision))
-        else:
-            out.append("" if cell is None else str(cell))
-    return out
+def _cell_formats(types: tuple[type, ...], precision: int) -> tuple[str, ...]:
+    """%-format of each cell: %g for floats, empty for None, str() for the rest."""
+    return tuple(
+        f"%.{precision}g" if issubclass(t, float) else "%.0s" if t is type(None) else "%s"
+        for t in types
+    )
 
 
 def write_table(
@@ -38,24 +36,34 @@ def write_table(
 ) -> None:
     """Write a table as CSV (default) or as a columnar JSON document.
 
-    ``note`` (say, why the table stops early) is a trailing ``# note``
-    line in CSV and a ``"note"`` key in JSON.
+    Each row is rendered with one %-template per distinct tuple of cell
+    types, built on first use.  ``note`` (say, why the table stops early)
+    is a trailing ``# note`` line in CSV and a ``"note"`` key in JSON.
     """
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unknown table format {fmt!r}")
     path.parent.mkdir(parents=True, exist_ok=True)
-    formatted = [format_row(row, precision) for row in rows]
-    if fmt == "csv":
-        lines = [",".join(header)]
-        lines.extend(",".join(cells) for cells in formatted)
+    csv = fmt == "csv"
+    templates: dict = {}
+    formatted = []
+    for row in rows:
+        row = tuple(row)
+        types = tuple(map(type, row))
+        template = templates.get(types)
+        if template is None:
+            cells = _cell_formats(types, precision)
+            template = templates[types] = ",".join(cells) if csv else cells
+        formatted.append(template % row if csv else [f % c for f, c in zip(template, row)])
+    if csv:
+        lines = [",".join(header), *formatted]
         if note is not None:
             lines.append(f"# {note}")
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    elif fmt == "json":
+    else:
         payload = {"columns": list(header), "rows": formatted}
         if note is not None:
             payload["note"] = note
         write_json(path, payload)
-    else:
-        raise ValueError(f"unknown table format {fmt!r}")
 
 
 def write_json(path: Path, payload) -> None:

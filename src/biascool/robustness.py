@@ -12,21 +12,22 @@ b'(0) = 0 the Pinney solution is b^2 = m11^2 + omega_0^2 m12^2, where
 m11, m12 are entries of the perturbed ramp's transfer matrix (Pinney,
 Proc. AMS 1 (1950) 681; Lewis & Riesenfeld, J. Math. Phys. 10 (1969)
 1458).  That matrix is the one the occupation columns come from, so each
-cell runs exactly one propagation; at the default tolerance the 6th-order
-Magnus march keeps b within 1e-9 relative of an extended-precision
-reference, and the epsilon = 0 cell equals the simulated series bit for
-bit.
+cell runs at most one propagation; ``reproduce`` passes in simulate's
+nominal matrices, so its epsilon = 0 cells run none.  At the default
+tolerance the 6th-order Magnus march keeps b within 1e-9 relative of an
+extended-precision reference, and the epsilon = 0 cell equals the
+simulated series bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from . import thermometry
 from .design import ControlTrajectory, make_trajectory
-from .dynamics import IntegrationError, propagate_transfer, thermal_state
+from .dynamics import IntegrationError, TransferMatrix, propagate_transfer, thermal_state
 from .physical import PhysicalParams
 
 #: Published end-point reference values for the +-10% drive-error study
@@ -75,11 +76,16 @@ def perturb_trajectory(traj: ControlTrajectory, epsilon: float) -> ControlTrajec
     return ControlTrajectory(traj.spec, traj.eta, traj.f_scale * (1.0 + epsilon))
 
 
+#: (trajectory, tolerance) -> its transfer matrix over [0, t_final]
+MarchedMatrices = Mapping[tuple[ControlTrajectory, float], TransferMatrix]
+
+
 def _run_cell(
     params: PhysicalParams,
     t_final: float,
     epsilon: float,
     options: SweepOptions,
+    marched: MarchedMatrices,
 ) -> SweepResult:
     nominal = make_trajectory(params, t_final)
     perturbed = perturb_trajectory(nominal, epsilon)
@@ -95,7 +101,11 @@ def _run_cell(
             )
     state0 = thermal_state(params, start_omega_sq, params.bath_temperature)
 
-    final, m = propagate_transfer(perturbed, state0, 0.0, t_final, tol=options.tolerance)
+    m = marched.get((perturbed, options.tolerance))
+    if m is None:
+        final, m = propagate_transfer(perturbed, state0, 0.0, t_final, tol=options.tolerance)
+    else:
+        final = m.apply(state0, time=t_final)
     n_final = thermometry.occupation_from_state(final, 1.0)
     t_eff = thermometry.effective_temperature(params.bare_frequency, n_final)
     omega_sq = thermometry.state_frequency(final)
@@ -109,11 +119,15 @@ def run_sweep(
     t_final_list: Sequence[float],
     epsilon_list: Sequence[float],
     options: SweepOptions = SweepOptions(),
+    marched: MarchedMatrices | None = None,
 ) -> list[SweepResult]:
     """All (t_final, epsilon) cells, in the given order (t_final outer).
 
     Cell order does not influence any cell's value; a failed cell
-    yields NaN diagnostics and an explanatory status.
+    yields NaN diagnostics and an explanatory status.  A cell whose
+    drive and tolerance are a key of ``marched`` applies that matrix to
+    its start state instead of marching; the march is deterministic, so
+    the cell's values are the same bits either way.
     """
     if not t_final_list or not epsilon_list:
         raise ValueError("t_final_list and epsilon_list must be non-empty")
@@ -121,7 +135,9 @@ def run_sweep(
     for t_final in t_final_list:
         for epsilon in epsilon_list:
             try:
-                results.append(_run_cell(params, float(t_final), float(epsilon), options))
+                results.append(
+                    _run_cell(params, float(t_final), float(epsilon), options, marched or {})
+                )
             except IntegrationError as exc:
                 results.append(
                     SweepResult(

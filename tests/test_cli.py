@@ -15,7 +15,7 @@ import biascool
 from biascool import dynamics
 from biascool.cli import main
 from biascool.config import DEFAULT_CONFIG, load_config
-from biascool.design import make_trajectory
+from biascool.design import ControlTrajectory, make_trajectory
 
 from conftest import CHI_DEFAULT, NBAR_COLD, OMEGA0_DEFAULT, TEFF_FINAL
 
@@ -253,6 +253,34 @@ class TestReproduce:
         assert "sweep.csv" in files and "report.json" in files
         assert len(files) == 20
         assert manifest["all_passed"] is True
+
+    def test_sweep_reuses_the_simulated_marches(self, tmp_path, monkeypatch):
+        # work counters: 3 simulate marches and the 6 perturbed sweep cells;
+        # the epsilon = 0 cells apply simulate's matrices (12 marches before)
+        marches = evaluations = 0
+        integrate = dynamics._integrate_transfer
+        profile = ControlTrajectory.frequency_sq_fn
+
+        def counted_march(*args, **kwargs):
+            nonlocal marches
+            marches += 1
+            return integrate(*args, **kwargs)
+
+        def counted_profile(traj):
+            w = profile(traj)
+
+            def counted(t):
+                nonlocal evaluations
+                evaluations += 1
+                return w(t)
+
+            return counted
+
+        monkeypatch.setattr(dynamics, "_integrate_transfer", counted_march)
+        monkeypatch.setattr(ControlTrajectory, "frequency_sq_fn", counted_profile)
+        assert main(["reproduce", "--out", str(tmp_path / "out")]) == 0
+        assert marches == 9
+        assert evaluations <= 93_270  # 123,787 when every cell marched
 
     def test_failing_target_exits_3(self, tmp_path, capsys):
         out = tmp_path / "out"

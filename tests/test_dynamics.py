@@ -149,6 +149,23 @@ class TestTransferPropagation:
         assert (states[-1].xx, states[-1].pp, states[-1].xp) == (final.xx, final.pp, final.xp)
         assert m_series == m_one
 
+    def test_negative_times_match_the_shifted_grid(self):
+        # the sample window's 1e-15 slack must widen (t0, t1] whatever the sign of t
+        w = lambda t: 1.0 + 3.0 * math.sin(2.0 * t) ** 2
+        shift = 3.0
+        times = [-2.0, -1.5, -1.0, -0.5]
+        neg, m_neg = transfer_series(w, GaussianState(1.0, 1.0, time=times[0]), times)
+        pos, m_pos = transfer_series(
+            lambda t: w(t - shift),
+            GaussianState(1.0, 1.0, time=times[0] + shift),
+            [t + shift for t in times],
+        )
+        assert [s.time for s in neg] == times
+        for a, b in zip(neg, pos, strict=True):
+            for x, y in ((a.xx, b.xx), (a.pp, b.pp), (a.xp, b.xp)):
+                assert x == pytest.approx(y, rel=1e-12, abs=1e-15)
+        np.testing.assert_allclose(m_neg.as_array(), m_pos.as_array(), rtol=1e-12)
+
     def test_series_time_mismatch_rejected(self, device_params):
         traj = make_trajectory(device_params, 1.0)
         state0 = thermal_state(device_params, traj.spec.omega0_sq, device_params.bath_temperature)

@@ -1,0 +1,37 @@
+import json
+import math
+import random
+
+import numpy as np
+import pytest
+
+from biascool.outputs import write_table
+
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.797e308, -1.797e308, 0.1, 1.0]
+
+
+def cell_text(value, precision):
+    if isinstance(value, float):
+        return f"{value:.{precision}g}"
+    return "" if value is None else str(value)
+
+
+@pytest.mark.parametrize("precision", [1, 6, 12, 17])
+def test_cells_render_as_per_cell_format(tmp_path, precision):
+    # rows of mixed cell types, so many row templates are built and reused
+    rng = random.Random(precision)
+    floats = EDGE_FLOATS + [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-310, 308) for _ in range(500)]
+    pool = floats + [np.float64(v) for v in floats[:60]] + [0, -7, 2**70, True, "ok", "a,b", "50%", "", None]
+    rows = [tuple(rng.choice(pool) for _ in range(4)) for _ in range(400)] + [[None, 1.5, "x", 3]]
+    header = ("a", "b", "c", "d")
+    expected = [[cell_text(v, precision) for v in row] for row in rows]
+
+    write_table(tmp_path / "t.csv", header, rows, precision, "csv", note="stopped")
+    csv_lines = [",".join(header), *(",".join(cells) for cells in expected), "# stopped"]
+    assert (tmp_path / "t.csv").read_bytes() == ("\n".join(csv_lines) + "\n").encode()
+
+    write_table(tmp_path / "t.json", header, rows, precision, "json")
+    payload = {"columns": list(header), "rows": expected}
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "t.json").read_bytes() == text.encode()
+

@@ -7,7 +7,12 @@ import pytest
 from biascool import cli, integrate, robustness
 from biascool.config import load_config
 from biascool.design import control_function, make_trajectory
-from biascool.dynamics import solve_ermakov_forward
+from biascool.dynamics import (
+    TransferMatrix,
+    propagate_transfer,
+    solve_ermakov_forward,
+    thermal_state,
+)
 from biascool.robustness import (
     REFERENCE_TARGETS,
     SweepOptions,
@@ -17,6 +22,19 @@ from biascool.robustness import (
 )
 
 from conftest import NBAR_COLD, TEFF_FINAL, make_params_eta
+
+
+def count_propagations(monkeypatch) -> list:
+    """Patch the sweep's propagator to record the drive of each march."""
+    calls = []
+    propagate = robustness.propagate_transfer
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return propagate(*args, **kwargs)
+
+    monkeypatch.setattr(robustness, "propagate_transfer", counted)
+    return calls
 
 
 class TestPerturbation:
@@ -150,6 +168,39 @@ class TestSweep:
         assert failure is None and final is not None
         cell, = run_sweep(cfg.physical, [0.5], [0.0], SweepOptions(tolerance=cfg.protocol.tolerance))
         assert cell.n_bar_final == rows[-1][2]
+
+    @pytest.mark.parametrize("initial_state", ["nominal", "perturbed"])
+    def test_marched_matrices_give_the_same_bits(self, device_params, monkeypatch, initial_state):
+        # the epsilon = 0 cells apply the nominal matrices instead of marching
+        options = SweepOptions(tolerance=1e-10, initial_state=initial_state)
+        grid = ([0.5, 1.0], [-0.1, 0.0, 0.1])
+        marched = {}
+        for t_final in grid[0]:
+            traj = make_trajectory(device_params, t_final)
+            state0 = thermal_state(device_params, traj.spec.omega0_sq, device_params.bath_temperature)
+            marched[traj, options.tolerance] = propagate_transfer(
+                traj, state0, 0.0, t_final, tol=options.tolerance
+            )[1]
+        expected = run_sweep(device_params, *grid, options)
+        calls = count_propagations(monkeypatch)
+        reused = run_sweep(device_params, *grid, options, marched)
+        assert len(calls) == 4 and not any(traj.boundary_consistent for traj in calls)
+        assert all(row.status == "ok" for row in reused)
+        assert list(map(repr, reused)) == list(map(repr, expected))
+
+    def test_marched_matrix_for_another_ramp_is_ignored(self, device_params, monkeypatch):
+        wrong = TransferMatrix(1.0, 0.0, 0.0, 1.0)
+        marched = {
+            (make_trajectory(device_params, 0.5), 1e-9): wrong,  # another tolerance
+            (make_trajectory(device_params, 1.0), 1e-10): wrong,  # another t_final
+            (make_trajectory(make_params_eta(1.0e7), 0.5), 1e-10): wrong,  # another device
+        }
+        options = SweepOptions(tolerance=1e-10)
+        expected = run_sweep(device_params, [0.5], [0.0], options)
+        calls = count_propagations(monkeypatch)
+        cells = run_sweep(device_params, [0.5], [0.0], options, marched)
+        assert len(calls) == 1
+        assert list(map(repr, cells)) == list(map(repr, expected))
 
     def test_small_error_envelope(self, device_params):
         # occupation deviation grows monotonically with the drive error
