@@ -1,16 +1,18 @@
-"""Command-line front end.
+"""Design and verify occupation-preserving bias-voltage cooling ramps.
 
-Subcommands::
+commands:
+  params      device analysis: coupling, boundary frequencies, occupations
+  design      drive f(t), omega_eff(t) and scale factor b(t) per t_final
+  simulate    propagated thermal state: occupations, T_eff, moments
+  sweep       drive-error sweep table
+  reproduce   design + simulate + sweep, report, manifest, hard checks
 
-    biascool params    [--config F]                 analysis only, no dynamics
-    biascool design    [--config F] [--out D] ...   ramp time series per t_final
-    biascool simulate  [--config F] [--out D] ...   propagated state time series
-    biascool sweep     [--config F] [--out D] ...   drive-error sweep table
-    biascool reproduce [--config F] [--out D] ...   everything + manifest + checks
-
-Exit codes: 0 success, 1 configuration error, 2 numeric/integration
-failure, 3 hard reproduction check failed.  All outputs are pure
-functions of the configuration; two runs write byte-identical files.
+Every command takes --config FILE (default: the built-in config); --out
+DIR, --tol X and --samples N set output_dir, tolerance and sample_count,
+parsed and validated as config-file lines are.  Exit codes: 0 success,
+also --help and --version; 1 configuration or usage error; 2 numeric or
+integration failure; 3 hard reproduction check failed.  All outputs are
+pure functions of the configuration: two runs write byte-identical files.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import argparse
 import locale  # noqa: F401
 import math
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -381,24 +383,20 @@ def cmd_reproduce(cfg: RunConfig) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # a flag left out is absent from the namespace; each flag's dest is
+    # the config key it sets
     parser = argparse.ArgumentParser(
         prog="biascool",
-        description="Design and verify occupation-preserving bias-voltage cooling ramps.",
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        argument_default=argparse.SUPPRESS,
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("params", "Print coupling, boundary frequencies and occupations (no dynamics)."),
-        ("design", "Write drive/frequency/scale-factor time series per ramp time."),
-        ("simulate", "Propagate the thermal state and write diagnostics time series."),
-        ("sweep", "Run the drive-error sweep and write the results table."),
-        ("reproduce", "Run design + simulate + sweep, write manifest, check targets."),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", metavar="FILE", default=None, help="config file (default: built-in)")
-        p.add_argument("--out", metavar="DIR", default=None, help="override output directory")
-        p.add_argument("--tol", metavar="X", type=float, default=None, help="override integrator tolerance")
-        p.add_argument("--samples", metavar="N", type=int, default=None, help="override sample count")
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", metavar="FILE")
+    parser.add_argument("--out", dest="output_dir", metavar="DIR")
+    parser.add_argument("--tol", dest="tolerance", metavar="X")
+    parser.add_argument("--samples", dest="sample_count", metavar="N")
     return parser
 
 
@@ -412,20 +410,11 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        if args.out is not None:
-            cfg = replace(cfg, output=replace(cfg.output, directory=args.out))
-        if args.tol is not None:
-            cfg = replace(cfg, protocol=replace(cfg.protocol, tolerance=args.tol))
-        if args.samples is not None:
-            cfg = replace(cfg, protocol=replace(cfg.protocol, sample_count=args.samples))
-    except (ConfigError, ParameterError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        return _COMMANDS[args.command](cfg)
+        flags = vars(_build_parser().parse_args(argv))
+        return _COMMANDS[flags.pop("command")](load_config(flags.pop("config", None), flags))
+    except SystemExit as exc:  # argparse printed the help, the version or a usage error
+        return 1 if exc.code else 0
     except (ConfigError, ParameterError, DesignError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

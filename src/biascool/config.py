@@ -83,8 +83,8 @@ class SweepConfig:
     initial_state: str = "nominal"
 
     def __post_init__(self) -> None:
-        if not self.epsilon:
-            raise ConfigError("epsilon list must be non-empty")
+        if not self.epsilon or not all(math.isfinite(eps) for eps in self.epsilon):
+            raise ConfigError("epsilon must be a non-empty list of finite drive errors")
         if self.initial_state not in ("nominal", "perturbed"):
             raise ConfigError(
                 f"initial_state must be 'nominal' or 'perturbed', got {self.initial_state!r}"
@@ -132,11 +132,14 @@ _KEYS = {
 _SECTIONS = {"protocol": ProtocolConfig, "sweep": SweepConfig, "output": OutputConfig}
 
 
-def parse_config(text: str, source: str = "<config>") -> RunConfig:
-    """Parse config text; raise ConfigError with line/field context."""
-    seen: dict[str, int] = {}
-    physical_kwargs: dict[str, float] = {}
-    sections: dict[str, dict] = {name: {} for name in _SECTIONS}
+def parse_config(
+    text: str, source: str = "<config>", overrides: dict[str, str] | None = None
+) -> RunConfig:
+    """Parse config text; raise ConfigError with line/field context.
+
+    ``overrides`` (key -> value text) replace the file's values, parsed as its lines are.
+    """
+    entries: dict[str, tuple[str, str]] = {}  # key -> (where, value text)
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -146,11 +149,15 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
         key, value = (part.strip() for part in stripped.split("=", 1))
         if not key or not value:
             raise ConfigError(f"{source}:{lineno}: empty key or value")
-        if key in seen:
-            raise ConfigError(f"{source}:{lineno}: duplicate key {key!r} (first at line {seen[key]})")
-        seen[key] = lineno
+        if key in entries:
+            raise ConfigError(f"{source}:{lineno}: duplicate key {key!r} (first at {entries[key][0]})")
         if key not in FIELD_UNITS and key not in _KEYS:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
+        entries[key] = f"{source}:{lineno}", value
+    entries.update((key, ("command line", value)) for key, value in (overrides or {}).items())
+    physical_kwargs: dict[str, float] = {}
+    sections: dict[str, dict] = {name: {} for name in _SECTIONS}
+    for key, (where, value) in entries.items():
         try:  # ParameterError is a ValueError too
             if key in FIELD_UNITS:
                 physical_kwargs[key] = parse_quantity(key, value)
@@ -158,7 +165,7 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
                 section, name, parse = _KEYS[key]
                 sections[section][name] = parse(value)
         except ValueError as exc:
-            raise ConfigError(f"{source}:{lineno}: {key}: {exc}") from exc
+            raise ConfigError(f"{where}: {key}: {exc}") from exc
 
     missing = [key for key in _REQUIRED_PHYSICAL if key not in physical_kwargs]
     if missing:
@@ -171,16 +178,16 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
     return RunConfig(physical, **{name: cls(**sections[name]) for name, cls in _SECTIONS.items()})
 
 
-def load_config(path: str | Path | None) -> RunConfig:
+def load_config(path: str | Path | None, overrides: dict[str, str] | None = None) -> RunConfig:
     """Load a config file, or the built-in defaults when path is None."""
     if path is None:
-        return parse_config(DEFAULT_CONFIG, source="<default>")
+        return parse_config(DEFAULT_CONFIG, "<default>", overrides)
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {p}: {exc}") from exc
-    return parse_config(text, source=str(p))
+    return parse_config(text, str(p), overrides)
 
 
 def serialize_config(cfg: RunConfig) -> str:

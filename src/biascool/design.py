@@ -221,18 +221,11 @@ def validate_trajectory(traj: ControlTrajectory, n_samples: int = 2001) -> Traje
     f = control_function(traj, t)
     w = effective_frequency_profile(traj, t)
 
-    windows: list[tuple[float, float]] = []
-    neg = w < 0.0
-    i = 0
-    while i < n_samples:
-        if neg[i]:
-            j = i
-            while j + 1 < n_samples and neg[j + 1]:
-                j += 1
-            windows.append((float(t[i]), float(t[j])))
-            i = j + 1
-        else:
-            i += 1
+    # runs of w < 0: a window starts at each rising edge of the padded
+    # mask and ends one sample before the next falling edge
+    neg = np.concatenate(([False], w < 0.0, [False]))
+    edges = np.flatnonzero(neg[1:] != neg[:-1])
+    windows = tuple(zip(t[edges[::2]].tolist(), t[edges[1::2] - 1].tolist()))
 
     interior = slice(1, -1)
     return TrajectoryValidation(
@@ -240,7 +233,7 @@ def validate_trajectory(traj: ControlTrajectory, n_samples: int = 2001) -> Traje
         max_abs_f=float(np.max(np.abs(f))),
         max_abs_f_interior=float(np.max(np.abs(f[interior]))) if n_samples > 2 else 0.0,
         f_within_unit=bool(np.all(np.abs(f[interior]) <= 1.0)) if n_samples > 2 else True,
-        negative_omega_sq_windows=tuple(windows),
+        negative_omega_sq_windows=windows,
         boundary_residual_start=float(abs(f[0] - traj.f_scale)),
         boundary_residual_end=float(abs(f[-1])),
     )

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import biascool
-from biascool import dynamics
+from biascool import cli, dynamics
 from biascool.cli import main
 from biascool.config import DEFAULT_CONFIG, load_config
 from biascool.design import ControlTrajectory, make_trajectory
@@ -91,6 +91,13 @@ class TestDesign:
         out = tmp_path / "out"
         cfg = fast_config(tmp_path)
         assert main(["design", "--config", str(cfg), "--out", str(out), "--samples", "11"]) == 0
+        _, rows = read_csv(out / "f_t_tf1.csv")
+        assert len(rows) == 11
+
+    def test_flags_before_the_command(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = fast_config(tmp_path)
+        assert main(["--samples", "11", "--out", str(out), "design", "--config", str(cfg)]) == 0
         _, rows = read_csv(out / "f_t_tf1.csv")
         assert len(rows) == 11
 
@@ -364,6 +371,53 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1.0
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    def test_non_finite_epsilon_is_a_config_error(self, tmp_path, capsys):
+        cfg = fast_config(tmp_path, **{"epsilon = -0.1, 0.0, 0.1": "epsilon = nan"})
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "epsilon" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flag,value,key", [("--samples", "1.5", "sample_count"), ("--tol", "abc", "tolerance")]
+    )
+    def test_malformed_flag_value_is_a_config_error(self, capsys, flag, value, key):
+        # a flag's text is parsed as the config key it sets
+        assert main(["params", flag, value]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("config error:") and key in err
+
+    @pytest.mark.parametrize(
+        "argv", [[], ["simulat"], ["params", "--bogus"], ["params", "--out"], ["params", "extra"]]
+    )
+    def test_usage_error_exits_1(self, capsys, argv):
+        assert main(argv) == 1
+        assert "usage: biascool" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["params", "--help"]])
+    def test_help_and_version_exit_0(self, capsys, argv):
+        assert main(argv) == 0
+        assert "biascool" in capsys.readouterr().out
+
+    def test_unknown_command_exits_1_in_a_fresh_process(self):
+        src = str(Path(biascool.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run(
+            [sys.executable, "-m", "biascool.cli", "simulat"], env=env, capture_output=True, text=True
+        )
+        assert run.returncode == 1
+        assert "invalid choice: 'simulat'" in run.stderr and "Traceback" not in run.stderr
+
+
+def test_commands_are_declared_once_and_documented():
+    # the parser's choices are _COMMANDS; the help text and README list the same
+    (command,) = [action for action in cli._build_parser()._actions if action.dest == "command"]
+    assert list(command.choices) == list(cli._COMMANDS)
+    listed = cli.__doc__.split("commands:\n", 1)[1].split("\n\n", 1)[0]
+    assert [line.split()[0] for line in listed.splitlines()] == list(cli._COMMANDS)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line\n\n```sh\n", 1)[1].split("```", 1)[0]
+    assert [line.split()[1] for line in block.splitlines()] == list(cli._COMMANDS)
 
 
 def test_cli_import_leaves_scipy_unloaded():

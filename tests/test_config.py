@@ -88,6 +88,8 @@ def test_direct_charge_override_warns_when_inconsistent():
         (("epsilon = -0.1, 0.0, 0.1", "epsilon = ,"), "epsilon"),
         (("t_final = 0.5, 1.0, 2.0", "t_final = 0.5, 0.5000000000001"), "t_final"),
         (("t_final = 0.5, 1.0, 2.0", "t_final = 1.0, 1.0"), "t_final"),
+        (("epsilon = -0.1, 0.0, 0.1", "epsilon = nan"), "epsilon"),
+        (("epsilon = -0.1, 0.0, 0.1", "epsilon = -0.1, inf"), "epsilon"),
     ],
 )
 def test_invalid_values_rejected(mutation, message):

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import mpmath as mp
@@ -276,6 +277,29 @@ class TestValidation:
         assert report.negative_omega_sq_windows
         lo, hi = report.negative_omega_sq_windows[0]
         assert 0.0 < lo <= hi < 0.05
+
+    @pytest.mark.parametrize("omega_final_sq", [4.0, 0.25])
+    @pytest.mark.parametrize("n_samples", [2, 3, 101, 1001])
+    def test_windows_are_the_runs_of_negative_omega_sq(self, omega_final_sq, n_samples):
+        # reference: a direct scan of w < 0, one run at a time
+        spec = TrajectorySpec.create(0.25, omega_final_sq, 1.0)
+        traj = ControlTrajectory(spec, eta=1.0, f_scale=2.0)
+        t = np.linspace(0.0, 1.0, n_samples).tolist()
+        windows, i = [], 0
+        for negative, run in itertools.groupby(effective_frequency_profile(traj, np.array(t)) < 0.0):
+            n = len(list(run))
+            if negative:
+                windows.append((t[i], t[i + n - 1]))
+            i += n
+        assert validate_trajectory(traj, n_samples).negative_omega_sq_windows == tuple(windows)
+
+    def test_windows_at_the_first_sample_and_everywhere(self):
+        spec = TrajectorySpec.create(0.25, 4.0, 1.0)
+        windows = validate_trajectory(ControlTrajectory(spec, eta=1.0, f_scale=2.0), 101)
+        assert windows.negative_omega_sq_windows == ((0.0, 0.0), (0.52, 0.92))
+        spec = TrajectorySpec.create(0.25, 0.25, 1.0)
+        windows = validate_trajectory(ControlTrajectory(spec, eta=1.0, f_scale=2.0), 1001)
+        assert windows.negative_omega_sq_windows == ((0.0, 1.0),)
 
     def test_sample_count_domain(self, device_params):
         with pytest.raises(DesignError):
