@@ -23,7 +23,7 @@ import argparse
 import locale  # noqa: F401
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -98,11 +98,6 @@ class CoolingReport:
                 f"boundary residuals = ({report['boundary_residual_start']:.2e}, "
                 f"{report['boundary_residual_end']:.2e}), "
                 f"imaginary-frequency windows = {len(windows)}"
-            )
-        for label in self.n_bar_final:
-            lines.append(
-                f"ramp {label}: simulated final occupation = {self.n_bar_final[label]:.6g}, "
-                f"T_eff = {self.t_eff_final[label]:.6g} K"
             )
         return "\n".join(lines)
 
@@ -274,21 +269,12 @@ _SWEEP_HEADER = (
 
 
 def _sweep_row(result: SweepResult) -> tuple:
+    # SweepResult's fields are the table's leading columns, in order
     target = next(
         (v for eps, v in REFERENCE_TARGETS.items() if math.isclose(result.epsilon, eps, abs_tol=1e-12)),
-        None,
+        (None, None),
     )
-    return (
-        result.epsilon,
-        result.t_final,
-        result.n_bar_final,
-        result.t_eff_final,
-        result.state_omega_final,
-        result.ermakov_b_final,
-        result.status.replace(",", ";"),
-        target[0] if target else None,
-        target[1] if target else None,
-    )
+    return (*astuple(result), *target)
 
 
 def _sweep_file(

@@ -10,7 +10,7 @@ delegated to the physical layer, the single place units exist.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 from .outputs import tf_label
@@ -48,16 +48,6 @@ output_dir = out
 format = csv
 precision = 12
 """
-
-_REQUIRED_PHYSICAL = (
-    "capacitance",
-    "voltage_amplitude",
-    "mass",
-    "bare_frequency",
-    "separation",
-    "bath_temperature",
-)
-
 
 @dataclass(frozen=True)
 class ProtocolConfig:
@@ -147,17 +137,17 @@ def parse_config(
         if "=" not in stripped:
             raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {line.strip()!r}")
         key, value = (part.strip() for part in stripped.split("=", 1))
-        if not key or not value:
-            raise ConfigError(f"{source}:{lineno}: empty key or value")
         if key in entries:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r} (first at {entries[key][0]})")
         if key not in FIELD_UNITS and key not in _KEYS:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
         entries[key] = f"{source}:{lineno}", value
-    entries.update((key, ("command line", value)) for key, value in (overrides or {}).items())
+    entries.update((key, ("command line", value.strip())) for key, value in (overrides or {}).items())
     physical_kwargs: dict[str, float] = {}
     sections: dict[str, dict] = {name: {} for name in _SECTIONS}
     for key, (where, value) in entries.items():
+        if not value:
+            raise ConfigError(f"{where}: {key}: empty value")
         try:  # ParameterError is a ValueError too
             if key in FIELD_UNITS:
                 physical_kwargs[key] = parse_quantity(key, value)
@@ -167,7 +157,8 @@ def parse_config(
         except ValueError as exc:
             raise ConfigError(f"{where}: {key}: {exc}") from exc
 
-    missing = [key for key in _REQUIRED_PHYSICAL if key not in physical_kwargs]
+    required = (f.name for f in fields(PhysicalParams) if f.default is MISSING)
+    missing = [key for key in required if key not in physical_kwargs]
     if missing:
         raise ConfigError(f"{source}: missing required physical parameters: {', '.join(missing)}")
 

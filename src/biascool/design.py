@@ -20,7 +20,7 @@ Everything here is closed form; all quantities are in reduced units
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -36,15 +36,14 @@ class DesignError(ValueError):
 class TrajectorySpec:
     """Boundary data of one ramp, in reduced units.
 
-    chi is redundant with the frequency ratio (chi^4 = omega0_sq /
-    omega_final_sq) and is validated to 1e-12 relative on construction;
-    build instances through :meth:`create` rather than by hand.
+    chi, the end point of the scale factor b, is derived on construction
+    from the frequency ratio: chi^4 = omega0_sq / omega_final_sq.
     """
 
     omega0_sq: float
     omega_final_sq: float
     t_final: float
-    chi: float
+    chi: float = field(init=False)
 
     def __post_init__(self) -> None:
         # finite here also catches an eta that overflows from finite device inputs
@@ -53,25 +52,18 @@ class TrajectorySpec:
                 "boundary frequencies squared must be positive and finite, got "
                 f"{self.omega0_sq!r} and {self.omega_final_sq!r}"
             )
+        chi = (self.omega0_sq / self.omega_final_sq) ** 0.25
+        object.__setattr__(self, "chi", chi)
         if not self.t_final > 0.0:
             raise DesignError(f"t_final must be positive, got {self.t_final!r}")
         tf_sq = self.t_final * self.t_final
         if not math.isfinite(tf_sq):
             raise DesignError(f"t_final = {self.t_final!r} is too long: t_final^2 overflows")
         # |b^3 b''| in the drive stays below 60 |chi - 1| max(chi, 1)^3 / t_final^2
-        b_max = max(self.chi, 1.0)
-        b3_d2_bound = 60.0 * abs(self.chi - 1.0) * b_max * b_max * b_max
+        b_max = max(chi, 1.0)
+        b3_d2_bound = 60.0 * abs(chi - 1.0) * b_max * b_max * b_max
         if not (tf_sq > 0.0 and math.isfinite(b3_d2_bound / tf_sq)):
             raise DesignError(f"t_final = {self.t_final!r} is too short: the drive overflows")
-        if not math.isclose(self.chi**4 * self.omega_final_sq, self.omega0_sq, rel_tol=1e-12):
-            raise DesignError("chi is inconsistent with the boundary frequencies")
-
-    @classmethod
-    def create(cls, omega0_sq: float, omega_final_sq: float, t_final: float) -> "TrajectorySpec":
-        if not (omega0_sq > 0.0 and omega_final_sq > 0.0):
-            raise DesignError("boundary frequencies squared must be positive")
-        chi = (omega0_sq / omega_final_sq) ** 0.25
-        return cls(omega0_sq, omega_final_sq, t_final, chi)
 
 
 @dataclass(frozen=True)
@@ -134,7 +126,7 @@ def make_spec(params: PhysicalParams, t_final: float) -> TrajectorySpec:
     eta = params.eta
     if eta <= -1.0:
         raise DesignError(f"eta = {eta:.6g} <= -1: start frequency would not be real")
-    return TrajectorySpec.create(1.0 + eta, 1.0, t_final)
+    return TrajectorySpec(1.0 + eta, 1.0, t_final)
 
 
 def make_trajectory(params: PhysicalParams, t_final: float) -> ControlTrajectory:

@@ -26,6 +26,13 @@ def _cell_formats(types: tuple[type, ...], precision: int) -> tuple[str, ...]:
     )
 
 
+def _csv_field(text: str) -> str:
+    """A str cell as one CSV field: quoted per RFC 4180 if it holds , " or a line break."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_table(
     path: Path,
     header: Sequence[str],
@@ -37,22 +44,28 @@ def write_table(
     """Write a table as CSV (default) or as a columnar JSON document.
 
     Each row is rendered with one %-template per distinct tuple of cell
-    types, built on first use.  ``note`` (say, why the table stops early)
-    is a trailing ``# note`` line in CSV and a ``"note"`` key in JSON.
+    types, built on first use together with the positions of the str
+    cells that CSV has to quote, so rows without a str cell pay nothing
+    for quoting.  ``note`` (say, why the table stops early) is a trailing
+    ``# note`` line in CSV and a ``"note"`` key in JSON.
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown table format {fmt!r}")
     path.parent.mkdir(parents=True, exist_ok=True)
     csv = fmt == "csv"
-    templates: dict = {}
+    templates: dict = {}  # cell types -> (template, indices of str cells in CSV)
     formatted = []
     for row in rows:
         row = tuple(row)
         types = tuple(map(type, row))
-        template = templates.get(types)
-        if template is None:
+        entry = templates.get(types)
+        if entry is None:
             cells = _cell_formats(types, precision)
-            template = templates[types] = ",".join(cells) if csv else cells
+            strs = tuple(i for i, t in enumerate(types) if issubclass(t, str)) if csv else ()
+            entry = templates[types] = (",".join(cells) if csv else cells, strs)
+        template, strs = entry
+        if strs:
+            row = tuple(_csv_field(c) if i in strs else c for i, c in enumerate(row))
         formatted.append(template % row if csv else [f % c for f, c in zip(template, row)])
     if csv:
         lines = [",".join(header), *formatted]

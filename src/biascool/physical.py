@@ -92,24 +92,25 @@ def parse_quantity(field: str, text: str) -> float:
     return convert_to_si(field, value, unit)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class PhysicalParams:
-    """Device constants in SI units.
+    """Device constants in SI units; the schema of the config's device keys.
 
-    ``resonator_charge`` can be given directly or derived from the surface
-    charge density and charged area; use :meth:`create` for that logic.
+    The fields without a default are the required keys.  Build through
+    :meth:`create` to derive ``resonator_charge`` from the surface charge
+    density and charged area.
     """
 
     coulomb_k: float = COULOMB_K_DEFAULT  # N m^2/C^2
-    capacitance: float = 0.0  # F
-    voltage_amplitude: float = 0.0  # V
+    capacitance: float  # F
+    voltage_amplitude: float  # V
     charge_density: float = 0.0  # 1/m^2
     charge_area: float = 0.0  # m^2
     resonator_charge: float = 0.0  # C
-    mass: float = 0.0  # kg
-    bare_frequency: float = 0.0  # rad/s
-    separation: float = 0.0  # m
-    bath_temperature: float = 0.0  # K
+    mass: float  # kg
+    bare_frequency: float  # rad/s
+    separation: float  # m
+    bath_temperature: float  # K
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -121,49 +122,23 @@ class PhysicalParams:
                 raise ParameterError(f"{name} must be strictly positive, got {getattr(self, name)!r}")
 
     @classmethod
-    def create(
-        cls,
-        *,
-        coulomb_k: float = COULOMB_K_DEFAULT,
-        capacitance: float,
-        voltage_amplitude: float,
-        mass: float,
-        bare_frequency: float,
-        separation: float,
-        bath_temperature: float,
-        charge_density: float = 0.0,
-        charge_area: float = 0.0,
-        resonator_charge: float | None = None,
-    ) -> "PhysicalParams":
+    def create(cls, *, resonator_charge: float | None = None, **values: float) -> "PhysicalParams":
         """Build params, deriving the total charge from (density, area) if needed.
 
-        If both a direct charge and (density, area) are supplied, the direct
-        value wins; a warning is emitted when the two disagree by more than
-        1e-9 relative.
+        ``values`` are the other fields by name.  If both a direct charge
+        and (density, area) are supplied, the direct value wins; a warning
+        is emitted when the two disagree by more than 1e-9 relative.
         """
-        derived = ELEMENTARY_CHARGE * charge_density * charge_area
+        derived = ELEMENTARY_CHARGE * values.get("charge_density", 0.0) * values.get("charge_area", 0.0)
         if resonator_charge is None:
-            charge = derived
-        else:
-            charge = resonator_charge
-            if derived != 0.0 and not math.isclose(derived, charge, rel_tol=1e-9):
-                warnings.warn(
-                    "resonator_charge %.6e C overrides the value %.6e C derived "
-                    "from charge_density * charge_area" % (charge, derived),
-                    stacklevel=2,
-                )
-        return cls(
-            coulomb_k=coulomb_k,
-            capacitance=capacitance,
-            voltage_amplitude=voltage_amplitude,
-            charge_density=charge_density,
-            charge_area=charge_area,
-            resonator_charge=charge,
-            mass=mass,
-            bare_frequency=bare_frequency,
-            separation=separation,
-            bath_temperature=bath_temperature,
-        )
+            resonator_charge = derived
+        elif derived != 0.0 and not math.isclose(derived, resonator_charge, rel_tol=1e-9):
+            warnings.warn(
+                "resonator_charge %.6e C overrides the value %.6e C derived "
+                "from charge_density * charge_area" % (resonator_charge, derived),
+                stacklevel=2,
+            )
+        return cls(resonator_charge=resonator_charge, **values)
 
     @cached_property
     def eta(self) -> float:

@@ -379,7 +379,13 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1 and "epsilon" in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "flag,value,key", [("--samples", "1.5", "sample_count"), ("--tol", "abc", "tolerance")]
+        "flag,value,key",
+        [
+            ("--samples", "1.5", "sample_count"),
+            ("--tol", "abc", "tolerance"),
+            ("--out", "", "output_dir"),
+            ("--out", " ", "output_dir"),
+        ],
     )
     def test_malformed_flag_value_is_a_config_error(self, capsys, flag, value, key):
         # a flag's text is parsed as the config key it sets

@@ -1,4 +1,5 @@
 import math
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ from biascool.config import (
     parse_config,
     serialize_config,
 )
-from biascool.physical import FIELD_UNITS
+from biascool.physical import FIELD_UNITS, PhysicalParams
 
 from conftest import ETA_DEFAULT
 
@@ -90,6 +91,8 @@ def test_direct_charge_override_warns_when_inconsistent():
         (("t_final = 0.5, 1.0, 2.0", "t_final = 1.0, 1.0"), "t_final"),
         (("epsilon = -0.1, 0.0, 0.1", "epsilon = nan"), "epsilon"),
         (("epsilon = -0.1, 0.0, 0.1", "epsilon = -0.1, inf"), "epsilon"),
+        (("output_dir = out", "output_dir ="), "output_dir: empty value"),
+        (("mass = 40 pg", "mass =   # no value"), "mass: empty value"),
     ],
 )
 def test_invalid_values_rejected(mutation, message):
@@ -98,11 +101,14 @@ def test_invalid_values_rejected(mutation, message):
         parse_config(DEFAULT_CONFIG.replace(old, new))
 
 
-def test_missing_required_key():
+@pytest.mark.parametrize(
+    "key", ["capacitance", "voltage_amplitude", "mass", "bare_frequency", "separation", "bath_temperature"]
+)
+def test_missing_required_key(key):
     text = "\n".join(
-        line for line in DEFAULT_CONFIG.splitlines() if not line.startswith("mass")
+        line for line in DEFAULT_CONFIG.splitlines() if not line.startswith(key)
     )
-    with pytest.raises(ConfigError, match="mass"):
+    with pytest.raises(ConfigError, match=f"missing required physical parameters: {key}$"):
         parse_config(text)
 
 
@@ -154,6 +160,10 @@ def test_readme_shows_the_built_in_config_and_units():
         listed[field] = set(units.split())
     suffixes = {field: set(units) - {""} for field, units in FIELD_UNITS.items()}
     assert listed == {field: units for field, units in suffixes.items() if units}
+    required = readme.split("Required device keys:", 1)[1].split(".", 1)[0]
+    assert [key.strip().strip("`") for key in required.split(",")] == [
+        f.name for f in fields(PhysicalParams) if f.default is MISSING
+    ]
 
 
 def test_text_defaults_match_dataclass_defaults():

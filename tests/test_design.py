@@ -106,12 +106,8 @@ class TestSpec:
         with pytest.raises(DesignError):
             make_spec(device_params, 0.0)
 
-    def test_inconsistent_chi_rejected(self):
-        with pytest.raises(DesignError):
-            TrajectorySpec(omega0_sq=16.0, omega_final_sq=1.0, t_final=1.0, chi=3.0)
-
     def test_chi_consistency_invariant(self):
-        spec = TrajectorySpec.create(16.0, 1.0, 1.0)
+        spec = TrajectorySpec(16.0, 1.0, 1.0)
         assert spec.chi**4 * spec.omega_final_sq == pytest.approx(spec.omega0_sq, rel=1e-12)
 
 
@@ -137,7 +133,7 @@ class TestControlFunction:
         assert value == pytest.approx(mp_control_function(device_params.eta, 0.5, 0.125), rel=1e-12)
 
     def test_zero_eta_rejected(self):
-        spec = TrajectorySpec.create(4.0, 4.0, 1.0)
+        spec = TrajectorySpec(4.0, 4.0, 1.0)
         traj = ControlTrajectory(spec, eta=0.0)
         with pytest.raises(DesignError):
             control_function(traj, 0.5)
@@ -189,7 +185,7 @@ class TestFrequencyProfile:
             assert w(ti) == traj.omega_eff_sq(ti) == vector[i]
 
     def test_zero_eta_closure_rejected(self):
-        traj = ControlTrajectory(TrajectorySpec.create(4.0, 1.0, 1.0), eta=0.0)
+        traj = ControlTrajectory(TrajectorySpec(4.0, 1.0, 1.0), eta=0.0)
         with pytest.raises(DesignError):
             traj.frequency_sq_fn()
 
@@ -236,7 +232,7 @@ class TestFrequencyProfile:
 
     def test_eta_affine_rescaling(self):
         # same b trajectory, two couplings: eta*f + 1 must coincide
-        spec = TrajectorySpec.create(100.0, 1.0, 1.0)
+        spec = TrajectorySpec(100.0, 1.0, 1.0)
         t = np.linspace(0.0, 1.0, 57)
         traj_a = ControlTrajectory(spec, eta=3.0)
         traj_b = ControlTrajectory(spec, eta=800.0)
@@ -248,7 +244,7 @@ class TestFrequencyProfile:
 class TestValidation:
     def test_unit_chi_trajectory(self):
         # omega0 = omega_final: constant drive, no interior excursion
-        spec = TrajectorySpec.create(4.0, 4.0, 1.0)
+        spec = TrajectorySpec(4.0, 4.0, 1.0)
         traj = ControlTrajectory(spec, eta=5.0)
         report = validate_trajectory(traj, 101)
         assert report.max_abs_f_interior == pytest.approx(0.6, rel=1e-12)  # (4-1)/5
@@ -271,7 +267,7 @@ class TestValidation:
     def test_detects_negative_windows(self):
         # a ramp from a *lower* to a higher frequency with tiny t_f needs
         # transient inversion; engineered here via an inverted spec
-        spec = TrajectorySpec.create(1.0, 10000.0, 0.05)
+        spec = TrajectorySpec(1.0, 10000.0, 0.05)
         traj = ControlTrajectory(spec, eta=1e4)
         report = validate_trajectory(traj, 2001)
         assert report.negative_omega_sq_windows
@@ -282,7 +278,7 @@ class TestValidation:
     @pytest.mark.parametrize("n_samples", [2, 3, 101, 1001])
     def test_windows_are_the_runs_of_negative_omega_sq(self, omega_final_sq, n_samples):
         # reference: a direct scan of w < 0, one run at a time
-        spec = TrajectorySpec.create(0.25, omega_final_sq, 1.0)
+        spec = TrajectorySpec(0.25, omega_final_sq, 1.0)
         traj = ControlTrajectory(spec, eta=1.0, f_scale=2.0)
         t = np.linspace(0.0, 1.0, n_samples).tolist()
         windows, i = [], 0
@@ -294,10 +290,10 @@ class TestValidation:
         assert validate_trajectory(traj, n_samples).negative_omega_sq_windows == tuple(windows)
 
     def test_windows_at_the_first_sample_and_everywhere(self):
-        spec = TrajectorySpec.create(0.25, 4.0, 1.0)
+        spec = TrajectorySpec(0.25, 4.0, 1.0)
         windows = validate_trajectory(ControlTrajectory(spec, eta=1.0, f_scale=2.0), 101)
         assert windows.negative_omega_sq_windows == ((0.0, 0.0), (0.52, 0.92))
-        spec = TrajectorySpec.create(0.25, 0.25, 1.0)
+        spec = TrajectorySpec(0.25, 0.25, 1.0)
         windows = validate_trajectory(ControlTrajectory(spec, eta=1.0, f_scale=2.0), 1001)
         assert windows.negative_omega_sq_windows == ((0.0, 1.0),)
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import random
@@ -27,7 +28,9 @@ def test_cells_render_as_per_cell_format(tmp_path, precision):
     expected = [[cell_text(v, precision) for v in row] for row in rows]
 
     write_table(tmp_path / "t.csv", header, rows, precision, "csv", note="stopped")
-    csv_lines = [",".join(header), *(",".join(cells) for cells in expected), "# stopped"]
+    # a str cell with a comma is one quoted CSV field (RFC 4180)
+    quoted = [[f'"{c}"' if "," in c else c for c in cells] for cells in expected]
+    csv_lines = [",".join(header), *(",".join(cells) for cells in quoted), "# stopped"]
     assert (tmp_path / "t.csv").read_bytes() == ("\n".join(csv_lines) + "\n").encode()
 
     write_table(tmp_path / "t.json", header, rows, precision, "json")
@@ -35,3 +38,12 @@ def test_cells_render_as_per_cell_format(tmp_path, precision):
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     assert (tmp_path / "t.json").read_bytes() == text.encode()
 
+
+def test_csv_quotes_str_cells_per_rfc4180(tmp_path):
+    rows = [(1.5, "a,b", 'say "hi"'), (2.5, "two\nlines", "ok"), (3.5, "cr\r", None)]
+    write_table(tmp_path / "t.csv", ("x", "s", "t"), rows, 12)
+    with (tmp_path / "t.csv").open(newline="", encoding="utf-8") as handle:
+        read = list(csv.reader(handle))
+    assert read == [
+        ["x", "s", "t"], ["1.5", "a,b", 'say "hi"'], ["2.5", "two\nlines", "ok"], ["3.5", "cr\r", ""]
+    ]

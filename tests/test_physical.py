@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import mpmath as mp
 import numpy as np
@@ -6,7 +7,9 @@ import pytest
 
 from biascool.constants import ELEMENTARY_CHARGE
 from biascool.physical import (
+    FIELD_UNITS,
     ParameterError,
+    PhysicalParams,
     compute_eta,
     convert_to_si,
     coulomb_potential_exact,
@@ -207,3 +210,6 @@ class TestUnits:
     def test_unknown_field(self):
         with pytest.raises(ParameterError):
             convert_to_si("wingspan", 1.0, "m")
+
+    def test_units_cover_exactly_the_schema_fields(self):
+        assert set(FIELD_UNITS) == {f.name for f in fields(PhysicalParams)}
