@@ -38,7 +38,7 @@ from .design import (
     make_trajectory,
     validate_trajectory,
 )
-from .dynamics import IntegrationError, TransferMatrix, thermal_state, transfer_series
+from .dynamics import IntegrationError, TransferMatrix, moment_series, purity, thermal_state
 from .outputs import (
     check_entry,
     checks_all_passed,
@@ -184,35 +184,42 @@ def cmd_design(cfg: RunConfig) -> int:
 def _simulate_rows(
     cfg: RunConfig, t_final: float
 ) -> tuple[list[tuple], TransferMatrix | None, IntegrationError | None]:
-    """Per-sample (state, n_bar_ref_omega_eff, n_bar_ref_omega_m, t_eff).
+    """Per-sample (t, n_bar_ref_omega_eff, n_bar_ref_omega_m, t_eff, xx, pp, xp).
 
-    Also returns the ramp's transfer matrix over [0, t_final], None when
-    the march failed; the rows of the states reached are returned
-    together with the error so callers can write partial output.
+    One pass over the moment rows of ``moment_series``; no object is
+    built per sample.  Also returns the ramp's transfer matrix over
+    [0, t_final], None when the ramp failed: on a failed march, or on a
+    sample whose moments or occupations overflowed, the rows before the
+    failure are returned together with the error so callers can write
+    partial output.
     """
     params = cfg.physical
     traj = make_trajectory(params, t_final)
     state0 = thermal_state(params, traj.spec.omega0_sq, params.bath_temperature)
-    times = np.linspace(0.0, t_final, cfg.protocol.sample_count).tolist()
+    times = np.linspace(0.0, t_final, cfg.protocol.sample_count)
     failure: IntegrationError | None = None
     matrix: TransferMatrix | None = None
     try:
-        states, matrix = transfer_series(traj, state0, times, tol=cfg.protocol.tolerance)
+        moments, matrix = moment_series(traj, state0, times.tolist(), tol=cfg.protocol.tolerance)
     except IntegrationError as exc:
         failure = exc
-        states = exc.states
+        moments = exc.rows
 
     # the reference is the instantaneous nominal drive frequency, evaluated
-    # at the times of the states actually returned; in an inverted-potential
+    # at the times of the rows actually returned; in an inverted-potential
     # window no occupation/temperature is defined
-    w_refs = traj.omega_eff_sq(np.array([state.time for state in states])).tolist()
+    w_refs = traj.omega_eff_sq(times[: len(moments)]).tolist()
+    occupation, temperature = thermometry.occupation, thermometry.effective_temperature
+    omega_m, nan, inf = params.bare_frequency, math.nan, math.inf
     rows = []
-    for state, w_ref in zip(states, w_refs):
-        n_inst = t_eff = math.nan
-        if w_ref > 0.0:
-            n_inst = thermometry.occupation_from_state(state, w_ref)
-            t_eff = thermometry.effective_temperature(math.sqrt(w_ref) * params.bare_frequency, n_inst)
-        rows.append((state, n_inst, thermometry.occupation_from_state(state, 1.0), t_eff))
+    for (t, xx, pp, xp), w_ref in zip(moments, w_refs):
+        n_inst = occupation(xx, pp, w_ref) if w_ref > 0.0 else nan
+        n_bare = occupation(xx, pp, 1.0)
+        if n_inst == inf or n_bare == inf:  # finite moments whose energy overflowed
+            failure, matrix = IntegrationError("occupation overflowed", t), None
+            break
+        t_eff = temperature(math.sqrt(w_ref) * omega_m, n_inst) if w_ref > 0.0 else nan
+        rows.append((t, n_inst, n_bare, t_eff, xx, pp, xp))
     return rows, matrix, failure
 
 
@@ -236,14 +243,16 @@ def _simulate_files(
             finals[label] = rows[-1][2]
             marched[make_trajectory(cfg.physical, t_final), cfg.protocol.tolerance] = matrix
         note = None if failure is None else f"integration_error: {failure}"
-        tables = (
-            ("n_bar_t", ("t_omega_m", "n_bar_ref_omega_eff", "n_bar_ref_omega_m"),
-             [(s.time, n_inst, n_bare) for s, n_inst, n_bare, _ in rows]),
-            ("t_eff_t", ("t_omega_m", "value"), [(s.time, t_eff) for s, _, _, t_eff in rows]),
-            ("moments_t", ("t_omega_m", "xx", "pp", "xp", "purity"),
-             [(s.time, s.xx, s.pp, s.xp, s.purity_invariant) for s, *_ in rows]),
-        )
-        for name, header, table in tables:
+        n_bar, t_eff, moments = [], [], []
+        for t, n_inst, n_bare, temp, xx, pp, xp in rows:
+            n_bar.append((t, n_inst, n_bare))
+            t_eff.append((t, temp))
+            moments.append((t, xx, pp, xp, purity(xx, pp, xp)))
+        for name, header, table in (
+            ("n_bar_t", ("t_omega_m", "n_bar_ref_omega_eff", "n_bar_ref_omega_m"), n_bar),
+            ("t_eff_t", ("t_omega_m", "value"), t_eff),
+            ("moments_t", ("t_omega_m", "xx", "pp", "xp", "purity"), moments),
+        ):
             written.append(_write(cfg, f"{name}_{label}", header, table, note))
     return written, finals, marched, first_failure
 

@@ -14,7 +14,8 @@ Two code paths live here:
   Gauss nodes per step) whose elementary step is a closed-form
   exponential of a traceless matrix, so each step is unimodular to
   rounding and the symplectic invariants are conserved structurally,
-  not by luck of the tolerance.  ``transfer_series`` samples it.
+  not by luck of the tolerance.  ``moment_series`` samples it as plain
+  moment rows; ``transfer_series`` is the same series as GaussianStates.
 * ``solve_ermakov_forward`` -- oracle for the auxiliary nonlinear
   equation, integrated forward with the RK solver in ``integrate``; it
   closes the design/simulate loop and checks the sweep's closed-form
@@ -44,6 +45,20 @@ class StateError(ValueError):
     """A Gaussian state violates positivity or the uncertainty bound."""
 
 
+#: One sampled state as a plain row: (time, xx, pp, xp).
+MomentRow = tuple[float, float, float, float]
+
+
+def _require_positive(xx: float, pp: float) -> None:
+    if not (xx > 0.0 and pp > 0.0):
+        raise StateError(f"moments must be positive: xx={xx!r}, pp={pp!r}")
+
+
+def purity(xx: float, pp: float, xp: float) -> float:
+    """det of the covariance matrix, xx*pp - xp^2; >= 1/4 for physical states."""
+    return xx * pp - xp * xp
+
+
 @dataclass(frozen=True)
 class GaussianState:
     """Second moments of the resonator at one instant, reduced units."""
@@ -54,13 +69,12 @@ class GaussianState:
     time: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (self.xx > 0.0 and self.pp > 0.0):
-            raise StateError(f"moments must be positive: xx={self.xx!r}, pp={self.pp!r}")
+        _require_positive(self.xx, self.pp)
 
     @property
     def purity_invariant(self) -> float:
         """det of the covariance matrix, xx*pp - xp^2; >= 1/4 for physical states."""
-        return self.xx * self.pp - self.xp * self.xp
+        return purity(self.xx, self.pp, self.xp)
 
     def validate(self) -> None:
         if self.purity_invariant < 0.25 * (1.0 - 1e-9):
@@ -94,15 +108,38 @@ class TransferMatrix:
         return np.array([[self.m11, self.m12], [self.m21, self.m22]])
 
     def apply(self, state: GaussianState, time: float | None = None) -> GaussianState:
-        """Map second moments forward: Sigma -> M Sigma M^T."""
-        xx, pp, xp = state.xx, state.pp, state.xp
-        a, b, c, d = self.m11, self.m12, self.m21, self.m22
-        return GaussianState(
-            xx=a * a * xx + 2.0 * a * b * xp + b * b * pp,
-            pp=c * c * xx + 2.0 * c * d * xp + d * d * pp,
-            xp=a * c * xx + (a * d + b * c) * xp + b * d * pp,
-            time=state.time if time is None else time,
+        """Map second moments forward: Sigma -> M Sigma M^T.
+
+        Raises IntegrationError if a mapped moment overflowed.
+        """
+        t, xx, pp, xp = _moment_row(
+            (self.m11, self.m12, self.m21, self.m22),
+            state.xx, state.pp, state.xp,
+            state.time if time is None else time,
         )
+        return GaussianState(xx, pp, xp, t)
+
+
+def _moment_row(
+    m: tuple[float, float, float, float], xx: float, pp: float, xp: float, time: float
+) -> MomentRow:
+    """The moments (xx, pp, xp) mapped by m, M Sigma M^T, as the row at ``time``.
+
+    The one moment formula: ``TransferMatrix.apply`` and every sampled
+    row go through it.  Raises IntegrationError if a moment is not
+    finite (the map overflowed) and StateError if xx or pp is not
+    positive, as GaussianState does.
+    """
+    a, b, c, d = m
+    mxx = a * a * xx + 2.0 * a * b * xp + b * b * pp
+    mpp = c * c * xx + 2.0 * c * d * xp + d * d * pp
+    mxp = a * c * xx + (a * d + b * c) * xp + b * d * pp
+    inf = math.inf
+    if not (0.0 < mxx < inf and 0.0 < mpp < inf and -inf < mxp < inf):
+        if not (math.isfinite(mxx) and math.isfinite(mpp) and math.isfinite(mxp)):
+            raise IntegrationError(f"second moments overflowed: xx={mxx!r}, pp={mpp!r}", time)
+        _require_positive(mxx, mpp)
+    return time, mxx, mpp, mxp
 
 
 def thermal_state(params: PhysicalParams, omega_sq: float, temperature: float) -> GaussianState:
@@ -226,7 +263,10 @@ def _integrate_transfer(
 
     Raises IntegrationError, with the time reached, on step-size
     underflow or once ``_MAX_STEPS`` steps have been attempted; a span
-    that cannot fit in that budget is refused before the first step.
+    that cannot fit in that budget is refused before the first step.  A
+    final matrix that overflowed is an IntegrationError too; it is
+    checked once, after the march, so sampled matrices past the overflow
+    are already emitted and a caller checks each sample it maps.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
@@ -311,6 +351,8 @@ def _integrate_transfer(
         h_new = h_try * min(5.0, max(0.2, factor))
         h = max(h_new, h) if (clipped and accepted) else h_new
 
+    if not all(map(isfinite, M)):
+        raise IntegrationError("transfer matrix overflowed", t)
     return M
 
 
@@ -332,6 +374,44 @@ def propagate_transfer(
     return matrix.apply(state0, time=t1), matrix
 
 
+def moment_series(
+    traj: ControlTrajectory | FrequencyProfile,
+    state0: GaussianState,
+    times: Sequence[float],
+    tol: float = 1e-10,
+) -> tuple[list[MomentRow], TransferMatrix]:
+    """Moment rows (t, xx, pp, xp) at the given times, and the span's matrix.
+
+    The first entry of ``times`` must equal the state's own time; its row
+    holds state0's moments at state0.time.  Every later row maps state0
+    by the matrix the march emits at that time, through the one moment
+    formula, so no object is built per sample.  An IntegrationError --
+    the march's, or a sample whose moments overflowed, whichever comes
+    first in time -- carries the rows before it, state0's first, as
+    ``.rows``.
+    """
+    times = [float(v) for v in times]
+    if not times or not math.isclose(times[0], state0.time, rel_tol=0.0, abs_tol=1e-12):
+        raise ValueError("times must start at the state's own time")
+    emitted: list[tuple[float, float, float, float]] = []
+    failure: IntegrationError | None = None
+    try:
+        m = _integrate_transfer(_profile(traj), times[0], times[-1], tol, times[1:], emitted)
+    except IntegrationError as exc:
+        failure = exc
+    xx, pp, xp = state0.xx, state0.pp, state0.xp
+    rows = [(state0.time, xx, pp, xp)]
+    try:
+        for t, mat in zip(times[1:], emitted):
+            rows.append(_moment_row(mat, xx, pp, xp, t))
+    except IntegrationError as exc:
+        failure = exc
+    if failure is not None:
+        failure.rows = rows
+        raise failure
+    return rows, TransferMatrix(*m)
+
+
 def transfer_series(
     traj: ControlTrajectory | FrequencyProfile,
     state0: GaussianState,
@@ -340,27 +420,21 @@ def transfer_series(
 ) -> tuple[list[GaussianState], TransferMatrix]:
     """States at the given times (ascending, starting at state0.time).
 
-    The first entry of ``times`` must equal the state's own time; the
-    corresponding output is state0 itself.  An IntegrationError carries
-    the states reached before the failure, state0 first, as ``.states``.
+    The object view of ``moment_series``: the same rows, one
+    GaussianState each, with state0 itself first.  An IntegrationError
+    carries the states reached before the failure, state0 first, as
+    ``.states``.
     """
-    times = [float(v) for v in times]
-    if not times or not math.isclose(times[0], state0.time, rel_tol=0.0, abs_tol=1e-12):
-        raise ValueError("times must start at the state's own time")
-    w = _profile(traj)
-    emitted: list[tuple[float, float, float, float]] = []
 
-    def states() -> list[GaussianState]:
-        return [state0] + [
-            TransferMatrix(*mat).apply(state0, time=t) for t, mat in zip(times[1:], emitted)
-        ]
+    def states(rows: list[MomentRow]) -> list[GaussianState]:
+        return [state0] + [GaussianState(xx, pp, xp, t) for t, xx, pp, xp in rows[1:]]
 
     try:
-        m = _integrate_transfer(w, times[0], times[-1], tol, times[1:], emitted)
+        rows, matrix = moment_series(traj, state0, times, tol)
     except IntegrationError as exc:
-        exc.states = states()
+        exc.states = states(exc.rows)
         raise
-    return states(), TransferMatrix(*m)
+    return states(rows), matrix
 
 
 # --- auxiliary (Ermakov) equation -------------------------------------------

@@ -46,8 +46,10 @@ def write_table(
     Each row is rendered with one %-template per distinct tuple of cell
     types, built on first use together with the positions of the str
     cells that CSV has to quote, so rows without a str cell pay nothing
-    for quoting.  ``note`` (say, why the table stops early) is a trailing
-    ``# note`` line in CSV and a ``"note"`` key in JSON.
+    for quoting; a row whose cell types repeat the previous row's reuses
+    its template without a lookup.  ``note`` (say, why the table stops
+    early) is a trailing ``# note`` line in CSV and a ``"note"`` key in
+    JSON.
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown table format {fmt!r}")
@@ -55,15 +57,18 @@ def write_table(
     csv = fmt == "csv"
     templates: dict = {}  # cell types -> (template, indices of str cells in CSV)
     formatted = []
+    last_types = None
     for row in rows:
         row = tuple(row)
         types = tuple(map(type, row))
-        entry = templates.get(types)
-        if entry is None:
-            cells = _cell_formats(types, precision)
-            strs = tuple(i for i, t in enumerate(types) if issubclass(t, str)) if csv else ()
-            entry = templates[types] = (",".join(cells) if csv else cells, strs)
-        template, strs = entry
+        if types != last_types:  # most rows repeat the previous row's cell types
+            last_types = types
+            entry = templates.get(types)
+            if entry is None:
+                cells = _cell_formats(types, precision)
+                strs = tuple(i for i, t in enumerate(types) if issubclass(t, str)) if csv else ()
+                entry = templates[types] = (",".join(cells) if csv else cells, strs)
+            template, strs = entry
         if strs:
             row = tuple(_csv_field(c) if i in strs else c for i, c in enumerate(row))
         formatted.append(template % row if csv else [f % c for f, c in zip(template, row)])

@@ -107,10 +107,16 @@ def _run_cell(
     else:
         final = m.apply(state0, time=t_final)
     n_final = thermometry.occupation_from_state(final, 1.0)
+    if n_final == math.inf:  # finite moments whose energy overflowed
+        raise IntegrationError("occupation overflowed", t_final)
     t_eff = thermometry.effective_temperature(params.bare_frequency, n_final)
     omega_sq = thermometry.state_frequency(final)
     state_omega = math.copysign(math.sqrt(abs(omega_sq)), omega_sq)
-    b_final = math.sqrt(m.m11 * m.m11 + nominal.spec.omega0_sq * m.m12 * m.m12)
+    b_sq = m.m11 * m.m11 + nominal.spec.omega0_sq * m.m12 * m.m12
+    if b_sq < math.inf:
+        b_final = math.sqrt(b_sq)
+    else:  # b^2 overflows first, past b ~ 1e154: the same norm without the squares
+        b_final = math.hypot(m.m11, math.sqrt(nominal.spec.omega0_sq) * m.m12)
     return SweepResult(epsilon, t_final, n_final, t_eff, state_omega, b_final)
 
 
@@ -124,10 +130,11 @@ def run_sweep(
     """All (t_final, epsilon) cells, in the given order (t_final outer).
 
     Cell order does not influence any cell's value; a failed cell
-    yields NaN diagnostics and an explanatory status.  A cell whose
-    drive and tolerance are a key of ``marched`` applies that matrix to
-    its start state instead of marching; the march is deterministic, so
-    the cell's values are the same bits either way.
+    yields NaN diagnostics and an explanatory status; a propagation
+    whose matrix, moments or occupation overflowed is such a failure.  A
+    cell whose drive and tolerance are a key of ``marched`` applies that
+    matrix to its start state instead of marching; the march is
+    deterministic, so the cell's values are the same bits either way.
     """
     if not t_final_list or not epsilon_list:
         raise ValueError("t_final_list and epsilon_list must be non-empty")

@@ -1,5 +1,6 @@
 import ast
 import json
+import math
 import os
 import re
 import subprocess
@@ -16,6 +17,9 @@ from biascool import cli, dynamics
 from biascool.cli import main
 from biascool.config import DEFAULT_CONFIG, load_config
 from biascool.design import ControlTrajectory, make_trajectory
+from biascool.dynamics import IntegrationError, TransferMatrix, thermal_state
+from biascool.robustness import perturb_trajectory
+from biascool.thermometry import effective_temperature, occupation_from_state
 
 from conftest import CHI_DEFAULT, NBAR_COLD, OMEGA0_DEFAULT, TEFF_FINAL
 
@@ -47,6 +51,34 @@ def column(path, name):
     header, rows = read_csv(path)
     idx = header.index(name)
     return [row[idx] for row in rows]
+
+
+def object_path_rows(cfg, t_final):
+    """``_simulate_rows`` built the per-object way: a TransferMatrix and a
+    GaussianState per sample, then occupation_from_state and
+    effective_temperature on each state."""
+    params = cfg.physical
+    traj = make_trajectory(params, t_final)
+    state0 = thermal_state(params, traj.spec.omega0_sq, params.bath_temperature)
+    times = np.linspace(0.0, t_final, cfg.protocol.sample_count).tolist()
+    emitted = []
+    try:
+        dynamics._integrate_transfer(
+            traj.frequency_sq_fn(), 0.0, t_final, cfg.protocol.tolerance, times[1:], emitted
+        )
+    except IntegrationError:
+        pass
+    states = [state0] + [TransferMatrix(*m).apply(state0, time=t) for t, m in zip(times[1:], emitted)]
+    rows = []
+    for state in states:
+        w_ref = traj.omega_eff_sq(state.time)
+        n_inst = t_eff = math.nan
+        if w_ref > 0.0:
+            n_inst = occupation_from_state(state, w_ref)
+            t_eff = effective_temperature(math.sqrt(w_ref) * params.bare_frequency, n_inst)
+        n_bare = occupation_from_state(state, 1.0)
+        rows.append((state.time, n_inst, n_bare, t_eff, state.xx, state.pp, state.xp))
+    return rows
 
 
 class TestParams:
@@ -190,6 +222,69 @@ class TestSimulate:
             assert payload["note"] == f"integration_error: {error}"
             assert 1 <= len(payload["rows"]) < 41
 
+    @pytest.mark.parametrize("t_final,max_steps", [(0.1, None), (1.0, None), (8.0, None), (8.0, 2000)])
+    def test_rows_equal_the_object_path_bit_for_bit(self, tmp_path, monkeypatch, t_final, max_steps):
+        # t_f 0.1 has inverted windows; _MAX_STEPS 2000 fails the t_f 8 march part way
+        if max_steps is not None:
+            monkeypatch.setattr(dynamics, "_MAX_STEPS", max_steps)
+        cfg = load_config(fast_config(tmp_path, **{"sample_count = 201": "sample_count = 4001"}))
+        rows, matrix, failure = cli._simulate_rows(cfg, t_final)
+        expected = object_path_rows(cfg, t_final)
+        assert (failure is None) == (matrix is not None) == (max_steps is None)
+        assert (len(rows) == 4001) == (max_steps is None) and len(rows) > 1
+        assert [list(map(repr, row)) for row in rows] == [list(map(repr, row)) for row in expected]
+
+    def test_one_ramp_builds_no_object_per_sample(self, tmp_path, monkeypatch):
+        # the moment rows go straight into the tables: the count of states
+        # and matrices a ramp builds does not grow with its samples
+        built = {dynamics.GaussianState: 0, TransferMatrix: 0}
+        for cls, method in ((dynamics.GaussianState, "__post_init__"), (TransferMatrix, "__init__")):
+            def counted(self, *args, _cls=cls, _original=getattr(cls, method), **kwargs):
+                built[_cls] += 1
+                _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, method, counted)
+        counts = []
+        for samples in (41, 4001):
+            cfg = load_config(fast_config(tmp_path, **{"sample_count = 201": f"sample_count = {samples}"}))
+            built.update(dict.fromkeys(built, 0))
+            rows, _, failure = cli._simulate_rows(cfg, 1.0)
+            assert failure is None and len(rows) == samples
+            counts.append(dict(built))
+        assert counts[0] == counts[1]
+        assert all(1 <= n <= 2 for n in counts[1].values())
+
+    def test_overflowing_march_writes_the_rows_before_it(self, tmp_path, capsys, monkeypatch):
+        # a drive error of -200 % overflows the moments part way through the ramp
+        make = cli.make_trajectory
+        monkeypatch.setattr(
+            cli, "make_trajectory", lambda params, t_final: perturb_trajectory(make(params, t_final), -2.0)
+        )
+        out = tmp_path / "out"
+        cfg = fast_config(tmp_path, **{"t_final = 1.0": "t_final = 2.0"})
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "second moments overflowed" in err
+        assert "Traceback" not in err
+        for stem in ("n_bar_t", "t_eff_t", "moments_t"):
+            lines = (out / f"{stem}_tf2.csv").read_text(encoding="utf-8").splitlines()
+            assert lines[-1] == f"# integration_error: {err.strip().removeprefix('error: ')}"
+            failed_at = float(re.search(r"at t = ([^)]+)\)", lines[-1]).group(1))
+            times = [float(t) for t in column(out / f"{stem}_tf2.csv", "t_omega_m")]
+            assert 1 <= len(times) < 41 and all(t < failed_at for t in times)
+            assert "inf" not in "".join(lines[1:-1])
+
+    def test_overflowing_occupation_ends_the_rows(self, tmp_path, monkeypatch):
+        # finite moments whose energy overflows end the series like a failed march
+        def huge_moments(traj, state0, times, tol):
+            rows = [(0.0, state0.xx, state0.pp, state0.xp), (times[1], 1e308, 1e308, 0.0)]
+            return rows, TransferMatrix(1.0, 0.0, 0.0, 1.0)
+
+        monkeypatch.setattr(cli, "moment_series", huge_moments)
+        rows, matrix, failure = cli._simulate_rows(load_config(fast_config(tmp_path)), 1.0)
+        assert len(rows) == 1 and matrix is None
+        assert str(failure) == "occupation overflowed (at t = 0.025)"
+
 
 class TestSweep:
     def test_schema_and_exact_match_with_simulate(self, tmp_path):
@@ -228,6 +323,25 @@ class TestSweep:
         for row in rows:
             if abs(float(row[0])) == 0.1:
                 assert float(row[2]) < 1.0
+
+    def test_overflowing_cells_exit_2(self, tmp_path, capsys):
+        # one error line per overflowed cell, no traceback; the other cells are written
+        out = tmp_path / "out"
+        cfg = fast_config(
+            tmp_path,
+            **{"t_final = 1.0": "t_final = 2.0", "epsilon = -0.1, 0.0, 0.1": "epsilon = -1.2, -1.25, -2.0, 0.0"},
+        )
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert [line.split(": ", 2)[:2] for line in err] == [
+            ["error", "eps=-1.25 t_final=2.0"], ["error", "eps=-2.0 t_final=2.0"]
+        ]
+        assert all("integration failed" in line and "overflowed" in line for line in err)
+        lines = (out / "sweep.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[1] == (
+            "-1.2,2,1.89319056819e+284,1.21750814986e+279,0.46552577115,1.06415548963e+144,ok,,"
+        )
+        assert lines[4].split(",")[6] == "ok"
 
 
 class TestReproduce:
@@ -296,6 +410,18 @@ class TestReproduce:
         assert "FAIL" in capsys.readouterr().out
         manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["all_passed"] is False
+
+    def test_overflowing_sweep_cell_exits_2_after_the_checks(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = fast_config(
+            tmp_path,
+            **{"t_final = 1.0": "t_final = 2.0", "epsilon = -0.1, 0.0, 0.1": "epsilon = -0.1, 0.0, 0.1, -1.25"},
+        )
+        assert main(["reproduce", "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        (error,) = captured.err.splitlines()
+        assert error.startswith("error: eps=-1.25 t_final=2.0: integration failed: second moments overflowed")
+        assert json.loads((out / "manifest.json").read_text(encoding="utf-8"))["all_passed"] is True
 
 
 class TestExitCodes:

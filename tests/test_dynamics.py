@@ -12,11 +12,13 @@ from biascool.dynamics import (
     StateError,
     TransferMatrix,
     invariant_expectation,
+    moment_series,
     propagate_transfer,
     solve_ermakov_forward,
     thermal_state,
     transfer_series,
 )
+from biascool.robustness import perturb_trajectory
 from biascool.thermometry import occupation_from_state, thermal_occupation
 
 from conftest import NBAR_COLD
@@ -257,6 +259,44 @@ class TestTransferPropagation:
         assert 1 < len(partial) < len(times)
         assert partial == full[: len(partial)]
         assert partial[-1].time <= excinfo.value.time < times[len(partial)]
+
+
+class TestMomentRows:
+    def test_states_are_the_moment_rows(self, device_params):
+        # transfer_series is the object view of moment_series, not a second march
+        traj = make_trajectory(device_params, 0.1)  # inverted windows: hyperbolic steps
+        state0 = thermal_state(device_params, traj.spec.omega0_sq, device_params.bath_temperature)
+        times = np.linspace(0.0, 0.1, 201).tolist()
+        rows, m_rows = moment_series(traj, state0, times)
+        states, m_states = transfer_series(traj, state0, times)
+        assert states[0] is state0 and m_rows == m_states
+        assert [(s.time, s.xx, s.pp, s.xp) for s in states] == rows
+        assert [row[0] for row in rows] == times
+
+    @pytest.mark.parametrize("epsilon,what", [(-1.25, "second moments"), (-2.0, "transfer matrix")])
+    def test_overflowing_propagation_is_an_integration_error(self, device_params, epsilon, what):
+        # epsilon = -1.25 overflows the moments of a finite matrix, -2 the matrix itself
+        nominal = make_trajectory(device_params, 2.0)
+        state0 = thermal_state(device_params, nominal.spec.omega0_sq, device_params.bath_temperature)
+        with pytest.raises(IntegrationError, match=f"{what} overflowed") as excinfo:
+            propagate_transfer(perturb_trajectory(nominal, epsilon), state0, 0.0, 2.0)
+        assert excinfo.value.time == 2.0
+
+    def test_overflowing_series_keeps_the_rows_before_it(self):
+        # an inverted potential grows the moments as exp(2000 t); they overflow near t = 0.35
+        times = np.linspace(0.0, 1.0, 101).tolist()
+        with pytest.raises(IntegrationError, match="second moments overflowed") as excinfo:
+            transfer_series(lambda t: -1e6, GaussianState(1.0, 1.0), times)
+        rows, states = excinfo.value.rows, excinfo.value.states
+        assert 1 < len(rows) < len(times)
+        assert excinfo.value.time == times[len(rows)]
+        assert all(math.isfinite(v) for row in rows for v in row)
+        assert [(s.time, s.xx, s.pp, s.xp) for s in states] == rows
+
+    def test_non_positive_sample_refused(self):
+        # a finite map to a non-positive xx is still a StateError, as for GaussianState
+        with pytest.raises(StateError, match="moments must be positive"):
+            TransferMatrix(0.0, 0.0, 1.0, 1.0).apply(GaussianState(1.0, 1.0))
 
 
 class TestCovarianceOracle:

@@ -47,3 +47,16 @@ def test_csv_quotes_str_cells_per_rfc4180(tmp_path):
     assert read == [
         ["x", "s", "t"], ["1.5", "a,b", 'say "hi"'], ["2.5", "two\nlines", "ok"], ["3.5", "cr\r", ""]
     ]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_runs_of_repeated_cell_types(tmp_path, fmt):
+    # a row reuses the previous row's template only while its cell types repeat
+    rows = [(1.5, 2.5)] * 3 + [(1.5, "a,b")] * 2 + [(0.5, 2.5), (None, 7), (None, 8), (1.5, "c")]
+    write_table(tmp_path / "t", ("x", "y"), rows, 12, fmt)
+    expected = [[cell_text(v, 12) for v in row] for row in rows]
+    if fmt == "csv":
+        lines = ["x,y", *(",".join(f'"{c}"' if "," in c else c for c in cells) for cells in expected)]
+        assert (tmp_path / "t").read_text(encoding="utf-8") == "\n".join(lines) + "\n"
+    else:
+        assert json.loads((tmp_path / "t").read_text(encoding="utf-8"))["rows"] == expected

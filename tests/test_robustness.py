@@ -6,6 +6,7 @@ import pytest
 
 from biascool import cli, integrate, robustness
 from biascool.config import load_config
+from biascool.constants import BOLTZMANN, HBAR
 from biascool.design import control_function, make_trajectory
 from biascool.dynamics import (
     TransferMatrix,
@@ -248,6 +249,44 @@ class TestSweep:
             SweepOptions(initial_state="midway")
         with pytest.raises(ValueError):
             SweepOptions(tolerance=0.0)
+
+
+class TestOverflow:
+    def test_overflowing_cells_fail_and_the_sweep_continues(self, device_params):
+        rows = run_sweep(device_params, [2.0], [-1.2, -1.23, -1.25, -2.0, 0.0])
+        assert [row.status == "ok" for row in rows] == [True, True, False, False, True]
+        assert rows[2].status.startswith("integration failed: second moments overflowed")
+        assert rows[3].status.startswith("integration failed: transfer matrix overflowed")
+        for row in rows[2:4]:
+            assert all(math.isnan(v) for v in (row.n_bar_final, row.t_eff_final, row.ermakov_b_final))
+        # the largest drive error that still fits in a double keeps its bits
+        assert repr(rows[0]) == (
+            "SweepResult(epsilon=-1.2, t_final=2.0, n_bar_final=1.8931905681869443e+284, "
+            "t_eff_final=1.217508149859092e+279, state_omega_final=0.4655257711500947, "
+            "ermakov_b_final=1.0641554896299314e+144, status='ok')"
+        )
+
+    def test_finite_cell_past_the_squares_range(self, device_params):
+        # at epsilon = -1.23 the occupation (~7e304) and b (~2e154) are finite,
+        # but kB ln(1 + 1/n) and b^2 are not: neither may crash nor read inf
+        nominal = make_trajectory(device_params, 2.0)
+        state0 = thermal_state(device_params, nominal.spec.omega0_sq, device_params.bath_temperature)
+        _, m = propagate_transfer(perturb_trajectory(nominal, -1.23), state0, 0.0, 2.0)
+        cell, = run_sweep(device_params, [2.0], [-1.23])
+        assert cell.status == "ok" and 1e304 < cell.n_bar_final < math.inf
+        ratio = HBAR * device_params.bare_frequency / BOLTZMANN
+        assert cell.t_eff_final == pytest.approx(ratio * cell.n_bar_final, rel=1e-12)
+        b = math.hypot(m.m11, math.sqrt(nominal.spec.omega0_sq) * m.m12)
+        assert 1e154 < cell.ermakov_b_final == pytest.approx(b, rel=1e-15)
+
+    def test_overflowing_occupation_fails_the_cell(self, device_params):
+        # finite moments near 1e308 whose energy pp/2 + xx/2 overflows; the
+        # cell must not hand an infinite occupation to effective_temperature
+        b = 1.7e152
+        huge = TransferMatrix(0.0, b, -1.0 / b, b)
+        marched = {(make_trajectory(device_params, 0.5), 1e-10): huge}
+        cell, = run_sweep(device_params, [0.5], [0.0], SweepOptions(), marched)
+        assert cell.status == "integration failed: occupation overflowed (at t = 0.5)"
 
 
 def test_reference_targets_cover_study_points():

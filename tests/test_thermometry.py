@@ -8,6 +8,7 @@ from biascool.dynamics import GaussianState, thermal_state
 from biascool.thermometry import (
     ThermometryError,
     effective_temperature,
+    occupation,
     occupation_from_state,
     state_frequency,
     thermal_occupation,
@@ -91,6 +92,13 @@ class TestEffectiveTemperature:
         with pytest.raises(ThermometryError):
             effective_temperature(OMEGA_M_SI, -0.1)
 
+    @pytest.mark.parametrize("n_bar", [1e200, 1e284, 6.2e284, 1e285, 3e300, 1e305, 1.7e308])
+    def test_huge_occupation_gives_a_finite_temperature(self, n_bar):
+        # past n ~ 6e284 kB ln(1 + 1/n) is subnormal, past ~3e300 it is 0;
+        # T = hbar omega n / kB holds there to rounding
+        expected = HBAR * OMEGA_M_SI * n_bar / BOLTZMANN
+        assert effective_temperature(OMEGA_M_SI, n_bar) == pytest.approx(expected, rel=1e-12)
+
 
 class TestOccupationFromState:
     def test_thermal_round_trip(self, device_params):
@@ -116,6 +124,14 @@ class TestOccupationFromState:
         state = GaussianState(xx=0.4, pp=0.4)
         with pytest.warns(UserWarning, match="clamping"):
             assert occupation_from_state(state, 1.0) == 0.0
+
+    def test_warning_points_at_the_caller(self):
+        # occupation_from_state wraps the scalar formula; its warning still names this file
+        for call in (lambda: occupation_from_state(GaussianState(0.4, 0.4), 1.0),
+                     lambda: occupation(0.4, 0.4, 1.0)):
+            with pytest.warns(UserWarning, match="clamping") as record:
+                call()
+            assert record[0].filename == __file__
 
     def test_reference_frequency_minimizes_at_state_frequency(self):
         state = GaussianState(xx=1.3, pp=3.25)  # zero correlation
