@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-import numpy as np
-
 from .physical import PhysicalParams
 
 
@@ -103,18 +101,56 @@ def b_polynomial(s, chi: float):
     b(s) = 6(chi-1)s^5 - 15(chi-1)s^4 + 10(chi-1)s^3 + 1 interpolates
     b(0)=1 to b(1)=chi with b' = b'' = 0 at both ends.  Derivatives are
     with respect to s; divide by t_f and t_f^2 for time derivatives.
-    Accepts scalars or arrays; s must lie in [0, 1].
+    A scalar s gives three floats, an array three arrays and any other
+    sequence three lists (see ``_elementwise``); s must lie in [0, 1].
     """
-    s_arr = np.asarray(s, dtype=float)
-    if np.any(s_arr < 0.0) or np.any(s_arr > 1.0):
-        raise DesignError("s must lie in [0, 1]")
     c = chi - 1.0
-    b = ((6.0 * c * s_arr - 15.0 * c) * s_arr + 10.0 * c) * s_arr * s_arr * s_arr + 1.0
-    db = 30.0 * c * s_arr**2 * (s_arr - 1.0) ** 2
-    d2b = 60.0 * c * s_arr * (2.0 * s_arr - 1.0) * (s_arr - 1.0)
-    if np.isscalar(s) or np.ndim(s) == 0:
-        return float(b), float(db), float(d2b)
-    return b, db, d2b
+
+    def terms(s):
+        outside = (s < 0.0) | (s > 1.0)
+        if (outside.any() if hasattr(outside, "any") else outside):  # an array or a bool
+            raise DesignError("s must lie in [0, 1]")
+        b = ((6.0 * c * s - 15.0 * c) * s + 10.0 * c) * s * s * s + 1.0
+        db = 30.0 * c * (s * s) * ((s - 1.0) * (s - 1.0))
+        d2b = 60.0 * c * s * (2.0 * s - 1.0) * (s - 1.0)
+        return b, db, d2b
+
+    result = _elementwise(terms, s)
+    if isinstance(result, list):  # one triple per item -> three lists
+        return tuple(map(list, zip(*result))) if result else ([], [], [])
+    return result
+
+
+def linspace(start: float, stop: float, n: int) -> list[float]:
+    """n evenly spaced floats from start to stop inclusive: np.linspace, bit for bit.
+
+    The same operations in the same order as numpy: i * step + start,
+    with the last value set to stop; a step that underflows to zero is
+    replaced by (i / (n - 1)) * (stop - start), and n = 1 gives
+    0 * (stop - start) + start.
+    """
+    if n < 0:
+        raise ValueError(f"number of samples must be non-negative, got {n}")
+    start, stop = float(start), float(stop)
+    delta = stop - start
+    div = n - 1
+    if div <= 0:
+        return [i * delta + start for i in range(n)]
+    step = delta / div
+    if step == 0.0:
+        values = [i / div * delta + start for i in range(n)]
+    else:
+        values = [i * step + start for i in range(n)]
+    values[-1] = stop
+    return values
+
+
+def signed_sqrt(w: float) -> float:
+    """sign(w) sqrt(|w|): the signed frequency of a squared frequency.
+
+    Both zeros give 0.0, as np.sign(w) * np.sqrt(np.abs(w)) does.
+    """
+    return math.copysign(math.sqrt(abs(w)), w) if w else 0.0
 
 
 def make_spec(params: PhysicalParams, t_final: float) -> TrajectorySpec:
@@ -134,23 +170,31 @@ def make_trajectory(params: PhysicalParams, t_final: float) -> ControlTrajectory
     return ControlTrajectory(make_spec(params, t_final), params.eta)
 
 
-def _drive(traj: ControlTrajectory, gain: float, offset: float):
-    """The one closed form of the drive: t -> offset + gain * f0(t).
+def _drive_constants(traj: ControlTrajectory) -> tuple[float, ...]:
+    """(t_f, t_f^2, 6c, 15c, 10c, 60c, omega_0^2, eta) with c = chi - 1.
 
-    f0 = (omega_0^2 - b^3 b'' - omega_m^2 b^4) / (eta b^4 omega_m^2) is the
-    nominal drive from the quintic b (omega_m^2 = 1 in reduced units).
-    Plain float arithmetic, so the closure takes a float or a numpy array,
-    and an array gives, element by element, the bits of scalar calls.
+    The hoisted constants of the drive's closed form, for ``_drive`` and
+    ``validate_trajectory``; the products keep the formula's left-to-right
+    order, so the bits are unchanged.  eta = 0 has no drive.
     """
     eta = traj.eta
     if eta == 0.0:
         raise DesignError("eta = 0: the gate drive has no effect, inverse design undefined")
     c = traj.spec.chi - 1.0
     t_f = traj.spec.t_final
-    om0sq = traj.spec.omega0_sq
-    # hoisted products keep the left-to-right order, so the bits are unchanged
-    c6, c15, c10, c60 = 6.0 * c, 15.0 * c, 10.0 * c, 60.0 * c
-    tf_sq = t_f * t_f
+    return t_f, t_f * t_f, 6.0 * c, 15.0 * c, 10.0 * c, 60.0 * c, traj.spec.omega0_sq, eta
+
+
+def _drive(traj: ControlTrajectory, gain: float, offset: float):
+    """The one closed form of the drive: t -> offset + gain * f0(t).
+
+    f0 = (omega_0^2 - b^3 b'' - omega_m^2 b^4) / (eta b^4 omega_m^2) is the
+    nominal drive from the quintic b (omega_m^2 = 1 in reduced units).
+    The closure takes one time; plain float arithmetic, so a numpy array
+    of times works too and gives, element by element, the scalar calls'
+    bits.  ``validate_trajectory`` runs the same operations in a loop.
+    """
+    t_f, tf_sq, c6, c15, c10, c60, om0sq, eta = _drive_constants(traj)
 
     def drive(t):
         s = t / t_f
@@ -163,15 +207,25 @@ def _drive(traj: ControlTrajectory, gain: float, offset: float):
     return drive
 
 
-def _evaluate(drive, t):
-    if np.ndim(t) == 0:
-        return drive(float(t))
-    return drive(np.asarray(t, dtype=float))
+def _elementwise(fn, x):
+    """fn over a scalar, an array or a sequence, with the scalar call's bits per element.
+
+    A scalar (a 0-d array too) gives fn(float(x)); an array -- anything
+    with a nonzero ``ndim``, as numpy arrays have -- goes through fn's
+    arithmetic at once, as float64; any other iterable gives a list of
+    fn(item).  Nothing here imports numpy.
+    """
+    ndim = getattr(x, "ndim", None)
+    if ndim:
+        return fn(x.astype(float))
+    if ndim == 0 or not hasattr(x, "__iter__"):
+        return fn(float(x))
+    return list(map(fn, x))
 
 
 def control_function(traj: ControlTrajectory, t):
-    """Gate drive f(t), scalar or array; the trajectory's f_scale multiplies f0."""
-    return _evaluate(_drive(traj, traj.f_scale, 0.0), t)
+    """Gate drive f(t) for a scalar, array or sequence t; f_scale multiplies f0."""
+    return _elementwise(_drive(traj, traj.f_scale, 0.0), t)
 
 
 def effective_frequency_profile(traj: ControlTrajectory, t):
@@ -180,7 +234,7 @@ def effective_frequency_profile(traj: ControlTrajectory, t):
     For the unperturbed ramp this equals omega_0^2/b^4 - b''/b by the
     Ermakov equation; both forms agree to rounding.
     """
-    return _evaluate(_drive(traj, traj.eta * traj.f_scale, 1.0), t)
+    return _elementwise(_drive(traj, traj.eta * traj.f_scale, 1.0), t)
 
 
 @dataclass(frozen=True)
@@ -206,26 +260,64 @@ def validate_trajectory(traj: ControlTrajectory, n_samples: int = 2001) -> Traje
     Report-only: the drive may legitimately exceed |f| = 1 or push
     omega_eff^2 negative for aggressive ramp times; callers decide what
     to do with that.  Window edges are sample-resolution estimates.
+
+    One pass evaluates the nominal drive f0 once per sample; f and
+    omega_eff^2 are the kernel's last two operations on it, 0 + f_scale f0
+    and 1 + eta f_scale f0.  Rounding is monotone, so on finite samples
+    |f| peaks where |f0| does and omega_eff^2 bottoms out at the extreme
+    of f0 that the sign of eta f_scale picks: min/max of f0 give both, and
+    the windows are scanned only when that minimum is negative.  A NaN
+    anywhere makes the extremes NaN, as np.max does.
     """
     if n_samples < 2:
         raise DesignError("n_samples must be at least 2")
-    t = np.linspace(0.0, traj.t_final, n_samples)
-    f = control_function(traj, t)
-    w = effective_frequency_profile(traj, t)
+    t = linspace(0.0, traj.t_final, n_samples)
+    t_f, tf_sq, c6, c15, c10, c60, om0sq, eta = _drive_constants(traj)
+    f0 = []
+    for ti in t:  # _drive's f0, inlined: a closure call per sample costs a quarter more
+        s = ti / t_f
+        b = ((c6 * s - c15) * s + c10) * s * s * s + 1.0
+        d2 = c60 * s * (2.0 * s - 1.0) * (s - 1.0) / tf_sq
+        b2 = b * b
+        b4 = b2 * b2
+        f0.append((om0sq - b2 * b * d2 - b4) / (eta * b4))
+    gain = traj.f_scale
+    k = eta * gain
+    inner = f0[1:-1]
+    if math.isfinite(sum(f0)) and math.isfinite(k):
+        lo, hi = (min(inner), max(inner)) if inner else (0.0, 0.0)
+        peak = abs(gain * (hi if abs(hi) >= abs(lo) else lo))
+        extreme = min(lo, f0[0], f0[-1]) if k > 0.0 else max(hi, f0[0], f0[-1])
+        scan = 1.0 + k * extreme < 0.0
+    else:
+        peak = _nan_max([abs(0.0 + gain * v) for v in inner]) if inner else 0.0
+        scan = True
+    windows = []
+    if scan:  # runs of omega_eff^2 < 0, as (first, last) sample times
+        first = None
+        for ti, v in zip(t, f0):
+            if 1.0 + k * v < 0.0:
+                if first is None:
+                    first = ti
+                last = ti
+            elif first is not None:
+                windows.append((first, last))
+                first = None
+        if first is not None:
+            windows.append((first, last))
 
-    # runs of w < 0: a window starts at each rising edge of the padded
-    # mask and ends one sample before the next falling edge
-    neg = np.concatenate(([False], w < 0.0, [False]))
-    edges = np.flatnonzero(neg[1:] != neg[:-1])
-    windows = tuple(zip(t[edges[::2]].tolist(), t[edges[1::2] - 1].tolist()))
-
-    interior = slice(1, -1)
+    f_start, f_end = 0.0 + gain * f0[0], 0.0 + gain * f0[-1]
     return TrajectoryValidation(
         n_samples=n_samples,
-        max_abs_f=float(np.max(np.abs(f))),
-        max_abs_f_interior=float(np.max(np.abs(f[interior]))) if n_samples > 2 else 0.0,
-        f_within_unit=bool(np.all(np.abs(f[interior]) <= 1.0)) if n_samples > 2 else True,
-        negative_omega_sq_windows=windows,
-        boundary_residual_start=float(abs(f[0] - traj.f_scale)),
-        boundary_residual_end=float(abs(f[-1])),
+        max_abs_f=_nan_max([peak, abs(f_start), abs(f_end)]),
+        max_abs_f_interior=peak,
+        f_within_unit=peak <= 1.0,
+        negative_omega_sq_windows=tuple(windows),
+        boundary_residual_start=abs(f_start - gain),
+        boundary_residual_end=abs(f_end),
     )
+
+
+def _nan_max(values: list[float]) -> float:
+    """max(values), or NaN if any value is NaN, as np.max."""
+    return max(values) if all(v == v for v in values) else math.nan

@@ -29,14 +29,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import thermometry
 from .design import ControlTrajectory
 from .integrate import IntegrationError, RKResult, solve_rk
 from .physical import PhysicalParams
+
+if TYPE_CHECKING:
+    import numpy as np
 
 FrequencyProfile = Callable[[float], float]
 
@@ -105,6 +106,8 @@ class TransferMatrix:
         )
 
     def as_array(self) -> np.ndarray:
+        import numpy as np  # only tests and the benchmark ask for an array
+
         return np.array([[self.m11, self.m12], [self.m21, self.m22]])
 
     def apply(self, state: GaussianState, time: float | None = None) -> GaussianState:
@@ -179,6 +182,13 @@ _sqrt, _cos, _sin, _cosh, _sinh = math.sqrt, math.cos, math.sin, math.cosh, math
 #: running for an unbounded time; a march that still exhausts the budget
 #: stops with the time it reached.
 _MAX_STEPS = 1_000_000
+
+#: Accepted steps between two checks that the matrix is still finite.  The
+#: step controller looks at each step's error, not at M, so without them a
+#: march whose M overflowed runs on to t1: an epsilon = -2 ramp at
+#: t_final = 8 stops at t = 0.23 after 9,256 profile evaluations instead
+#: of at t = 8 after 53,374.  A check costs less than one evaluation.
+_OVERFLOW_CHECK_STEPS = 256
 
 
 def _magnus6_step(
@@ -264,9 +274,10 @@ def _integrate_transfer(
     Raises IntegrationError, with the time reached, on step-size
     underflow or once ``_MAX_STEPS`` steps have been attempted; a span
     that cannot fit in that budget is refused before the first step.  A
-    final matrix that overflowed is an IntegrationError too; it is
-    checked once, after the march, so sampled matrices past the overflow
-    are already emitted and a caller checks each sample it maps.
+    matrix that overflowed is an IntegrationError too, at the time
+    reached: M is checked every ``_OVERFLOW_CHECK_STEPS`` accepted steps
+    and at the end, so sampled matrices between the overflow and its
+    check may already be emitted, and a caller checks each sample it maps.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
@@ -294,7 +305,8 @@ def _integrate_transfer(
     M = (1.0, 0.0, 0.0, 1.0)
     next_target = 0
     h = span * 1e-4
-    steps = 0
+    steps = accepted_steps = 0
+    check_every = _OVERFLOW_CHECK_STEPS
 
     while t < t1:
         if h <= abs(t) * 1e-15 + span * 1e-16:
@@ -342,6 +354,9 @@ def _integrate_transfer(
                     next_target += 1
             t = t_new
             M = M_new
+            accepted_steps += 1
+            if not accepted_steps % check_every and not all(map(isfinite, M)):
+                raise IntegrationError("transfer matrix overflowed", t)
         if not isfinite(err):
             factor = 0.2
         elif err > 0.0:

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class IntegrationError(RuntimeError):
@@ -152,4 +153,6 @@ def solve_rk(
     if ts[-1] != t:
         ts.append(t)
         ys.append(y)
+    import numpy as np  # here only: no CLI command runs this solver
+
     return RKResult(np.asarray(ts), np.asarray(ys), n_steps, n_rejected)

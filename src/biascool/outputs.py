@@ -33,6 +33,23 @@ def _csv_field(text: str) -> str:
     return text
 
 
+#: json.dumps' own string encoder (the C one where available)
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _json_cell(value) -> str:
+    """A %s-formatted cell as the JSON string json.dumps writes for it."""
+    return _json_str("%s" % value)
+
+
+def _json_array(items: Sequence[str], indent: str) -> str:
+    """Encoded items as the JSON array json.dumps(indent=2) writes at ``indent``."""
+    if not items:
+        return "[]"
+    inner = indent + "  "
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+
+
 def write_table(
     path: Path,
     header: Sequence[str],
@@ -44,10 +61,13 @@ def write_table(
     """Write a table as CSV (default) or as a columnar JSON document.
 
     Each row is rendered with one %-template per distinct tuple of cell
-    types, built on first use together with the positions of the str
-    cells that CSV has to quote, so rows without a str cell pay nothing
-    for quoting; a row whose cell types repeat the previous row's reuses
-    its template without a lookup.  ``note`` (say, why the table stops
+    types, built on first use together with the positions of the cells
+    that need quoting -- str cells in CSV, %s cells in JSON -- so rows
+    of floats pay nothing for it; a row whose cell types repeat the
+    previous row's reuses its template without a lookup.  JSON is the
+    bytes of ``json.dumps(payload, indent=2, sort_keys=True)`` with every
+    cell a string, laid out here instead, because an indented dump runs
+    json's pure-Python encoder.  ``note`` (say, why the table stops
     early) is a trailing ``# note`` line in CSV and a ``"note"`` key in
     JSON.
     """
@@ -55,7 +75,8 @@ def write_table(
         raise ValueError(f"unknown table format {fmt!r}")
     path.parent.mkdir(parents=True, exist_ok=True)
     csv = fmt == "csv"
-    templates: dict = {}  # cell types -> (template, indices of str cells in CSV)
+    quote = _csv_field if csv else _json_cell
+    templates: dict = {}  # cell types -> (template, indices of cells to quote)
     formatted = []
     last_types = None
     for row in rows:
@@ -66,22 +87,28 @@ def write_table(
             entry = templates.get(types)
             if entry is None:
                 cells = _cell_formats(types, precision)
-                strs = tuple(i for i, t in enumerate(types) if issubclass(t, str)) if csv else ()
-                entry = templates[types] = (",".join(cells) if csv else cells, strs)
-            template, strs = entry
-        if strs:
-            row = tuple(_csv_field(c) if i in strs else c for i, c in enumerate(row))
-        formatted.append(template % row if csv else [f % c for f, c in zip(template, row)])
+                if csv:
+                    quoted = tuple(i for i, t in enumerate(types) if issubclass(t, str))
+                    template = ",".join(cells)
+                else:  # %g and empty cells need no JSON escapes, so they are quoted in place
+                    quoted = tuple(i for i, c in enumerate(cells) if c == "%s")
+                    template = _json_array([c if c == "%s" else f'"{c}"' for c in cells], "    ")
+                entry = templates[types] = (template, quoted)
+            template, quoted = entry
+        if quoted:
+            row = tuple(quote(c) if i in quoted else c for i, c in enumerate(row))
+        formatted.append(template % row)
     if csv:
         lines = [",".join(header), *formatted]
         if note is not None:
             lines.append(f"# {note}")
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        text = "\n".join(lines) + "\n"
     else:
-        payload = {"columns": list(header), "rows": formatted}
+        text = '{\n  "columns": ' + _json_array([_json_str(h) for h in header], "  ")
         if note is not None:
-            payload["note"] = note
-        write_json(path, payload)
+            text += ',\n  "note": ' + _json_str(note)
+        text += ',\n  "rows": ' + _json_array(formatted, "  ") + "\n}\n"
+    path.write_text(text, encoding="utf-8")
 
 
 def write_json(path: Path, payload) -> None:

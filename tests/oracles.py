@@ -1,19 +1,57 @@
-"""Independent oracles that check the package's propagators.
+"""Independent oracles that check the package's propagators and its validation.
 
 They share no integration code with the product paths and are the only
 users of scipy, which is why they live with the tests: importing
-biascool never loads it.
+biascool never loads it, nor numpy.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
 from scipy.integrate import solve_ivp
 
 from biascool import dynamics
-from biascool.design import ControlTrajectory
+from biascool.design import (
+    ControlTrajectory,
+    DesignError,
+    TrajectoryValidation,
+    control_function,
+    effective_frequency_profile,
+)
 from biascool.dynamics import FrequencyProfile, GaussianState, IntegrationError
+
+
+def validate_trajectory_numpy(traj: ControlTrajectory, n_samples: int = 2001) -> TrajectoryValidation:
+    """``design.validate_trajectory`` as numpy array operations, its earlier form.
+
+    Evaluates f and omega_eff^2 as two array calls of the drive kernel on
+    np.linspace times and reduces them with numpy; the package's one
+    pure-Python pass must give the same report, bit for bit.
+    """
+    if n_samples < 2:
+        raise DesignError("n_samples must be at least 2")
+    t = np.linspace(0.0, traj.t_final, n_samples)
+    f = control_function(traj, t)
+    w = effective_frequency_profile(traj, t)
+
+    # runs of w < 0: a window starts at each rising edge of the padded
+    # mask and ends one sample before the next falling edge
+    neg = np.concatenate(([False], w < 0.0, [False]))
+    edges = np.flatnonzero(neg[1:] != neg[:-1])
+    windows = tuple(zip(t[edges[::2]].tolist(), t[edges[1::2] - 1].tolist()))
+
+    interior = slice(1, -1)
+    return TrajectoryValidation(
+        n_samples=n_samples,
+        max_abs_f=float(np.max(np.abs(f))),
+        max_abs_f_interior=float(np.max(np.abs(f[interior]))) if n_samples > 2 else 0.0,
+        f_within_unit=bool(np.all(np.abs(f[interior]) <= 1.0)) if n_samples > 2 else True,
+        negative_omega_sq_windows=windows,
+        boundary_residual_start=float(abs(f[0] - traj.f_scale)),
+        boundary_residual_end=float(abs(f[-1])),
+    )
 
 
 def propagate_covariance_ode(

@@ -561,8 +561,47 @@ def test_cli_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_import_leaves_numpy_unloaded():
+    # the CLI runs on the standard library; numpy serves the tests and the benchmark
+    src = str(Path(biascool.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, biascool.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_every_command_runs_with_numpy_blocked(tmp_path):
+    # a minimal install: importing numpy fails, and each command still exits 0 with its files
+    src = str(Path(biascool.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    cfg = fast_config(tmp_path)
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from biascool.cli import main\n"
+        "for command in sys.argv[2:]:\n"
+        "    print(command, main([command, '--config', sys.argv[1], '--out', command]))\n"
+    )
+    commands = ["params", "design", "simulate", "sweep", "reproduce"]
+    run = subprocess.run(
+        [sys.executable, "-c", code, str(cfg), *commands],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0 and "Traceback" not in run.stderr, run.stderr
+    codes = dict(line.split() for line in run.stdout.splitlines() if line.split()[0] in commands)
+    assert codes == dict.fromkeys(commands, "0")
+    assert "coupling eta" in run.stdout
+    written = {command: sorted(p.name for p in (tmp_path / command).iterdir()) for command in commands[1:]}
+    assert written["design"] == ["b_t_tf1.csv", "f_t_tf1.csv", "omega_eff_t_tf1.csv"]
+    assert written["simulate"] == ["moments_t_tf1.csv", "n_bar_t_tf1.csv", "t_eff_t_tf1.csv"]
+    assert written["sweep"] == ["sweep.csv"]
+    manifest = json.loads((tmp_path / "reproduce" / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["all_passed"] and len(manifest["files"]) == 8
+
+
 def test_scipy_is_a_test_only_dependency():
-    # no module of the package imports scipy, and only the test extra asks for it
+    # no module of the package imports scipy, and only the test extra asks
+    # for it; numpy too is asked for by the test extra alone
     root = Path(__file__).resolve().parents[1]
     for path in (root / "src" / "biascool").rglob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -577,5 +616,6 @@ def test_scipy_is_a_test_only_dependency():
     project = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))["project"]
     groups = {"dependencies": project["dependencies"], **project["optional-dependencies"]}
     name = re.compile(r"[A-Za-z0-9_.-]+")
-    with_scipy = [g for g, specs in groups.items() if any(name.match(s).group() == "scipy" for s in specs)]
-    assert with_scipy == ["test"]
+    for dependency in ("scipy", "numpy"):
+        asking = [g for g, specs in groups.items() if any(name.match(s).group() == dependency for s in specs)]
+        assert asking == ["test"], dependency

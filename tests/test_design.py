@@ -1,4 +1,5 @@
 import itertools
+import math
 from dataclasses import replace
 
 import mpmath as mp
@@ -12,12 +13,15 @@ from biascool.design import (
     b_polynomial,
     control_function,
     effective_frequency_profile,
+    linspace,
     make_spec,
     make_trajectory,
+    signed_sqrt,
     validate_trajectory,
 )
 
 from conftest import CHI_DEFAULT, make_params, make_params_eta
+from oracles import validate_trajectory_numpy
 
 
 def mp_control_function(eta, t_f, t):
@@ -300,3 +304,85 @@ class TestValidation:
     def test_sample_count_domain(self, device_params):
         with pytest.raises(DesignError):
             validate_trajectory(make_trajectory(device_params, 1.0), 1)
+
+
+# the specs the tests above validate, as (spec, eta, f_scale)
+EDGE_SPECS = [
+    (TrajectorySpec(4.0, 4.0, 1.0), 5.0, 1.0),
+    (TrajectorySpec(1.0, 10000.0, 0.05), 1e4, 1.0),
+    (TrajectorySpec(0.25, 4.0, 1.0), 1.0, 2.0),
+    (TrajectorySpec(0.25, 0.25, 1.0), 1.0, 2.0),
+    (TrajectorySpec(16.0, 1.0, 1.0), 15.0, -1.0),  # eta f_scale < 0: omega_eff^2 dips at max f0
+    (TrajectorySpec(16.0, 1.0, 1.0), 15.0, 0.0),  # omega_eff^2 = 1 everywhere
+    (TrajectorySpec(100.0, 1.0, 1.0), -0.5, 3.0),  # eta < 0
+    (TrajectorySpec(16.0, 1.0, 1.0), 15.0, math.nan),  # NaN drive: NaN extremes, no window
+    (TrajectorySpec(16.0, 1.0, 1.0), 15.0, math.inf),  # inf * 0 makes the end sample NaN
+    (TrajectorySpec(16.0, 1.0, 1.0), 1e308, 1e10),  # eta f_scale overflows
+]
+VALIDATION_SAMPLES = (2, 3, 101, 1001, 4001)
+
+
+class TestValidationOracle:
+    """The pure-Python validation pass against its earlier numpy form, by repr."""
+
+    # t_f* ~ 0.3347 is the shortest ramp without an inverted window on this device
+    @pytest.mark.parametrize("t_final", [0.1, 0.3, 0.334, 0.335, 0.5, 2.0, 8.0])
+    @pytest.mark.parametrize("f_scale", [0.9, 1.0, 1.1, 2.0])
+    def test_device_ramps(self, device_params, t_final, f_scale):
+        traj = replace(make_trajectory(device_params, t_final), f_scale=f_scale)
+        for n in VALIDATION_SAMPLES:
+            assert repr(validate_trajectory(traj, n)) == repr(validate_trajectory_numpy(traj, n))
+
+    @pytest.mark.parametrize("spec,eta,f_scale", EDGE_SPECS)
+    def test_edge_specs(self, spec, eta, f_scale):
+        traj = ControlTrajectory(spec, eta=eta, f_scale=f_scale)
+        for n in VALIDATION_SAMPLES:
+            with np.errstate(all="ignore"):
+                expected = validate_trajectory_numpy(traj, n)
+            assert repr(validate_trajectory(traj, n)) == repr(expected)
+
+    def test_windows_straddle_the_shortest_ramp(self, device_params):
+        # a window just below t_f* and none above, at the CLI's 1001 samples
+        below = validate_trajectory(make_trajectory(device_params, 0.334), 1001)
+        above = validate_trajectory(make_trajectory(device_params, 0.335), 1001)
+        assert below.negative_omega_sq_windows and not above.negative_omega_sq_windows
+
+
+class TestStandardLibraryHelpers:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 101, 4001])
+    @pytest.mark.parametrize(
+        "start,stop",
+        [(0.0, 1.0), (0.0, 0.334), (0.0, 8.0), (1.0, -1.0), (-3.5, 2.25), (0.0, 0.0), (-0.0, 0.0),
+         (0.0, 5e-324), (0.0, 1e-310), (-1e308, 1e308), (1e308, -1e308), (0.0, math.inf),
+         (0.0, math.nan), (2.0, 1e300)],
+    )
+    def test_linspace_is_numpy_bit_for_bit(self, start, stop, n):
+        with np.errstate(all="ignore"):
+            expected = np.linspace(start, stop, n).tolist()
+        assert list(map(repr, linspace(start, stop, n))) == list(map(repr, expected))
+
+    def test_linspace_refuses_a_negative_count(self):
+        with pytest.raises(ValueError):
+            linspace(0.0, 1.0, -1)
+
+    def test_signed_sqrt_is_numpy_sign_times_sqrt(self):
+        values = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                  2.2250738585072014e-308, -1e-310, 1.0, -1.0, 2.0, -3.7e5, 1.797e308]
+        with np.errstate(all="ignore"):
+            expected = (np.sign(values) * np.sqrt(np.abs(values))).tolist()
+        assert list(map(repr, map(signed_sqrt, values))) == list(map(repr, expected))
+
+    def test_sequences_give_lists_with_the_scalar_bits(self, device_params):
+        traj = make_trajectory(device_params, 0.5)
+        t = linspace(0.0, 0.5, 33)
+        for fn in (control_function, effective_frequency_profile):
+            values = fn(traj, t)
+            assert type(values) is list and values == [fn(traj, ti) for ti in t]
+            assert values == fn(traj, np.array(t)).tolist()
+        s = [ti / 0.5 for ti in t]
+        columns = b_polynomial(s, traj.spec.chi)
+        assert type(columns[0]) is list
+        assert columns == tuple(map(list, zip(*(b_polynomial(v, traj.spec.chi) for v in s))))
+        assert b_polynomial([], 2.0) == ([], [], [])
+        with pytest.raises(DesignError):
+            b_polynomial([0.5, 1.5], 2.0)

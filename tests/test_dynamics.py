@@ -280,7 +280,33 @@ class TestMomentRows:
         state0 = thermal_state(device_params, nominal.spec.omega0_sq, device_params.bath_temperature)
         with pytest.raises(IntegrationError, match=f"{what} overflowed") as excinfo:
             propagate_transfer(perturb_trajectory(nominal, epsilon), state0, 0.0, 2.0)
-        assert excinfo.value.time == 2.0
+        # a finite matrix is mapped at t_f; an overflowed one stops the march near its overflow
+        if what == "second moments":
+            assert excinfo.value.time == 2.0
+        else:
+            assert excinfo.value.time < 1.0
+
+    @pytest.mark.parametrize("t_final,max_evaluations", [(2.0, 16_200), (8.0, 10_000)])
+    def test_overflowed_march_stops_within_the_check_interval(
+        self, device_params, monkeypatch, t_final, max_evaluations
+    ):
+        # an epsilon = -2 drive overflows M before t = 0.4; checked only at
+        # t_f, the march runs on to t_f: 16,330 and 53,374 evaluations
+        nominal = make_trajectory(device_params, t_final)
+        state0 = thermal_state(device_params, nominal.spec.omega0_sq, device_params.bath_temperature)
+        w = perturb_trajectory(nominal, -2.0).frequency_sq_fn()
+
+        def march():
+            times = []
+            with pytest.raises(IntegrationError, match="transfer matrix overflowed") as excinfo:
+                propagate_transfer(lambda t: times.append(t) or w(t), state0, 0.0, t_final)
+            return len(times), excinfo.value.time
+
+        evaluations, reached = march()
+        assert evaluations <= max_evaluations and 0.2 < reached < 1.0
+        monkeypatch.setattr(dynamics, "_OVERFLOW_CHECK_STEPS", 10**9)  # the final check only
+        full_evaluations, full_reached = march()
+        assert full_reached == t_final and full_evaluations > max_evaluations
 
     def test_overflowing_series_keeps_the_rows_before_it(self):
         # an inverted potential grows the moments as exp(2000 t); they overflow near t = 0.35

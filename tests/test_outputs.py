@@ -60,3 +60,24 @@ def test_runs_of_repeated_cell_types(tmp_path, fmt):
         assert (tmp_path / "t").read_text(encoding="utf-8") == "\n".join(lines) + "\n"
     else:
         assert json.loads((tmp_path / "t").read_text(encoding="utf-8"))["rows"] == expected
+
+
+@pytest.mark.parametrize(
+    "header,rows,note",
+    [
+        (("x", "y"), [], None),
+        ((), [], "stopped early"),
+        (("x",), [()], None),
+        (("t", "s"), [(0.5, 'say "hi"'), (1.5, "back\\slash"), (2.5, "tab\tnl\ncr\r\x00\x1f\x7f")], None),
+        (("t", "s", "n"), [(0.5, "caf\u00e9 \u03c9\u2080 \U0001f600", None), (math.nan, "", 3)], 'n\u00e9 "x"\\'),
+        (("caf\u00e9", 'q"'), [(1.5, True), (-0.0, 2**70), (None, None)], "integration_error: (at t = 2)"),
+    ],
+)
+def test_json_table_is_the_indented_dump_byte_for_byte(tmp_path, header, rows, note):
+    # the writer lays out json.dumps(indent=2, sort_keys=True) itself, cell by C-encoded cell
+    write_table(tmp_path / "t.json", header, rows, 12, "json", note)
+    payload = {"columns": list(header), "rows": [[cell_text(v, 12) for v in row] for row in rows]}
+    if note is not None:
+        payload["note"] = note
+    expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "t.json").read_bytes() == expected.encode()
