@@ -176,15 +176,7 @@ def load_config(path: str | Path | None, overrides: dict[str, str] | None = None
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {p}: {exc}") from exc
     return parse_config(text, str(p), overrides)
 
-
-def serialize_config(cfg: RunConfig) -> str:
-    """Canonical config text in base SI units; parses back to the same config."""
-    lines = [f"{f.name} = {getattr(cfg.physical, f.name)!r}" for f in fields(PhysicalParams)]
-    for key, (section, name, _) in _KEYS.items():
-        value = getattr(getattr(cfg, section), name)
-        lines.append(f"{key} = {', '.join(map(repr, value)) if isinstance(value, tuple) else value}")
-    return "\n".join(lines) + "\n"

@@ -70,8 +70,7 @@ class ControlTrajectory:
 
     f_scale multiplies the nominal drive; it is 1 for as-designed ramps
     and 1 + epsilon for the perturbed ramps of the robustness study, in
-    which case the boundary metadata in ``spec`` is nominal only (see
-    :attr:`boundary_consistent`).
+    which case the boundary metadata in ``spec`` is nominal only.
     """
 
     spec: TrajectorySpec
@@ -81,11 +80,6 @@ class ControlTrajectory:
     @property
     def t_final(self) -> float:
         return self.spec.t_final
-
-    @property
-    def boundary_consistent(self) -> bool:
-        """Whether f(t) still meets the designed boundary conditions."""
-        return self.f_scale == 1.0
 
     def omega_eff_sq(self, t):
         return effective_frequency_profile(self, t)
@@ -248,10 +242,6 @@ class TrajectoryValidation:
     negative_omega_sq_windows: tuple[tuple[float, float], ...]
     boundary_residual_start: float  # |f(0) - f_scale|
     boundary_residual_end: float  # |f(t_f)|
-
-    @property
-    def ok(self) -> bool:
-        return self.f_within_unit and not self.negative_omega_sq_windows
 
 
 def validate_trajectory(traj: ControlTrajectory, n_samples: int = 2001) -> TrajectoryValidation:

@@ -97,19 +97,6 @@ class TransferMatrix:
     def det(self) -> float:
         return self.m11 * self.m22 - self.m12 * self.m21
 
-    def __matmul__(self, other: "TransferMatrix") -> "TransferMatrix":
-        return TransferMatrix(
-            self.m11 * other.m11 + self.m12 * other.m21,
-            self.m11 * other.m12 + self.m12 * other.m22,
-            self.m21 * other.m11 + self.m22 * other.m21,
-            self.m21 * other.m12 + self.m22 * other.m22,
-        )
-
-    def as_array(self) -> np.ndarray:
-        import numpy as np  # only tests and the benchmark ask for an array
-
-        return np.array([[self.m11, self.m12], [self.m21, self.m22]])
-
     def apply(self, state: GaussianState, time: float | None = None) -> GaussianState:
         """Map second moments forward: Sigma -> M Sigma M^T.
 
@@ -504,16 +491,3 @@ def solve_ermakov_forward(
     )
     return ErmakovResult(result.t, result.y[:, 0].copy(), result.y[:, 1].copy())
 
-
-def invariant_expectation(state: GaussianState, omega0_sq: float, b: float, b_dot: float) -> float:
-    """Expectation of the quadratic dynamical invariant for the given scale factor.
-
-    <I> = (omega0^2/2) xx/b^2 + (1/2)(b^2 pp - 2 b b' xp + b'^2 xx) in
-    reduced units; constant along a trajectory designed with that b(t).
-    """
-    return 0.5 * (
-        omega0_sq * state.xx / (b * b)
-        + b * b * state.pp
-        - 2.0 * b * b_dot * state.xp
-        + b_dot * b_dot * state.xx
-    )

@@ -63,22 +63,6 @@ FIELD_UNITS: dict[str, dict[str, float]] = {
 }
 
 
-def convert_to_si(field: str, value: float, unit: str = "") -> float:
-    """Convert ``value`` with unit suffix ``unit`` to the SI value of ``field``."""
-    try:
-        table = FIELD_UNITS[field]
-    except KeyError:
-        raise ParameterError(f"unknown parameter field {field!r}") from None
-    try:
-        factor = table[unit]
-    except KeyError:
-        accepted = ", ".join(repr(u) for u in table if u)
-        raise ParameterError(
-            f"unsupported unit {unit!r} for {field}; accepted: {accepted or 'SI only'}"
-        ) from None
-    return value * factor
-
-
 def parse_quantity(field: str, text: str) -> float:
     """Parse ``"<number> [unit]"`` into the SI value of ``field``."""
     parts = text.strip().split(None, 1)
@@ -89,7 +73,15 @@ def parse_quantity(field: str, text: str) -> float:
     except ValueError:
         raise ParameterError(f"cannot parse number {parts[0]!r} for {field}") from None
     unit = parts[1].strip() if len(parts) == 2 else ""
-    return convert_to_si(field, value, unit)
+    table = FIELD_UNITS.get(field)
+    if table is None:
+        raise ParameterError(f"unknown parameter field {field!r}")
+    if unit not in table:
+        accepted = ", ".join(repr(u) for u in table if u)
+        raise ParameterError(
+            f"unsupported unit {unit!r} for {field}; accepted: {accepted or 'SI only'}"
+        )
+    return value * table[unit]
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -147,40 +139,17 @@ class PhysicalParams:
 
 
 def compute_eta(params: PhysicalParams) -> float:
-    """Coupling strength between the gate bias and the squared eigenfrequency."""
+    """Coupling strength between the gate bias and the squared eigenfrequency.
+
+    Raises ParameterError when m omega_m^2 d^3 leaves the float range:
+    a power that overflows, or a denominator that underflows to zero.
+    """
     num = 4.0 * params.coulomb_k * params.capacitance * params.voltage_amplitude
     num *= params.resonator_charge
-    den = params.mass * params.bare_frequency**2 * params.separation**3
-    return num / den
-
-
-def coulomb_potential_exact(params: PhysicalParams, f: float, x: float) -> float:
-    """Two-electrode electrostatic energy k C0 U0 f Q (1/(d+x) + 1/(d-x)), in J.
-
-    Valid only while the beam stays between the electrodes (|x| < d).
-    """
-    d = params.separation
-    if not abs(x) < d:
-        raise ParameterError(f"|x| = {abs(x):.6e} m must be below the separation {d:.6e} m")
-    scale = params.coulomb_k * params.capacitance * params.voltage_amplitude * f
-    return scale * params.resonator_charge * (1.0 / (d + x) + 1.0 / (d - x))
-
-
-def coulomb_potential_quadratic(params: PhysicalParams, f: float, x: float) -> float:
-    """Harmonic part 2 k C0 U0 Q f x^2 / d^3 of the electrode potential, in J.
-
-    The x-independent offset 2 k C0 U0 Q f / d is dropped: it commutes with
-    x and p and never feeds back on the motion, so energies from this
-    function are relative to it.
-    """
-    scale = 2.0 * params.coulomb_k * params.capacitance * params.voltage_amplitude
-    return scale * params.resonator_charge * f * x * x / params.separation**3
-
-
-def effective_frequency_sq(params: PhysicalParams, f: float) -> float:
-    """Signed squared effective frequency omega_m^2 (1 + eta f), in rad^2/s^2.
-
-    Negative values (inverted potential, transiently imaginary frequency)
-    are legitimate outputs and are handled by the propagators downstream.
-    """
-    return params.bare_frequency**2 * (1.0 + params.eta * f)
+    try:
+        den = params.mass * params.bare_frequency**2 * params.separation**3
+        return num / den
+    except (OverflowError, ZeroDivisionError):
+        raise ParameterError(
+            "eta is out of float range: m * omega_m^2 * d^3 overflows or underflows"
+        ) from None

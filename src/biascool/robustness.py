@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from . import thermometry
-from .design import ControlTrajectory, make_trajectory
+from .design import ControlTrajectory, make_trajectory, signed_sqrt
 from .dynamics import IntegrationError, TransferMatrix, propagate_transfer, thermal_state
 from .physical import PhysicalParams
 
@@ -94,10 +94,11 @@ def _run_cell(
         start_omega_sq = nominal.spec.omega0_sq
     else:
         start_omega_sq = perturbed.omega_eff_sq(0.0)
-        if start_omega_sq <= 0.0:
+        if not 0.0 < start_omega_sq < math.inf:
+            problem = "<= 0" if start_omega_sq <= 0.0 else "is not finite"
             return SweepResult(
                 epsilon, t_final, math.nan, math.nan, math.nan, math.nan,
-                status=f"perturbed start frequency squared {start_omega_sq:.3e} <= 0",
+                status=f"perturbed start frequency squared {start_omega_sq:.3e} {problem}",
             )
     state0 = thermal_state(params, start_omega_sq, params.bath_temperature)
 
@@ -110,8 +111,7 @@ def _run_cell(
     if n_final == math.inf:  # finite moments whose energy overflowed
         raise IntegrationError("occupation overflowed", t_final)
     t_eff = thermometry.effective_temperature(params.bare_frequency, n_final)
-    omega_sq = thermometry.state_frequency(final)
-    state_omega = math.copysign(math.sqrt(abs(omega_sq)), omega_sq)
+    state_omega = signed_sqrt(thermometry.state_frequency(final))
     b_sq = m.m11 * m.m11 + nominal.spec.omega0_sq * m.m12 * m.m12
     if b_sq < math.inf:
         b_final = math.sqrt(b_sq)

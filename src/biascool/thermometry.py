@@ -34,7 +34,10 @@ def thermal_occupation(omega: float, temperature: float) -> float:
         raise ThermometryError(f"omega must be positive, got {omega!r}")
     if not temperature > 0.0:
         raise ThermometryError(f"temperature must be positive, got {temperature!r}")
-    x = HBAR * omega / (BOLTZMANN * temperature)
+    kt = BOLTZMANN * temperature
+    if kt == 0.0:  # k_B T underflowed: the T -> 0 limit
+        return 0.0
+    x = HBAR * omega / kt
     if x > 700.0:  # expm1 would overflow; occupation is exp(-x) to full precision
         return math.exp(-x)
     return 1.0 / math.expm1(x)

@@ -1,18 +1,22 @@
-"""Independent oracles that check the package's propagators and its validation.
+"""Independent oracles and test-only helpers for the package.
 
-They share no integration code with the product paths and are the only
-users of scipy, which is why they live with the tests: importing
-biascool never loads it, nor numpy.
+The oracles share no integration code with the product paths: the
+covariance ODE, the numpy form of the trajectory validation, the
+two-electrode Coulomb model behind eta, and the Lewis-Riesenfeld
+invariant.  They are the only users of numpy and scipy, which is why
+they live with the tests: importing biascool loads neither.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from biascool import dynamics
+from biascool.config import _KEYS, RunConfig
 from biascool.design import (
     ControlTrajectory,
     DesignError,
@@ -20,7 +24,68 @@ from biascool.design import (
     control_function,
     effective_frequency_profile,
 )
-from biascool.dynamics import FrequencyProfile, GaussianState, IntegrationError
+from biascool.dynamics import FrequencyProfile, GaussianState, IntegrationError, TransferMatrix
+from biascool.physical import ParameterError, PhysicalParams
+
+
+def as_array(m: TransferMatrix) -> np.ndarray:
+    """The transfer matrix as a 2x2 array."""
+    return np.array([[m.m11, m.m12], [m.m21, m.m22]])
+
+
+def serialize_config(cfg: RunConfig) -> str:
+    """Canonical config text in base SI units; parses back to the same config."""
+    lines = [f"{f.name} = {getattr(cfg.physical, f.name)!r}" for f in fields(PhysicalParams)]
+    for key, (section, name, _) in _KEYS.items():
+        value = getattr(getattr(cfg, section), name)
+        lines.append(f"{key} = {', '.join(map(repr, value)) if isinstance(value, tuple) else value}")
+    return "\n".join(lines) + "\n"
+
+
+def coulomb_potential_exact(params: PhysicalParams, f: float, x: float) -> float:
+    """Two-electrode electrostatic energy k C0 U0 f Q (1/(d+x) + 1/(d-x)), in J.
+
+    Valid only while the beam stays between the electrodes (|x| < d).
+    """
+    d = params.separation
+    if not abs(x) < d:
+        raise ParameterError(f"|x| = {abs(x):.6e} m must be below the separation {d:.6e} m")
+    scale = params.coulomb_k * params.capacitance * params.voltage_amplitude * f
+    return scale * params.resonator_charge * (1.0 / (d + x) + 1.0 / (d - x))
+
+
+def coulomb_potential_quadratic(params: PhysicalParams, f: float, x: float) -> float:
+    """Harmonic part 2 k C0 U0 Q f x^2 / d^3 of the electrode potential, in J.
+
+    The x-independent offset 2 k C0 U0 Q f / d is dropped: it commutes with
+    x and p and never feeds back on the motion, so energies from this
+    function are relative to it.
+    """
+    scale = 2.0 * params.coulomb_k * params.capacitance * params.voltage_amplitude
+    return scale * params.resonator_charge * f * x * x / params.separation**3
+
+
+def effective_frequency_sq(params: PhysicalParams, f: float) -> float:
+    """Signed squared effective frequency omega_m^2 (1 + eta f), in rad^2/s^2.
+
+    Negative values (inverted potential, transiently imaginary frequency)
+    are legitimate outputs and are handled by the propagators downstream.
+    """
+    return params.bare_frequency**2 * (1.0 + params.eta * f)
+
+
+def invariant_expectation(state: GaussianState, omega0_sq: float, b: float, b_dot: float) -> float:
+    """Expectation of the quadratic dynamical invariant for the given scale factor.
+
+    <I> = (omega0^2/2) xx/b^2 + (1/2)(b^2 pp - 2 b b' xp + b'^2 xx) in
+    reduced units; constant along a trajectory designed with that b(t).
+    """
+    return 0.5 * (
+        omega0_sq * state.xx / (b * b)
+        + b * b * state.pp
+        - 2.0 * b * b_dot * state.xp
+        + b_dot * b_dot * state.xx
+    )
 
 
 def validate_trajectory_numpy(traj: ControlTrajectory, n_samples: int = 2001) -> TrajectoryValidation:

@@ -18,7 +18,6 @@ from biascool.design import b_polynomial, make_trajectory
 from biascool.dynamics import (
     GaussianState,
     TransferMatrix,
-    invariant_expectation,
     propagate_transfer,
     solve_ermakov_forward,
     thermal_state,
@@ -28,7 +27,7 @@ from biascool.robustness import REFERENCE_TARGETS, SweepOptions, run_sweep
 from biascool.thermometry import effective_temperature, occupation_from_state, thermal_occupation
 
 from conftest import make_params
-from oracles import propagate_covariance_ode
+from oracles import invariant_expectation, propagate_covariance_ode
 
 T_FINALS = (0.5, 1.0, 2.0)
 TRANSFER_TOL = 1e-10

@@ -18,6 +18,7 @@ from biascool.cli import main
 from biascool.config import DEFAULT_CONFIG, load_config
 from biascool.design import ControlTrajectory, make_trajectory
 from biascool.dynamics import IntegrationError, TransferMatrix, thermal_state
+from biascool.physical import FIELD_UNITS
 from biascool.robustness import perturb_trajectory
 from biascool.thermometry import effective_temperature, occupation_from_state
 
@@ -485,6 +486,33 @@ class TestExitCodes:
             assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    def test_extreme_finite_inputs_end_without_traceback(self, tmp_path, capsys):
+        # every device key at the edges of the float range: an eta out of
+        # range is a config error, k_B T underflowing is the T -> 0 limit
+        device_lines = [line for line in DEFAULT_CONFIG.splitlines() if line.split(" = ")[0] in FIELD_UNITS]
+        assert len(device_lines) == 9
+        for line in device_lines:
+            key = line.split(" = ")[0]
+            for value in ("5e-324", "1e-300", "1e-200", "1e200", "1e300", "1.7e308"):
+                cfg = fast_config(tmp_path, **{line: f"{key} = {value}"})
+                assert main(["params", "--config", str(cfg)]) in (0, 1), (key, value)
+                assert len(capsys.readouterr().err.splitlines()) <= 1, (key, value)
+        # a perturbed start frequency that overflows fails its cell before any march
+        cfg = fast_config(tmp_path, **{
+            "t_final = 1.0": "t_final = 0.5",
+            "epsilon = -0.1, 0.0, 0.1": "epsilon = 1e308",
+            "initial_state = nominal": "initial_state = perturbed",
+        })
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "start frequency squared inf is not finite" in err
+        # a config file that is not UTF-8: a Latin-1 micro sign in a comment
+        latin1 = tmp_path / "latin1.cfg"
+        latin1.write_bytes(DEFAULT_CONFIG.replace("3.15 um", "3.15 um  # 3.15 \xb5m").encode("latin-1"))
+        assert main(["params", "--config", str(latin1)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot read config") and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     def test_huge_ramp_time_is_a_numeric_error(self, tmp_path, capsys, command):

@@ -12,11 +12,11 @@ from biascool.config import (
     SweepConfig,
     load_config,
     parse_config,
-    serialize_config,
 )
 from biascool.physical import FIELD_UNITS, PhysicalParams
 
 from conftest import ETA_DEFAULT
+from oracles import serialize_config
 
 
 def test_default_config_parses_to_device_values():

@@ -5,6 +5,8 @@ from dataclasses import replace
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biascool.design import (
     ControlTrajectory,
@@ -266,7 +268,7 @@ class TestValidation:
         # imaginary-frequency windows even at the fastest ramp
         assert report.f_within_unit
         assert report.negative_omega_sq_windows == ()
-        assert report.ok
+        assert report.f_within_unit and not report.negative_omega_sq_windows
 
     def test_detects_negative_windows(self):
         # a ramp from a *lower* to a higher frequency with tiny t_f needs
@@ -386,3 +388,20 @@ class TestStandardLibraryHelpers:
         assert b_polynomial([], 2.0) == ([], [], [])
         with pytest.raises(DesignError):
             b_polynomial([0.5, 1.5], 2.0)
+
+
+class TestProperties:
+    """Property tests of the standard-library paths against numpy; fixed seed, no database."""
+
+    @settings(derandomize=True, database=None, max_examples=300)
+    @given(st.floats(), st.floats(), st.integers(0, 500))
+    def test_linspace_is_numpy_linspace(self, start, stop, n):
+        with np.errstate(all="ignore"):
+            expected = np.linspace(start, stop, n).tolist()
+        assert list(map(repr, linspace(start, stop, n))) == list(map(repr, expected))
+
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(st.floats(0.05, 10.0), st.floats(-3.0, 3.0), st.integers(2, 3000))
+    def test_validation_is_the_numpy_oracle(self, device_params, t_final, f_scale, n):
+        traj = replace(make_trajectory(device_params, t_final), f_scale=f_scale)
+        assert repr(validate_trajectory(traj, n)) == repr(validate_trajectory_numpy(traj, n))

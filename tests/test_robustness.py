@@ -46,7 +46,7 @@ class TestPerturbation:
         np.testing.assert_array_equal(
             np.asarray(control_function(traj, t)), np.asarray(control_function(same, t))
         )
-        assert same.boundary_consistent
+        assert same.f_scale == 1.0
 
     def test_plus_ten_percent_start(self):
         params = make_params_eta(1.25e7)
@@ -55,7 +55,7 @@ class TestPerturbation:
         omega_start = math.sqrt(traj.omega_eff_sq(0.0))
         assert omega_start == pytest.approx(math.sqrt(1.0 + 1.1 * params.eta), rel=1e-12)
         assert omega_start == pytest.approx(3708.0993783878015, rel=1e-9)  # frozen oracle value
-        assert not traj.boundary_consistent
+        assert traj.f_scale != 1.0
 
     @pytest.mark.parametrize("epsilon", [-0.5, -0.1, 0.3, 1.7])
     def test_end_point_scale_invariant(self, device_params, epsilon):
@@ -185,7 +185,7 @@ class TestSweep:
         expected = run_sweep(device_params, *grid, options)
         calls = count_propagations(monkeypatch)
         reused = run_sweep(device_params, *grid, options, marched)
-        assert len(calls) == 4 and not any(traj.boundary_consistent for traj in calls)
+        assert len(calls) == 4 and not any(traj.f_scale == 1.0 for traj in calls)
         assert all(row.status == "ok" for row in reused)
         assert list(map(repr, reused)) == list(map(repr, expected))
 
