@@ -24,9 +24,8 @@ from dataclasses import asdict, astuple, dataclass, field
 from pathlib import Path
 
 from . import __version__, thermometry
-from .config import ConfigError, RunConfig, load_config
+from .config import RunConfig, load_config
 from .design import (
-    DesignError,
     TrajectoryValidation,
     b_polynomial,
     control_function,
@@ -37,17 +36,7 @@ from .design import (
     validate_trajectory,
 )
 from .dynamics import IntegrationError, TransferMatrix, moment_series, purity, thermal_state
-from .outputs import (
-    check_entry,
-    checks_all_passed,
-    format_float,
-    hash_manifest,
-    table_suffix,
-    tf_label,
-    write_json,
-    write_table,
-)
-from .physical import ParameterError
+from .outputs import check_entry, format_float, hash_manifest, tf_label, write_json, write_table
 from .robustness import REFERENCE_TARGETS, MarchedMatrices, SweepOptions, SweepResult, run_sweep
 
 # Hard-check targets and tolerances for the reproduction run.
@@ -131,10 +120,6 @@ def build_report(cfg: RunConfig) -> CoolingReport:
     return report
 
 
-def _out_dir(cfg: RunConfig) -> Path:
-    return Path(cfg.output.directory)
-
-
 def cmd_params(cfg: RunConfig) -> int:
     print(build_report(cfg).render())
     return 0
@@ -142,7 +127,7 @@ def cmd_params(cfg: RunConfig) -> int:
 
 def _write(cfg: RunConfig, stem: str, header: tuple[str, ...], rows, note: str | None = None) -> Path:
     """Write one table into the output directory; return its path."""
-    path = _out_dir(cfg) / f"{stem}{table_suffix(cfg.output.format)}"
+    path = Path(cfg.output.directory) / f"{stem}.{cfg.output.format}"
     write_table(path, header, rows, cfg.output.precision, cfg.output.format, note)
     return path
 
@@ -329,7 +314,7 @@ def _reproduce_checks(
 
 
 def cmd_reproduce(cfg: RunConfig) -> int:
-    out_dir = _out_dir(cfg)
+    out_dir = Path(cfg.output.directory)
     report = build_report(cfg)
 
     written = _design_files(cfg)
@@ -356,7 +341,7 @@ def cmd_reproduce(cfg: RunConfig) -> int:
         "config": asdict(cfg),
         "files": hash_manifest(out_dir, written),
         "checks": checks,
-        "all_passed": checks_all_passed(checks),
+        "all_passed": all(entry["passed"] for entry in checks),
     }
     manifest_path = out_dir / "manifest.json"
     write_json(manifest_path, manifest)
@@ -411,7 +396,7 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[flags.pop("command")](load_config(flags.pop("config", None), flags))
     except SystemExit as exc:  # argparse printed the help, the version or a usage error
         return 1 if exc.code else 0
-    except (ConfigError, ParameterError, DesignError) as exc:
+    except ValueError as exc:  # the package's bad-input errors all subclass ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except IntegrationError as exc:

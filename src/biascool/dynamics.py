@@ -51,8 +51,8 @@ MomentRow = tuple[float, float, float, float]
 
 
 def _require_positive(xx: float, pp: float) -> None:
-    if not (xx > 0.0 and pp > 0.0):
-        raise StateError(f"moments must be positive: xx={xx!r}, pp={pp!r}")
+    if not (0.0 < xx < math.inf and 0.0 < pp < math.inf):
+        raise StateError(f"moments must be positive and finite: xx={xx!r}, pp={pp!r}")
 
 
 def purity(xx: float, pp: float, xp: float) -> float:

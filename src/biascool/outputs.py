@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 
 def format_float(value: float, precision: int) -> str:
@@ -60,23 +60,21 @@ def write_table(
 ) -> None:
     """Write a table as CSV (default) or as a columnar JSON document.
 
-    Each row is rendered with one %-template per distinct tuple of cell
-    types, built on first use together with the positions of the cells
-    that need quoting -- str cells in CSV, %s cells in JSON -- so rows
-    of floats pay nothing for it; a row whose cell types repeat the
-    previous row's reuses its template without a lookup.  JSON is the
-    bytes of ``json.dumps(payload, indent=2, sort_keys=True)`` with every
-    cell a string, laid out here instead, because an indented dump runs
-    json's pure-Python encoder.  ``note`` (say, why the table stops
-    early) is a trailing ``# note`` line in CSV and a ``"note"`` key in
-    JSON.
+    Each row is rendered with a %-template built from its cell types,
+    together with the positions of the cells that need quoting -- str
+    cells in CSV, %s cells in JSON -- so rows of floats pay nothing for
+    it; the template is kept while the cell types repeat the previous
+    row's and rebuilt when they change.  JSON is the bytes of
+    ``json.dumps(payload, indent=2, sort_keys=True)`` with every cell a
+    string, laid out here instead, because an indented dump runs json's
+    pure-Python encoder.  ``note`` (say, why the table stops early) is a
+    trailing ``# note`` line in CSV and a ``"note"`` key in JSON.
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown table format {fmt!r}")
     path.parent.mkdir(parents=True, exist_ok=True)
     csv = fmt == "csv"
     quote = _csv_field if csv else _json_cell
-    templates: dict = {}  # cell types -> (template, indices of cells to quote)
     formatted = []
     last_types = None
     for row in rows:
@@ -84,17 +82,13 @@ def write_table(
         types = tuple(map(type, row))
         if types != last_types:  # most rows repeat the previous row's cell types
             last_types = types
-            entry = templates.get(types)
-            if entry is None:
-                cells = _cell_formats(types, precision)
-                if csv:
-                    quoted = tuple(i for i, t in enumerate(types) if issubclass(t, str))
-                    template = ",".join(cells)
-                else:  # %g and empty cells need no JSON escapes, so they are quoted in place
-                    quoted = tuple(i for i, c in enumerate(cells) if c == "%s")
-                    template = _json_array([c if c == "%s" else f'"{c}"' for c in cells], "    ")
-                entry = templates[types] = (template, quoted)
-            template, quoted = entry
+            cells = _cell_formats(types, precision)
+            if csv:
+                quoted = tuple(i for i, t in enumerate(types) if issubclass(t, str))
+                template = ",".join(cells)
+            else:  # %g and empty cells need no JSON escapes, so they are quoted in place
+                quoted = tuple(i for i, c in enumerate(cells) if c == "%s")
+                template = _json_array([c if c == "%s" else f'"{c}"' for c in cells], "    ")
         if quoted:
             row = tuple(quote(c) if i in quoted else c for i, c in enumerate(row))
         formatted.append(template % row)
@@ -116,24 +110,13 @@ def write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def sha256_file(path: Path) -> str:
-    digest = hashlib.sha256()
-    with path.open("rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def hash_manifest(out_dir: Path, files: Iterable[Path]) -> dict[str, str]:
     """Relative path -> SHA-256 content hash, sorted by path."""
-    entries = {}
-    for path in files:
-        entries[path.relative_to(out_dir).as_posix()] = sha256_file(path)
+    entries = {
+        path.relative_to(out_dir).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in files
+    }
     return dict(sorted(entries.items()))
-
-
-def table_suffix(fmt: str) -> str:
-    return ".csv" if fmt == "csv" else ".json"
 
 
 def tf_label(t_final: float) -> str:
@@ -165,6 +148,3 @@ def check_entry(name: str, value: float, target: float, tolerance: float, kind: 
         "passed": bool(passed),
     }
 
-
-def checks_all_passed(checks: Sequence[Mapping]) -> bool:
-    return all(entry["passed"] for entry in checks)

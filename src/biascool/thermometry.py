@@ -29,7 +29,10 @@ class ThermometryError(ValueError):
 
 
 def thermal_occupation(omega: float, temperature: float) -> float:
-    """Bose occupation 1/(exp(hbar omega / kB T) - 1); omega in rad/s, T in K."""
+    """Bose occupation 1/(exp(hbar omega / kB T) - 1); omega in rad/s, T in K.
+
+    An occupation beyond the float range is a ThermometryError.
+    """
     if not omega > 0.0:
         raise ThermometryError(f"omega must be positive, got {omega!r}")
     if not temperature > 0.0:
@@ -40,7 +43,10 @@ def thermal_occupation(omega: float, temperature: float) -> float:
     x = HBAR * omega / kt
     if x > 700.0:  # expm1 would overflow; occupation is exp(-x) to full precision
         return math.exp(-x)
-    return 1.0 / math.expm1(x)
+    n_bar = 1.0 / math.expm1(x) if x > 0.0 else math.inf
+    if not n_bar < math.inf:  # x underflowed to 0 or is subnormal: the T -> inf limit
+        raise ThermometryError(f"occupation at hbar omega / kB T = {x!r} leaves the float range")
+    return n_bar
 
 
 def effective_temperature(omega: float, n_bar: float) -> float:

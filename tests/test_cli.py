@@ -514,6 +514,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: cannot read config") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("command", ["params", "simulate"])
+    @pytest.mark.parametrize(
+        "device",
+        [
+            # hbar omega_m / kB T underflows to 0
+            {"bare_frequency = 134 kHz": "bare_frequency = 1e-20",
+             "bath_temperature = 20 mK": "bath_temperature = 1e300"},
+            # hbar omega_m / kB T is subnormal, so 1/expm1 overflows
+            {"coulomb_k = 8.988e9": "coulomb_k = 5e-324",
+             "bath_temperature = 20 mK": "bath_temperature = 1.7e308"},
+        ],
+        ids=["x_underflows_to_zero", "occupation_overflows"],
+    )
+    def test_occupation_beyond_the_float_range_is_a_config_error(self, tmp_path, capsys, command, device):
+        cfg = fast_config(tmp_path, **device)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("config error:") and "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     def test_huge_ramp_time_is_a_numeric_error(self, tmp_path, capsys, command):
         # a finite ramp far beyond the step budget fails at once, not after ages

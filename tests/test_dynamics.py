@@ -38,6 +38,12 @@ class TestGaussianState:
         with pytest.raises(StateError):
             GaussianState(xx=1.0, pp=0.0)
 
+    @pytest.mark.parametrize("moments", [(1.0, math.inf), (math.inf, 1.0), (math.nan, 1.0)])
+    def test_non_finite_moments_rejected(self, moments):
+        # a thermal state whose (nbar + 1/2) omega overflows is no start state
+        with pytest.raises(StateError, match="positive and finite"):
+            GaussianState(*moments)
+
     def test_uncertainty_validation(self):
         GaussianState(xx=0.5, pp=0.5).validate()  # exactly the bound
         with pytest.raises(StateError):

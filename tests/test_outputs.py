@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import random
@@ -6,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from biascool.outputs import write_table
+from biascool.outputs import hash_manifest, write_table
 
 EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.797e308, -1.797e308, 0.1, 1.0]
 
@@ -81,3 +82,14 @@ def test_json_table_is_the_indented_dump_byte_for_byte(tmp_path, header, rows, n
         payload["note"] = note
     expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     assert (tmp_path / "t.json").read_bytes() == expected.encode()
+
+
+def test_hash_manifest_is_sha256_of_the_file_bytes(tmp_path):
+    # more than 1 MiB is the size that used to be hashed in two chunks
+    files = {"empty.csv": b"", "sub/large.bin": random.Random(0).randbytes((1 << 20) + 7)}
+    for name, data in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_bytes(data)
+    manifest = hash_manifest(tmp_path, [tmp_path / "sub/large.bin", tmp_path / "empty.csv"])
+    assert list(manifest) == ["empty.csv", "sub/large.bin"]
+    assert manifest == {name: hashlib.sha256(data).hexdigest() for name, data in files.items()}

@@ -62,6 +62,22 @@ class TestThermalOccupation:
         assert abs(nbar - 1.0 / x) / nbar < x
         assert x == pytest.approx(3.215e-4, rel=1e-3)
 
+    @pytest.mark.parametrize(
+        "omega,temperature,x",
+        [(1e-20, 1e300, 0.0), (1e-20, 1e290, 7.66e-322)],
+        ids=["x_underflows_to_zero", "x_subnormal"],
+    )
+    def test_occupation_beyond_the_float_range_is_an_error(self, omega, temperature, x):
+        # the T -> inf limit: 1/expm1(x) divides by zero at x = 0 and overflows for a subnormal x
+        assert HBAR * omega / (BOLTZMANN * temperature) == x
+        with pytest.raises(ThermometryError, match="leaves the float range"):
+            thermal_occupation(omega, temperature)
+
+    def test_tiny_normal_ratio_keeps_its_bits(self):
+        omega, temperature = 1e-300 / HBAR, 1.0 / BOLTZMANN
+        assert HBAR * omega / (BOLTZMANN * temperature) == 1e-300
+        assert thermal_occupation(omega, temperature) == 9.999999999999999e299
+
 
 class TestEffectiveTemperature:
     def test_final_temperature_headline(self):
