@@ -19,9 +19,13 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
+import threading
 from dataclasses import asdict, astuple, dataclass, field
+from functools import partial
 from pathlib import Path
+from typing import Callable, Iterator, Sequence
 
 from . import __version__, thermometry
 from .config import RunConfig, load_config
@@ -36,8 +40,24 @@ from .design import (
     validate_trajectory,
 )
 from .dynamics import IntegrationError, TransferMatrix, moment_series, purity, thermal_state
-from .outputs import check_entry, format_float, hash_manifest, tf_label, write_json, write_table
-from .robustness import REFERENCE_TARGETS, MarchedMatrices, SweepOptions, SweepResult, run_sweep
+from .outputs import (
+    check_entry,
+    format_float,
+    hash_manifest,
+    render_table,
+    tf_label,
+    write_json,
+    write_table,
+    write_text,
+)
+from .robustness import (
+    REFERENCE_TARGETS,
+    MarchedMatrices,
+    SweepOptions,
+    SweepResult,
+    perturb_trajectory,
+    run_sweep,
+)
 
 # Hard-check targets and tolerances for the reproduction run.
 CHECK_ETA = (1.25e7, 0.01, "rel")
@@ -125,10 +145,115 @@ def cmd_params(cfg: RunConfig) -> int:
     return 0
 
 
-def _write(cfg: RunConfig, stem: str, header: tuple[str, ...], rows, note: str | None = None) -> Path:
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS keeps one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _run_tasks(fn: Callable, items: Sequence, costs: Sequence[float]) -> Iterator:
+    """``fn(item)`` for each item, yielded in item order.
+
+    The tasks must be independent, do no I/O and print nothing.  They run
+    on up to one worker per usable CPU: the parent runs one share and
+    forked children run the others, and each child sends its results and
+    exceptions back pickled.  A task's exception is raised when its turn
+    comes, so the caller does what a one-CPU run does and its output is
+    the same bytes.  With one CPU or one task, without ``os.fork``, or
+    with a second Python thread alive, the tasks run here, lazily, one by
+    one.
+    """
+    workers = min(len(items), _usable_cpus())
+    if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return map(fn, items)
+    return _raise_in_order(_forked_outcomes(fn, items, costs, workers))
+
+
+def _deal(costs: Sequence[float], workers: int) -> list[list[int]]:
+    """Task indices per worker: the costliest task first, each to the least-loaded worker."""
+    shares: list[list[int]] = [[] for _ in range(workers)]
+    loads = [0.0] * workers
+    for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
+        w = min(range(workers), key=lambda w: (loads[w], len(shares[w])))
+        shares[w].append(i)
+        loads[w] += costs[i]
+    return shares
+
+
+def _outcome(fn: Callable, item) -> tuple:
+    """(exception, None) if ``fn(item)`` raised, else (None, its result)."""
+    try:
+        return None, fn(item)
+    except Exception as exc:
+        return exc, None
+
+
+def _forked_outcomes(fn: Callable, items: Sequence, costs: Sequence[float], workers: int) -> list:
+    """The outcome of each task; every share but the first runs in a forked child.
+
+    Children always leave through ``os._exit``, and every child is reaped
+    before this returns; on an exception (Ctrl-C included) they are killed
+    first.  A child that ends without sending its outcomes fails its
+    tasks with an OSError.
+    """
+    import pickle  # only a forking run pays for these imports
+    from signal import SIGKILL
+
+    shares = _deal(costs, workers)
+    outcomes: list = [None] * len(items)
+    children: list[tuple[int, int, list[int]]] = []  # pid, read end of its pipe, share
+    try:
+        for share in shares[1:]:
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    for fd in (read, *(r for _, r, _ in children)):  # only the parent reads
+                        os.close(fd)
+                    with open(write, "wb") as pipe:
+                        pickle.dump([_outcome(fn, items[i]) for i in share], pipe)
+                finally:
+                    os._exit(0)
+            os.close(write)
+            children.append((pid, read, share))
+        for i in shares[0]:
+            outcomes[i] = _outcome(fn, items[i])
+        for _, read, share in children:
+            try:
+                with open(read, "rb", closefd=False) as pipe:
+                    sent = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):  # empty or cut short: the child died first
+                sent = [(OSError("a worker process ended without sending its results"), None)] * len(share)
+            for i, outcome in zip(share, sent):
+                outcomes[i] = outcome
+    except BaseException:
+        for pid, _, _ in children:
+            os.kill(pid, SIGKILL)
+        raise
+    finally:
+        for pid, read, _ in children:
+            os.close(read)
+            os.waitpid(pid, 0)
+    return outcomes
+
+
+def _raise_in_order(outcomes: list) -> Iterator:
+    for error, result in outcomes:
+        if error is not None:
+            raise error
+        yield result
+
+
+def _path(cfg: RunConfig, stem: str) -> Path:
+    return Path(cfg.output.directory) / f"{stem}.{cfg.output.format}"
+
+
+def _write(cfg: RunConfig, stem: str, header: tuple[str, ...], rows) -> Path:
     """Write one table into the output directory; return its path."""
-    path = Path(cfg.output.directory) / f"{stem}.{cfg.output.format}"
-    write_table(path, header, rows, cfg.output.precision, cfg.output.format, note)
+    path = _path(cfg, stem)
+    write_table(path, header, rows, cfg.output.precision, cfg.output.format)
     return path
 
 
@@ -204,6 +329,32 @@ def _simulate_rows(
     return rows, matrix, failure
 
 
+def _simulate_tables(
+    cfg: RunConfig, t_final: float
+) -> tuple[list[tuple[str, str]], float | None, TransferMatrix | None, IntegrationError | None]:
+    """One ramp's three tables as (file stem, text), without writing them.
+
+    Also returns the ramp's final bare occupation and transfer matrix,
+    both None when it failed, and its failure.
+    """
+    rows, matrix, failure = _simulate_rows(cfg, t_final)
+    note = None if failure is None else f"integration_error: {failure}"
+    n_bar, t_eff, moments = [], [], []
+    for t, n_inst, n_bare, temp, xx, pp, xp in rows:
+        n_bar.append((t, n_inst, n_bare))
+        t_eff.append((t, temp))
+        moments.append((t, xx, pp, xp, purity(xx, pp, xp)))
+    label, out = tf_label(t_final), cfg.output
+    tables = []
+    for name, header, table in (
+        ("n_bar_t", ("t_omega_m", "n_bar_ref_omega_eff", "n_bar_ref_omega_m"), n_bar),
+        ("t_eff_t", ("t_omega_m", "value"), t_eff),
+        ("moments_t", ("t_omega_m", "xx", "pp", "xp", "purity"), moments),
+    ):
+        tables.append((f"{name}_{label}", render_table(header, table, out.precision, out.format, note)))
+    return tables, None if matrix is None else rows[-1][2], matrix, failure
+
+
 def _simulate_files(
     cfg: RunConfig,
 ) -> tuple[list[Path], dict[str, float], MarchedMatrices, IntegrationError | None]:
@@ -216,25 +367,16 @@ def _simulate_files(
     finals: dict[str, float] = {}
     marched: dict[tuple, TransferMatrix] = {}
     first_failure: IntegrationError | None = None
-    for t_final in cfg.protocol.t_final:
-        label = tf_label(t_final)
-        rows, matrix, failure = _simulate_rows(cfg, t_final)
+    t_finals = cfg.protocol.t_final
+    ramps = _run_tasks(partial(_simulate_tables, cfg), t_finals, t_finals)
+    for t_final, (tables, n_final, matrix, failure) in zip(t_finals, ramps):
         first_failure = first_failure or failure
         if matrix is not None:
-            finals[label] = rows[-1][2]
+            finals[tf_label(t_final)] = n_final
             marched[make_trajectory(cfg.physical, t_final), cfg.protocol.tolerance] = matrix
-        note = None if failure is None else f"integration_error: {failure}"
-        n_bar, t_eff, moments = [], [], []
-        for t, n_inst, n_bare, temp, xx, pp, xp in rows:
-            n_bar.append((t, n_inst, n_bare))
-            t_eff.append((t, temp))
-            moments.append((t, xx, pp, xp, purity(xx, pp, xp)))
-        for name, header, table in (
-            ("n_bar_t", ("t_omega_m", "n_bar_ref_omega_eff", "n_bar_ref_omega_m"), n_bar),
-            ("t_eff_t", ("t_omega_m", "value"), t_eff),
-            ("moments_t", ("t_omega_m", "xx", "pp", "xp", "purity"), moments),
-        ):
-            written.append(_write(cfg, f"{name}_{label}", header, table, note))
+        for stem, text in tables:
+            written.append(_path(cfg, stem))
+            write_text(written[-1], text)
     return written, finals, marched, first_failure
 
 
@@ -270,13 +412,20 @@ def _sweep_row(result: SweepResult) -> tuple:
 def _sweep_file(
     cfg: RunConfig, marched: MarchedMatrices | None = None
 ) -> tuple[Path, list[SweepResult]]:
-    results = run_sweep(
-        cfg.physical,
-        cfg.protocol.t_final,
-        cfg.sweep.epsilon,
-        SweepOptions(tolerance=cfg.protocol.tolerance, initial_state=cfg.sweep.initial_state),
-        marched,
-    )
+    params, tol = cfg.physical, cfg.protocol.tolerance
+    options = SweepOptions(tolerance=tol, initial_state=cfg.sweep.initial_state)
+    cells = [(t_final, eps) for t_final in cfg.protocol.t_final for eps in cfg.sweep.epsilon]
+    # a cell that applies one of simulate's matrices does not march
+    costs = [
+        0.0 if marched and (perturb_trajectory(make_trajectory(params, t), eps), tol) in marched else t
+        for t, eps in cells
+    ]
+
+    def sweep_cell(cell: tuple[float, float]) -> SweepResult:
+        (result,) = run_sweep(params, cell[:1], cell[1:], options, marched)
+        return result
+
+    results = list(_run_tasks(sweep_cell, cells, costs))
     return _write(cfg, "sweep", _SWEEP_HEADER, [_sweep_row(r) for r in results]), results
 
 

@@ -21,8 +21,13 @@ class IntegrationError(RuntimeError):
     """Integration could not continue; ``time`` is how far it got."""
 
     def __init__(self, message: str, time: float):
-        super().__init__(f"{message} (at t = {time:.9g})")
+        # args are __init__'s own arguments, so the error survives pickling
+        super().__init__(message, time)
         self.time = time
+
+    def __str__(self) -> str:
+        message, time = self.args
+        return f"{message} (at t = {time:.9g})"
 
 
 # Dormand-Prince 5(4) tableau.  Row 7 equals the 5th-order weights (FSAL).

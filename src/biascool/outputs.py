@@ -1,6 +1,6 @@
 """Deterministic CSV/JSON emission and the reproduction manifest.
 
-Table cells are rendered by :func:`write_table` with ``%.{precision}g``
+Table cells are rendered by :func:`render_table` with ``%.{precision}g``
 for floats, the same digits as :func:`format_float`; files end with a
 newline and use LF endings, and JSON is sorted -- two runs of the same
 config produce byte-identical files, which the manifest check relies on.
@@ -58,7 +58,18 @@ def write_table(
     fmt: str = "csv",
     note: str | None = None,
 ) -> None:
-    """Write a table as CSV (default) or as a columnar JSON document.
+    """Write a table as CSV (default) or as a columnar JSON document."""
+    write_text(path, render_table(header, rows, precision, fmt, note))
+
+
+def render_table(
+    header: Sequence[str],
+    rows: Iterable[Sequence],
+    precision: int,
+    fmt: str = "csv",
+    note: str | None = None,
+) -> str:
+    """A table's file text: CSV (default) or a columnar JSON document.
 
     Each row is rendered with a %-template built from its cell types,
     together with the positions of the cells that need quoting -- str
@@ -72,7 +83,6 @@ def write_table(
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown table format {fmt!r}")
-    path.parent.mkdir(parents=True, exist_ok=True)
     csv = fmt == "csv"
     quote = _csv_field if csv else _json_cell
     formatted = []
@@ -102,12 +112,17 @@ def write_table(
         if note is not None:
             text += ',\n  "note": ' + _json_str(note)
         text += ',\n  "rows": ' + _json_array(formatted, "  ") + "\n}\n"
+    return text
+
+
+def write_text(path: Path, text: str) -> None:
+    """Write ``text`` as UTF-8, creating the parent directories."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text, encoding="utf-8")
 
 
 def write_json(path: Path, payload) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def hash_manifest(out_dir: Path, files: Iterable[Path]) -> dict[str, str]:

@@ -398,11 +398,24 @@ class TestReproduce:
 
             return counted
 
+        # the counters live in this process, so every task must run here
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        handed = []
+        run_tasks = cli._run_tasks
+
+        def recorded(fn, items, costs):
+            handed.append(list(costs))
+            return run_tasks(fn, items, costs)
+
+        monkeypatch.setattr(cli, "_run_tasks", recorded)
         monkeypatch.setattr(dynamics, "_integrate_transfer", counted_march)
         monkeypatch.setattr(ControlTrajectory, "frequency_sq_fn", counted_profile)
         assert main(["reproduce", "--out", str(tmp_path / "out")]) == 0
         assert marches == 9
         assert evaluations <= 93_270  # 123,787 when every cell marched
+        # 3 ramp tasks, then 9 cell tasks; the 3 epsilon = 0 cells cost nothing
+        assert [len(costs) for costs in handed] == [3, 9]
+        assert handed[1].count(0.0) == 3
 
     def test_failing_target_exits_3(self, tmp_path, capsys):
         out = tmp_path / "out"
