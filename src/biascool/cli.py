@@ -36,6 +36,7 @@ from .design import (
     linspace,
     make_spec,
     make_trajectory,
+    shortest_ramp,
     signed_sqrt,
     validate_trajectory,
 )
@@ -83,6 +84,7 @@ class CoolingReport:
     n_bar_cold: float  # occupation once the drive has boosted the frequency
     t_eff_start: float  # K; trivially the bath temperature (consistency echo)
     t_eff_final_predicted: float  # K; from n_bar_cold referenced to omega_m
+    shortest_t_final: float  # 1/omega_m; t_f*, the shortest ramp with omega_eff^2 >= 0
     validation: dict[str, TrajectoryValidation] = field(default_factory=dict)
     # filled by simulation:
     n_bar_final: dict[str, float] = field(default_factory=dict)
@@ -97,6 +99,7 @@ class CoolingReport:
             f"occupation at omega_0       = {self.n_bar_cold:.6g}",
             f"T_eff at ramp start         = {self.t_eff_start:.6g} K",
             f"T_eff at ramp end (predict) = {self.t_eff_final_predicted:.6g} K",
+            f"shortest ramp t_f*          = {self.shortest_t_final:.8g} / omega_m",
         ]
         for label, val in self.validation.items():
             lines.append(
@@ -131,12 +134,11 @@ def build_report(cfg: RunConfig) -> CoolingReport:
             math.sqrt(omega0_sq) * params.bare_frequency, n_bar_cold
         ),
         t_eff_final_predicted=thermometry.effective_temperature(params.bare_frequency, n_bar_cold),
+        shortest_t_final=shortest_ramp(spec),
     )
     if eta != 0.0:
         for t_final in cfg.protocol.t_final:
-            traj = make_trajectory(params, t_final)
-            val = validate_trajectory(traj, max(cfg.protocol.sample_count, 1001))
-            report.validation[tf_label(t_final)] = val
+            report.validation[tf_label(t_final)] = validate_trajectory(make_trajectory(params, t_final))
     return report
 
 

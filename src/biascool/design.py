@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 from .physical import PhysicalParams
@@ -164,31 +165,20 @@ def make_trajectory(params: PhysicalParams, t_final: float) -> ControlTrajectory
     return ControlTrajectory(make_spec(params, t_final), params.eta)
 
 
-def _drive_constants(traj: ControlTrajectory) -> tuple[float, ...]:
-    """(t_f, t_f^2, 6c, 15c, 10c, 60c, omega_0^2, eta) with c = chi - 1.
-
-    The hoisted constants of the drive's closed form, for ``_drive`` and
-    ``validate_trajectory``; the products keep the formula's left-to-right
-    order, so the bits are unchanged.  eta = 0 has no drive.
-    """
-    eta = traj.eta
-    if eta == 0.0:
-        raise DesignError("eta = 0: the gate drive has no effect, inverse design undefined")
-    c = traj.spec.chi - 1.0
-    t_f = traj.spec.t_final
-    return t_f, t_f * t_f, 6.0 * c, 15.0 * c, 10.0 * c, 60.0 * c, traj.spec.omega0_sq, eta
-
-
 def _drive(traj: ControlTrajectory, gain: float, offset: float):
     """The one closed form of the drive: t -> offset + gain * f0(t).
 
     f0 = (omega_0^2 - b^3 b'' - omega_m^2 b^4) / (eta b^4 omega_m^2) is the
-    nominal drive from the quintic b (omega_m^2 = 1 in reduced units).
-    The closure takes one time; plain float arithmetic, so a numpy array
-    of times works too and gives, element by element, the scalar calls'
-    bits.  ``validate_trajectory`` runs the same operations in a loop.
+    nominal drive from the quintic b (omega_m^2 = 1 in reduced units);
+    eta = 0 has no drive.  The closure takes one time; plain float
+    arithmetic, so a numpy array of times works too and gives, element by
+    element, the scalar calls' bits.
     """
-    t_f, tf_sq, c6, c15, c10, c60, om0sq, eta = _drive_constants(traj)
+    eta = traj.eta
+    if eta == 0.0:
+        raise DesignError("eta = 0: the gate drive has no effect, inverse design undefined")
+    c, t_f, om0sq = traj.spec.chi - 1.0, traj.spec.t_final, traj.spec.omega0_sq
+    tf_sq, c6, c15, c10, c60 = t_f * t_f, 6.0 * c, 15.0 * c, 10.0 * c, 60.0 * c
 
     def drive(t):
         s = t / t_f
@@ -233,79 +223,147 @@ def effective_frequency_profile(traj: ControlTrajectory, t):
 
 @dataclass(frozen=True)
 class TrajectoryValidation:
-    """Closed-form sampling report for one trajectory."""
+    """Exact amplitude and sign report for one trajectory."""
 
-    n_samples: int
-    max_abs_f: float  # over all samples, endpoints included
-    max_abs_f_interior: float
-    f_within_unit: bool  # |f| <= 1 at interior samples
-    negative_omega_sq_windows: tuple[tuple[float, float], ...]
+    max_abs_f: float  # sup of |f| over [0, t_f]
+    max_abs_f_interior: float  # sup over (0, t_f): the same, as f is continuous
+    f_within_unit: bool  # |f| <= 1 throughout
+    negative_omega_sq_windows: tuple[tuple[float, float], ...]  # (start, end) times
     boundary_residual_start: float  # |f(0) - f_scale|
     boundary_residual_end: float  # |f(t_f)|
 
 
-def validate_trajectory(traj: ControlTrajectory, n_samples: int = 2001) -> TrajectoryValidation:
-    """Sample the closed-form drive and report amplitude and sign diagnostics.
+def validate_trajectory(traj: ControlTrajectory, n_samples: object = None) -> TrajectoryValidation:
+    """The drive's amplitude and sign diagnostics, exact, from its polynomials.
 
-    Report-only: the drive may legitimately exceed |f| = 1 or push
-    omega_eff^2 negative for aggressive ramp times; callers decide what
-    to do with that.  Window edges are sample-resolution estimates.
-
-    One pass evaluates the nominal drive f0 once per sample; f and
-    omega_eff^2 are the kernel's last two operations on it, 0 + f_scale f0
-    and 1 + eta f_scale f0.  Rounding is monotone, so on finite samples
-    |f| peaks where |f0| does and omega_eff^2 bottoms out at the extreme
-    of f0 that the sign of eta f_scale picks: min/max of f0 give both, and
-    the windows are scanned only when that minimum is negative.  A NaN
-    anywhere makes the extremes NaN, as np.max does.
+    Report-only; n_samples (a scan's size once) is ignored.  With s = t/t_f, g = f_scale:
+    df/ds = -g R / (eta t_f^2 b^5), so |f| peaks at an end or a root of R (kernel values
+    there), and omega_eff^2 = W / (t_f^2 b^4), W = (1-g) t_f^2 b^4 + g (omega_0^2 t_f^2 -
+    b^3 b_ss), is monotone between those roots: each piece brackets one root of W at most.
     """
-    if n_samples < 2:
-        raise DesignError("n_samples must be at least 2")
-    t = linspace(0.0, traj.t_final, n_samples)
-    t_f, tf_sq, c6, c15, c10, c60, om0sq, eta = _drive_constants(traj)
-    f0 = []
-    for ti in t:  # _drive's f0, inlined: a closure call per sample costs a quarter more
-        s = ti / t_f
-        b = ((c6 * s - c15) * s + c10) * s * s * s + 1.0
-        d2 = c60 * s * (2.0 * s - 1.0) * (s - 1.0) / tf_sq
-        b2 = b * b
-        b4 = b2 * b2
-        f0.append((om0sq - b2 * b * d2 - b4) / (eta * b4))
-    gain = traj.f_scale
-    k = eta * gain
-    inner = f0[1:-1]
-    if math.isfinite(sum(f0)) and math.isfinite(k):
-        lo, hi = (min(inner), max(inner)) if inner else (0.0, 0.0)
-        peak = abs(gain * (hi if abs(hi) >= abs(lo) else lo))
-        extreme = min(lo, f0[0], f0[-1]) if k > 0.0 else max(hi, f0[0], f0[-1])
-        scan = 1.0 + k * extreme < 0.0
-    else:
-        peak = _nan_max([abs(0.0 + gain * v) for v in inner]) if inner else 0.0
-        scan = True
-    windows = []
-    if scan:  # runs of omega_eff^2 < 0, as (first, last) sample times
-        first = None
-        for ti, v in zip(t, f0):
-            if 1.0 + k * v < 0.0:
-                if first is None:
-                    first = ti
-                last = ti
-            elif first is not None:
-                windows.append((first, last))
-                first = None
-        if first is not None:
-            windows.append((first, last))
+    f = _drive(traj, traj.f_scale, 0.0)
+    c, g, t_f, om0sq = traj.spec.chi - 1.0, traj.f_scale, traj.spec.t_final, traj.spec.omega0_sq
+    w_b4, w_p = (1.0 - g, g) if not math.isinf(g) else (-1.0, 1.0) if g > 0 else (1.0, -1.0)  # W/|g|
 
-    f_start, f_end = 0.0 + gain * f0[0], 0.0 + gain * f0[-1]
-    return TrajectoryValidation(
-        n_samples=n_samples,
-        max_abs_f=_nan_max([peak, abs(f_start), abs(f_end)]),
-        max_abs_f_interior=peak,
-        f_within_unit=peak <= 1.0,
-        negative_omega_sq_windows=tuple(windows),
-        boundary_residual_start=abs(f_start - gain),
-        boundary_residual_end=abs(f_end),
-    )
+    def w_pair(s):
+        b, b1, b2, b3, _ = _b_derivs(s, c)
+        b_cube, tf_sq = b * b * b, t_f * t_f
+        w = w_b4 * tf_sq * b_cube * b + w_p * (om0sq * tf_sq - b_cube * b2)
+        return w, 4.0 * w_b4 * tf_sq * b_cube * b1 - w_p * (3.0 * b * b * b1 * b2 + b_cube * b3)
+
+    turns = _drive_turns(traj.spec)
+    ends = [0.0, *turns, 1.0]
+    negative = [w_pair(s)[0] < 0.0 for s in ends]
+    pieces = zip(ends, ends[1:], negative, negative[1:])
+    edges = [0.0] * negative[0] + [_polish(w_pair, lo, hi, a) for lo, hi, a, b in pieces if a != b]
+    edges = [s * t_f for s in edges + [1.0] * negative[-1]]
+    f_start, f_end = f(0.0), f(t_f)
+    peak = _nan_max([abs(f_start), abs(f_end), *(abs(f(s * t_f)) for s in turns)])
+    windows = tuple(zip(edges[::2], edges[1::2]))
+    return TrajectoryValidation(peak, peak, peak <= 1.0, windows, abs(f_start - g), abs(f_end))
+
+
+def _drive_turns(spec: TrajectorySpec) -> list[float]:
+    """Where the drive turns: the roots of R = 4 omega_0^2 t_f^2 b_s + b^4 b_sss - b^3 b_ss b_s."""
+    c, k = spec.chi - 1.0, 4.0 * spec.omega0_sq * spec.t_final * spec.t_final
+
+    def pair(s):
+        b, b1, b2, b3, b4 = _b_derivs(s, c)
+        b_cube = b * b * b
+        r = k * b1 + b_cube * (b * b3 - b2 * b1)
+        return r, k * b2 + b_cube * (3.0 * b1 * b3 + b * b4 - b2 * b2) - 3.0 * b * b * b1 * b1 * b2
+
+    return _roots([x + k * y if y else x for x, y in zip(*_r_terms(spec.chi))], pair)
+
+
+def shortest_ramp(spec: TrajectorySpec) -> float:
+    """t_f* = sqrt(max_s b^3 b_ss / omega_0^2) in 1/omega_m, the shortest nominal ramp
+    with omega_eff^2 >= 0 throughout: omega_eff^2 < 0 exactly where omega_0^2 t_f^2 <
+    b^3 b_ss, which peaks at an end or where 3 b_s b_ss + b b_sss = 0."""
+    c, (b, bs, bss, bsss) = spec.chi - 1.0, _bernstein_b(spec.chi)
+
+    def pair(s):
+        b, b1, b2, b3, b4 = _b_derivs(s, c)
+        return 3.0 * b1 * b2 + b * b3, 3.0 * b2 * b2 + 4.0 * b1 * b3 + b * b4
+
+    turns = _roots([3.0 * x + y for x, y in zip(_conv(bs, bss), _conv(b, bsss))], pair)
+    peak = _nan_max([0.0, *(b * b * b * b2 for b, _, b2, _, _ in (_b_derivs(s, c) for s in turns))])
+    return math.sqrt(peak / spec.omega0_sq)
+
+
+def _b_derivs(s: float, c: float) -> tuple[float, float, float, float, float]:
+    """b and its first four s-derivatives at s, for c = chi - 1."""
+    u, v = s - 1.0, 2.0 * s - 1.0
+    b = ((6.0 * s - 15.0) * s + 10.0) * s * s * s * c + 1.0
+    return b, 30.0 * c * s * s * u * u, 60.0 * c * s * v * u, 60.0 * c * (6.0 * s * u + 1.0), 360.0 * c * v
+
+
+def _bernstein_b(chi: float) -> tuple[list[float], ...]:
+    """b, b_s, b_ss and b_sss (degrees 5, 4, 3, 2) on s^i (1-s)^(n-i), the Bernstein
+    basis without its binomials, where a product of polynomials is a convolution."""
+    c = 60.0 * (chi - 1.0)
+    return [1, 5, 10, 10 * chi, 5 * chi, chi], [0, 0, c / 2, 0, 0], [0, c, -c, 0], [c, -4 * c, c]
+
+
+def _conv(p: list[float], q: list[float]) -> list[float]:
+    out = [0.0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q, i):
+            out[j] += x * y
+    return out
+
+
+@lru_cache(maxsize=16)
+def _r_terms(chi: float) -> tuple[list[float], list[float]]:
+    """R's t_f-free terms, b^4 b_sss - b^3 b_ss b_s and b_s, at degree 22, with their binomials."""
+    b, bs, bss, bsss = _bernstein_b(chi)
+    b3 = _conv(_conv(b, b), b)
+    head = [x - y for x, y in zip(_conv(_conv(b3, b), bsss), _conv(_conv(b3, bss), bs))]
+    elevated_bs = _conv(bs, [math.comb(18, j) for j in range(19)])  # times (s + 1 - s)^18
+    return tuple([x / math.comb(22, i) for i, x in enumerate(p)] for p in (head, elevated_bs))
+
+
+def _roots(coeffs: list[float], pair: Callable) -> list[float]:
+    """The roots in (0, 1), ascending, of p = sum coeffs[i] C(n, i) s^i (1-s)^(n-i).
+
+    De Casteljau halves [0, 1] until a piece's coefficients change sign once (it then
+    holds one root: Rouillier & Zimmermann, J. Comput. Appl. Math. 162 (2004) 33) or it
+    is 2^-40 wide (a multiple root); ``_polish`` finds the root on pair(s) = (p(s),
+    p'(s)).  Non-finite coefficients give one NaN root."""
+    if not all(map(math.isfinite, coeffs)):
+        return [math.nan]
+    roots, pieces = [], [(0.0, 1.0, coeffs)]
+    while pieces:
+        lo, hi, piece = pieces.pop()
+        signs = [x > 0.0 for x in piece if x]
+        changes = sum(a != b for a, b in zip(signs, signs[1:]))
+        if changes == 1 or changes and hi - lo < 2.0**-40:
+            roots.append(_polish(pair, lo, hi, signs[-1]))
+        elif changes:
+            rows = [piece]
+            while len(rows[-1]) > 1:
+                rows.append([0.5 * (x + y) for x, y in zip(rows[-1], rows[-1][1:])])
+            mid = 0.5 * (lo + hi)
+            if not rows[-1][0]:  # a root at the midpoint
+                roots.append(mid)
+            pieces += [(mid, hi, [r[-1] for r in reversed(rows)]), (lo, mid, [r[0] for r in rows])]
+    return sorted(roots)
+
+
+def _polish(pair: Callable, lo: float, hi: float, rising: bool) -> float:
+    """The root in [lo, hi] of p, which rises (or falls) through zero there: Newton
+    steps on pair(s) = (p(s), p'(s)), bisecting where a step would leave the bracket."""
+    s = 0.5 * (lo + hi)
+    for _ in range(100):
+        p, dp = pair(s)
+        lo, hi = (lo, s) if (p > 0.0) == rising else (s, hi)
+        step = p / dp if dp else hi - lo
+        if abs(step) <= 1e-15 * s:  # p = 0, or a few ulps of rounding noise in p
+            return s
+        s = s - step if lo < s - step < hi else 0.5 * (lo + hi)
+        if hi - lo <= 1e-15 * s:
+            return s
+    return s
 
 
 def _nan_max(values: list[float]) -> float:

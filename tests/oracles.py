@@ -1,7 +1,7 @@
 """Independent oracles and test-only helpers for the package.
 
 The oracles share no integration code with the product paths: the
-covariance ODE, the numpy form of the trajectory validation, the
+covariance ODE, a sampled numpy scan of the trajectory validation, the
 two-electrode Coulomb model behind eta, and the Lewis-Riesenfeld
 invariant.  They are the only users of numpy and scipy, which is why
 they live with the tests: importing biascool loads neither.
@@ -89,11 +89,12 @@ def invariant_expectation(state: GaussianState, omega0_sq: float, b: float, b_do
 
 
 def validate_trajectory_numpy(traj: ControlTrajectory, n_samples: int = 2001) -> TrajectoryValidation:
-    """``design.validate_trajectory`` as numpy array operations, its earlier form.
+    """A sampled ``design.validate_trajectory``: numpy array operations on n_samples times.
 
     Evaluates f and omega_eff^2 as two array calls of the drive kernel on
-    np.linspace times and reduces them with numpy; the package's one
-    pure-Python pass must give the same report, bit for bit.
+    np.linspace times and reduces them with numpy; window edges are sample
+    times.  The package's exact report must contain it: every negative
+    sample inside an exact window, a sup at least the sampled maximum.
     """
     if n_samples < 2:
         raise DesignError("n_samples must be at least 2")
@@ -109,7 +110,6 @@ def validate_trajectory_numpy(traj: ControlTrajectory, n_samples: int = 2001) ->
 
     interior = slice(1, -1)
     return TrajectoryValidation(
-        n_samples=n_samples,
         max_abs_f=float(np.max(np.abs(f))),
         max_abs_f_interior=float(np.max(np.abs(f[interior]))) if n_samples > 2 else 0.0,
         f_within_unit=bool(np.all(np.abs(f[interior]) <= 1.0)) if n_samples > 2 else True,

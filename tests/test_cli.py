@@ -103,6 +103,20 @@ class TestParams:
         # occupations at omega_m and omega_0 coincide
         assert out.count("3109.44") == 2
 
+    def test_shortest_ramp_and_exact_validation(self, capsys, tmp_path):
+        # t_f* is printed and stored; the default ramps have no window and |f| <= 1 exactly
+        assert main(["params"]) == 0
+        out = capsys.readouterr().out
+        assert "shortest ramp t_f*          = 0.33466342 / omega_m" in out
+        for label in ("tf0.5", "tf1", "tf2"):
+            assert f"ramp {label}: max|f| interior = 1, " in out and out.count("windows = 0") == 3
+        cfg = fast_config(tmp_path, **{"t_final = 1.0": "t_final = 0.3346634"})
+        assert main(["reproduce", "--config", str(cfg), "--out", str(tmp_path / "out"), "--samples", "41"]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+        assert report["shortest_t_final"] == pytest.approx(0.33466342, rel=2e-8)
+        (validation,) = report["validation"].values()
+        assert "n_samples" not in validation and len(validation["negative_omega_sq_windows"]) == 1
+
 
 class TestDesign:
     def test_series_files_and_boundaries(self, tmp_path):

@@ -1,4 +1,3 @@
-import itertools
 import math
 from dataclasses import replace
 
@@ -18,8 +17,10 @@ from biascool.design import (
     linspace,
     make_spec,
     make_trajectory,
+    shortest_ramp,
     signed_sqrt,
     validate_trajectory,
+    _drive_turns,
 )
 
 from conftest import CHI_DEFAULT, make_params, make_params_eta
@@ -283,29 +284,55 @@ class TestValidation:
     @pytest.mark.parametrize("omega_final_sq", [4.0, 0.25])
     @pytest.mark.parametrize("n_samples", [2, 3, 101, 1001])
     def test_windows_are_the_runs_of_negative_omega_sq(self, omega_final_sq, n_samples):
-        # reference: a direct scan of w < 0, one run at a time
+        # the exact windows contain every run of w < 0 of a direct scan
         spec = TrajectorySpec(0.25, omega_final_sq, 1.0)
-        traj = ControlTrajectory(spec, eta=1.0, f_scale=2.0)
-        t = np.linspace(0.0, 1.0, n_samples).tolist()
-        windows, i = [], 0
-        for negative, run in itertools.groupby(effective_frequency_profile(traj, np.array(t)) < 0.0):
-            n = len(list(run))
-            if negative:
-                windows.append((t[i], t[i + n - 1]))
-            i += n
-        assert validate_trajectory(traj, n_samples).negative_omega_sq_windows == tuple(windows)
+        assert_contains_scan(ControlTrajectory(spec, eta=1.0, f_scale=2.0), n_samples)
 
     def test_windows_at_the_first_sample_and_everywhere(self):
         spec = TrajectorySpec(0.25, 4.0, 1.0)
-        windows = validate_trajectory(ControlTrajectory(spec, eta=1.0, f_scale=2.0), 101)
-        assert windows.negative_omega_sq_windows == ((0.0, 0.0), (0.52, 0.92))
+        traj = ControlTrajectory(spec, eta=1.0, f_scale=2.0)
+        (start, first_end), (lo, hi) = validate_trajectory(traj).negative_omega_sq_windows
+        assert start == 0.0 and 0.0 < first_end < 0.01  # a 101-sample scan saw (0.0, 0.0)
+        assert 0.51 < lo < 0.52 and 0.92 < hi < 0.93  # and (0.52, 0.92)
+        assert_contains_scan(traj, 101)
         spec = TrajectorySpec(0.25, 0.25, 1.0)
-        windows = validate_trajectory(ControlTrajectory(spec, eta=1.0, f_scale=2.0), 1001)
+        windows = validate_trajectory(ControlTrajectory(spec, eta=1.0, f_scale=2.0))
         assert windows.negative_omega_sq_windows == ((0.0, 1.0),)
 
     def test_sample_count_domain(self, device_params):
-        with pytest.raises(DesignError):
-            validate_trajectory(make_trajectory(device_params, 1.0), 1)
+        # the sample count callers still pass is ignored, even an unusable one
+        traj = make_trajectory(device_params, 1.0)
+        assert validate_trajectory(traj, 1) == validate_trajectory(traj, 1001) == validate_trajectory(traj)
+
+
+def assert_contains_scan(traj, n):
+    """The exact report against an n-sample scan of the drive kernel (the numpy oracle).
+
+    Every negative sample of omega_eff^2 lies inside an exact window;
+    every exact window wider than the sample spacing holds a negative
+    sample; the exact sup of |f| is at least the sampled maximum, or NaN
+    where a sample is.
+    """
+    exact = validate_trajectory(traj)
+    t = np.linspace(0.0, traj.t_final, n)
+    with np.errstate(all="ignore"):
+        sampled = validate_trajectory_numpy(traj, n)
+        w = np.asarray(effective_frequency_profile(traj, t))
+    windows = exact.negative_omega_sq_windows
+    for ti in t[w < 0.0].tolist():
+        assert any(lo <= ti <= hi for lo, hi in windows), (ti, windows)
+    for lo, hi in windows:
+        assert 0.0 <= lo < hi <= traj.t_final
+        if hi - lo > traj.t_final / (n - 1):
+            assert np.any((lo <= t) & (t <= hi) & (w < 0.0)), (lo, hi)
+    if math.isnan(sampled.max_abs_f):
+        assert math.isnan(exact.max_abs_f)
+    else:
+        assert exact.max_abs_f >= sampled.max_abs_f
+    assert exact.max_abs_f_interior == exact.max_abs_f or math.isnan(exact.max_abs_f)
+    assert exact.f_within_unit == (exact.max_abs_f <= 1.0)
+    assert exact.boundary_residual_start == sampled.boundary_residual_start or math.isnan(sampled.boundary_residual_start)
+    assert exact.boundary_residual_end == sampled.boundary_residual_end or math.isnan(sampled.boundary_residual_end)
 
 
 # the specs the tests above validate, as (spec, eta, f_scale)
@@ -325,7 +352,7 @@ VALIDATION_SAMPLES = (2, 3, 101, 1001, 4001)
 
 
 class TestValidationOracle:
-    """The pure-Python validation pass against its earlier numpy form, by repr."""
+    """The exact validation against dense sampled scans: containment, not equality."""
 
     # t_f* ~ 0.3347 is the shortest ramp without an inverted window on this device
     @pytest.mark.parametrize("t_final", [0.1, 0.3, 0.334, 0.335, 0.5, 2.0, 8.0])
@@ -333,15 +360,23 @@ class TestValidationOracle:
     def test_device_ramps(self, device_params, t_final, f_scale):
         traj = replace(make_trajectory(device_params, t_final), f_scale=f_scale)
         for n in VALIDATION_SAMPLES:
-            assert repr(validate_trajectory(traj, n)) == repr(validate_trajectory_numpy(traj, n))
+            assert_contains_scan(traj, n)
 
     @pytest.mark.parametrize("spec,eta,f_scale", EDGE_SPECS)
     def test_edge_specs(self, spec, eta, f_scale):
+        # chi = 1, g = 0, a NaN or infinite g and an overflowing eta g: a report, no exception
         traj = ControlTrajectory(spec, eta=eta, f_scale=f_scale)
-        for n in VALIDATION_SAMPLES:
-            with np.errstate(all="ignore"):
-                expected = validate_trajectory_numpy(traj, n)
-            assert repr(validate_trajectory(traj, n)) == repr(expected)
+        report = validate_trajectory(traj)
+        if math.isinf(eta * f_scale) and math.isfinite(f_scale):
+            # the kernel's 1 + inf * f0 is no reference, but W is free of eta and f of order 1/eta
+            finite = validate_trajectory(ControlTrajectory(spec, eta=15.0, f_scale=f_scale))
+            assert report.negative_omega_sq_windows == finite.negative_omega_sq_windows
+            assert report.max_abs_f * eta == pytest.approx(finite.max_abs_f * 15.0, rel=1e-12)
+        else:
+            for n in VALIDATION_SAMPLES:
+                assert_contains_scan(traj, n)
+        if f_scale != f_scale:
+            assert report.negative_omega_sq_windows == () and math.isnan(report.max_abs_f)
 
     def test_windows_straddle_the_shortest_ramp(self, device_params):
         # a window just below t_f* and none above, at the CLI's 1001 samples
@@ -404,4 +439,75 @@ class TestProperties:
     @given(st.floats(0.05, 10.0), st.floats(-3.0, 3.0), st.integers(2, 3000))
     def test_validation_is_the_numpy_oracle(self, device_params, t_final, f_scale, n):
         traj = replace(make_trajectory(device_params, t_final), f_scale=f_scale)
-        assert repr(validate_trajectory(traj, n)) == repr(validate_trajectory_numpy(traj, n))
+        assert_contains_scan(traj, n)
+
+
+def mp_real_roots(coeffs):
+    """Real roots in (0, 1) of the polynomial with these ascending mpmath coefficients, at 50 digits."""
+    while not coeffs[-1]:
+        coeffs = coeffs[:-1]
+    roots = mp.polyroots(coeffs[::-1], maxsteps=100, extraprec=60)  # raises if not converged
+    return sorted(float(r.real) for r in map(mp.mpc, roots) if abs(r.imag) < 1e-30 and 0 < r.real < 1)
+
+
+def assert_same_roots(got, expected):
+    assert len(got) == len(expected) and all(abs(x - y) <= 1e-12 for x, y in zip(got, expected)), (got, expected)
+
+
+def mp_mul(p, q):
+    out = [mp.mpf(0)] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
+def mp_add(*polys):
+    out = [mp.mpf(0)] * max(map(len, polys))
+    for p in polys:
+        for i, x in enumerate(p):
+            out[i] += x
+    return out
+
+
+# 60 ramp times up to 1.3e-6 (relative) below t_f*: a 1001-sample scan finds a window in 26 of them
+NEAR_SHORTEST = [0.33466342 * (1.0 - 1.3e-6 * k / 60) for k in range(1, 61)]
+
+
+class TestExactValidation:
+    def test_every_ramp_just_below_the_shortest_has_a_window(self, device_params):
+        for t_final in NEAR_SHORTEST:
+            (lo, hi), = validate_trajectory(make_trajectory(device_params, t_final)).negative_omega_sq_windows
+            assert 0.0 < hi - lo < 1e-3 * t_final
+
+    @pytest.mark.parametrize("t_final", [0.1, 0.3, 0.334, 0.335, 0.5, 2.0, 8.0])
+    def test_roots_are_mpmath_polyroots(self, device_params, t_final):
+        # the drive's turning points are R's roots and window edges W's, at 50 digits
+        spec = make_spec(device_params, t_final)
+        with mp.workdps(50):
+            chi, om0sq, t_f = (mp.mpf(repr(x)) for x in (spec.chi, spec.omega0_sq, t_final))
+            c = chi - 1
+            b = [mp.mpf(1), 0, 0, 10 * c, -15 * c, 6 * c]
+            bs, bss, bsss = [0, 0, 30 * c, -60 * c, 30 * c], [0, 60 * c, -180 * c, 120 * c], [60 * c, -360 * c, 360 * c]
+            b3 = mp_mul(mp_mul(b, b), b)
+            b4, b3_bss = mp_mul(b3, b), mp_mul(b3, bss)
+            r = mp_add([4 * om0sq * t_f**2 * x for x in bs], mp_mul(b4, bsss), [-x for x in mp_mul(b3_bss, bs)])
+            assert_same_roots(_drive_turns(spec), mp_real_roots(r))
+            for f_scale in (0.9, 1.0, 1.1, 2.0):
+                g = mp.mpf(repr(f_scale))
+                w = mp_add([(1 - g) * t_f**2 * x for x in b4], [g * om0sq * t_f**2], [-g * x for x in b3_bss])
+                traj = ControlTrajectory(spec, device_params.eta, f_scale)
+                edges = [e / t_final for window in validate_trajectory(traj).negative_omega_sq_windows for e in window]
+                assert_same_roots(edges, mp_real_roots(w))
+
+    def test_shortest_ramp_is_where_the_windows_end(self, device_params):
+        t_star = shortest_ramp(make_spec(device_params, 1.0))
+        assert t_star == pytest.approx(0.33466342, rel=2e-8)
+        lo, hi = 0.3, 0.4  # a window at lo, none at hi
+        while hi - lo > 1e-12 * hi:
+            mid = 0.5 * (lo + hi)
+            if validate_trajectory(make_trajectory(device_params, mid)).negative_omega_sq_windows:
+                lo = mid
+            else:
+                hi = mid
+        assert t_star == pytest.approx(hi, rel=1e-10)
