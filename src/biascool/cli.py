@@ -51,14 +51,7 @@ from .outputs import (
     write_table,
     write_text,
 )
-from .robustness import (
-    REFERENCE_TARGETS,
-    MarchedMatrices,
-    SweepOptions,
-    SweepResult,
-    perturb_trajectory,
-    run_sweep,
-)
+from .robustness import REFERENCE_TARGETS, SweepOptions, SweepResult, sweep_cell
 
 # Hard-check targets and tolerances for the reproduction run.
 CHECK_ETA = (1.25e7, 0.01, "rel")
@@ -359,15 +352,15 @@ def _simulate_tables(
 
 def _simulate_files(
     cfg: RunConfig,
-) -> tuple[list[Path], dict[str, float], MarchedMatrices, IntegrationError | None]:
+) -> tuple[list[Path], dict[str, float], dict[float, TransferMatrix], IntegrationError | None]:
     """Write the series of every ramp.
 
     Returns the final bare occupation of each completed ramp by label,
-    and its transfer matrix keyed for ``run_sweep``.
+    and its transfer matrix by t_final.
     """
     written: list[Path] = []
     finals: dict[str, float] = {}
-    marched: dict[tuple, TransferMatrix] = {}
+    matrices: dict[float, TransferMatrix] = {}
     first_failure: IntegrationError | None = None
     t_finals = cfg.protocol.t_final
     ramps = _run_tasks(partial(_simulate_tables, cfg), t_finals, t_finals)
@@ -375,11 +368,11 @@ def _simulate_files(
         first_failure = first_failure or failure
         if matrix is not None:
             finals[tf_label(t_final)] = n_final
-            marched[make_trajectory(cfg.physical, t_final), cfg.protocol.tolerance] = matrix
+            matrices[t_final] = matrix
         for stem, text in tables:
             written.append(_path(cfg, stem))
             write_text(written[-1], text)
-    return written, finals, marched, first_failure
+    return written, finals, matrices, first_failure
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
@@ -412,22 +405,20 @@ def _sweep_row(result: SweepResult) -> tuple:
 
 
 def _sweep_file(
-    cfg: RunConfig, marched: MarchedMatrices | None = None
+    cfg: RunConfig, matrices: dict[float, TransferMatrix] | None = None
 ) -> tuple[Path, list[SweepResult]]:
-    params, tol = cfg.physical, cfg.protocol.tolerance
-    options = SweepOptions(tolerance=tol, initial_state=cfg.sweep.initial_state)
-    cells = [(t_final, eps) for t_final in cfg.protocol.t_final for eps in cfg.sweep.epsilon]
-    # a cell that applies one of simulate's matrices does not march
-    costs = [
-        0.0 if marched and (perturb_trajectory(make_trajectory(params, t), eps), tol) in marched else t
-        for t, eps in cells
+    """Write the sweep table.  ``matrices`` are simulate's, by t_final: a cell
+    whose scaled drive is the nominal one, 1 + eps == 1, applies its ramp's
+    matrix and does not march."""
+    params, matrices = cfg.physical, matrices or {}
+    options = SweepOptions(tolerance=cfg.protocol.tolerance, initial_state=cfg.sweep.initial_state)
+    cells = [
+        (t_final, eps, matrices.get(t_final) if 1.0 + eps == 1.0 else None)
+        for t_final in cfg.protocol.t_final
+        for eps in cfg.sweep.epsilon
     ]
-
-    def sweep_cell(cell: tuple[float, float]) -> SweepResult:
-        (result,) = run_sweep(params, cell[:1], cell[1:], options, marched)
-        return result
-
-    results = list(_run_tasks(sweep_cell, cells, costs))
+    costs = [t_final if matrix is None else 0.0 for t_final, _, matrix in cells]
+    results = list(_run_tasks(lambda c: sweep_cell(params, c[0], c[1], options, c[2]), cells, costs))
     return _write(cfg, "sweep", _SWEEP_HEADER, [_sweep_row(r) for r in results]), results
 
 
@@ -469,7 +460,7 @@ def cmd_reproduce(cfg: RunConfig) -> int:
     report = build_report(cfg)
 
     written = _design_files(cfg)
-    sim_written, finals, marched, failure = _simulate_files(cfg)
+    sim_written, finals, matrices, failure = _simulate_files(cfg)
     written.extend(sim_written)
     if failure is not None:
         return _report_failures(failure, [])
@@ -479,7 +470,7 @@ def cmd_reproduce(cfg: RunConfig) -> int:
             cfg.physical.bare_frequency, n_final
         )
 
-    sweep_path, results = _sweep_file(cfg, marched)
+    sweep_path, results = _sweep_file(cfg, matrices)
     written.append(sweep_path)
 
     report_path = out_dir / "report.json"

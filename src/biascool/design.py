@@ -264,16 +264,19 @@ def validate_trajectory(traj: ControlTrajectory, n_samples: object = None) -> Tr
 
 
 def _drive_turns(spec: TrajectorySpec) -> list[float]:
-    """Where the drive turns: the roots of R = 4 omega_0^2 t_f^2 b_s + b^4 b_sss - b^3 b_ss b_s."""
-    c, k = spec.chi - 1.0, 4.0 * spec.omega0_sq * spec.t_final * spec.t_final
+    """Where the drive turns: the roots of R = 4 omega_0^2 t_f^2 b_s + b^4 b_sss - b^3 b_ss b_s,
+    found on R 2^(5e) (see ``_r_terms``): exact, so in-range ramps keep every bit."""
+    head, bs, e = _r_terms(spec.chi)
+    c, unit = math.ldexp(spec.chi - 1.0, e), math.ldexp(1.0, e)
+    k = 4.0 * math.ldexp(spec.omega0_sq, 4 * e) * spec.t_final * spec.t_final
 
     def pair(s):
-        b, b1, b2, b3, b4 = _b_derivs(s, c)
+        b, b1, b2, b3, b4 = _b_derivs(s, c, unit)
         b_cube = b * b * b
         r = k * b1 + b_cube * (b * b3 - b2 * b1)
         return r, k * b2 + b_cube * (3.0 * b1 * b3 + b * b4 - b2 * b2) - 3.0 * b * b * b1 * b1 * b2
 
-    return _roots([x + k * y if y else x for x, y in zip(*_r_terms(spec.chi))], pair)
+    return _roots([x + k * y if y else x for x, y in zip(head, bs)], pair)
 
 
 def shortest_ramp(spec: TrajectorySpec) -> float:
@@ -291,10 +294,10 @@ def shortest_ramp(spec: TrajectorySpec) -> float:
     return math.sqrt(peak / spec.omega0_sq)
 
 
-def _b_derivs(s: float, c: float) -> tuple[float, float, float, float, float]:
-    """b and its first four s-derivatives at s, for c = chi - 1."""
+def _b_derivs(s: float, c: float, one: float = 1.0) -> tuple[float, float, float, float, float]:
+    """b and its first four s-derivatives at s, for c = chi - 1; all times ``one`` if c is too."""
     u, v = s - 1.0, 2.0 * s - 1.0
-    b = ((6.0 * s - 15.0) * s + 10.0) * s * s * s * c + 1.0
+    b = ((6.0 * s - 15.0) * s + 10.0) * s * s * s * c + one
     return b, 30.0 * c * s * s * u * u, 60.0 * c * s * v * u, 60.0 * c * (6.0 * s * u + 1.0), 360.0 * c * v
 
 
@@ -314,13 +317,15 @@ def _conv(p: list[float], q: list[float]) -> list[float]:
 
 
 @lru_cache(maxsize=16)
-def _r_terms(chi: float) -> tuple[list[float], list[float]]:
-    """R's t_f-free terms, b^4 b_sss - b^3 b_ss b_s and b_s, at degree 22, with their binomials."""
-    b, bs, bss, bsss = _bernstein_b(chi)
+def _r_terms(chi: float) -> tuple[list[float], list[float], int]:
+    """R's t_f-free terms, b^4 b_sss - b^3 b_ss b_s and b_s, at degree 22, with their binomials,
+    times 2^(5e) and 2^e, and e: 2^e is near 1/max(chi, 1), as R grows as chi^5 (overflowing at ~2e60)."""
+    e = -math.frexp(max(chi, 1.0))[1]
+    b, bs, bss, bsss = ([math.ldexp(x, e) for x in p] for p in _bernstein_b(chi))
     b3 = _conv(_conv(b, b), b)
     head = [x - y for x, y in zip(_conv(_conv(b3, b), bsss), _conv(_conv(b3, bss), bs))]
     elevated_bs = _conv(bs, [math.comb(18, j) for j in range(19)])  # times (s + 1 - s)^18
-    return tuple([x / math.comb(22, i) for i, x in enumerate(p)] for p in (head, elevated_bs))
+    return *([x / math.comb(22, i) for i, x in enumerate(p)] for p in (head, elevated_bs)), e
 
 
 def _roots(coeffs: list[float], pair: Callable) -> list[float]:

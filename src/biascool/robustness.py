@@ -2,32 +2,32 @@
 
 The modeled imperfection is a global multiplicative error on the gate
 drive, f -> (1 + epsilon) f, mirroring a miscalibrated voltage
-amplitude.  Each sweep cell designs the nominal ramp, scales it,
-propagates the initial thermal state through the perturbed dynamics,
-and records the end-point diagnostics.  Cells are independent pure
-computations; failures are recorded per cell and the sweep continues.
+amplitude.  ``sweep_cell``, the one code path of a (t_final, epsilon)
+cell, designs the nominal ramp, scales it, maps the initial thermal
+state through the perturbed ramp's transfer matrix and records the
+end-point diagnostics or the failure; ``run_sweep`` runs a grid.
 
 The Ermakov scale factor at t_f is not integrated: with b(0) = 1 and
 b'(0) = 0 the Pinney solution is b^2 = m11^2 + omega_0^2 m12^2, where
 m11, m12 are entries of the perturbed ramp's transfer matrix (Pinney,
 Proc. AMS 1 (1950) 681; Lewis & Riesenfeld, J. Math. Phys. 10 (1969)
 1458).  That matrix is the one the occupation columns come from, so each
-cell runs at most one propagation; ``reproduce`` passes in simulate's
-nominal matrices, so its epsilon = 0 cells run none.  At the default
-tolerance the 6th-order Magnus march keeps b within 1e-9 relative of an
-extended-precision reference, and the epsilon = 0 cell equals the
-simulated series bit for bit.
+cell runs at most one propagation, and none when handed the matrix:
+``reproduce`` hands simulate's to the cells with the nominal drive.  At
+the default tolerance the 6th-order Magnus march keeps b within 1e-9
+relative of an extended-precision reference, and the epsilon = 0 cell
+equals the simulated series bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from . import thermometry
 from .design import ControlTrajectory, make_trajectory, signed_sqrt
-from .dynamics import IntegrationError, TransferMatrix, propagate_transfer, thermal_state
+from .dynamics import IntegrationError, TransferMatrix, _moment_row, propagate_transfer, thermal_state
 from .physical import PhysicalParams
 
 #: Published end-point reference values for the +-10% drive-error study
@@ -76,48 +76,49 @@ def perturb_trajectory(traj: ControlTrajectory, epsilon: float) -> ControlTrajec
     return ControlTrajectory(traj.spec, traj.eta, traj.f_scale * (1.0 + epsilon))
 
 
-#: (trajectory, tolerance) -> its transfer matrix over [0, t_final]
-MarchedMatrices = Mapping[tuple[ControlTrajectory, float], TransferMatrix]
-
-
-def _run_cell(
+def sweep_cell(
     params: PhysicalParams,
     t_final: float,
     epsilon: float,
-    options: SweepOptions,
-    marched: MarchedMatrices,
+    options: SweepOptions = SweepOptions(),
+    matrix: TransferMatrix | None = None,
 ) -> SweepResult:
+    """One cell: the perturbed ramp's end-point diagnostics, or its failure.
+
+    ``matrix`` is the perturbed ramp's transfer matrix over [0, t_final] at
+    ``options.tolerance`` when the caller has it; the cell marches without.
+    A failed cell -- no thermal start state at the perturbed frequency,
+    or a march whose matrix, moments or occupation overflowed -- has NaN
+    diagnostics and an explanatory status.
+    """
     nominal = make_trajectory(params, t_final)
     perturbed = perturb_trajectory(nominal, epsilon)
-
-    if options.initial_state == "nominal":
-        start_omega_sq = nominal.spec.omega0_sq
+    omega0_sq = nominal.spec.omega0_sq
+    start_omega_sq = omega0_sq if options.initial_state == "nominal" else perturbed.omega_eff_sq(0.0)
+    if not 0.0 < start_omega_sq < math.inf:  # only a perturbed start can fail here
+        problem = "<= 0" if start_omega_sq <= 0.0 else "is not finite"
+        status = f"perturbed start frequency squared {start_omega_sq:.3e} {problem}"
     else:
-        start_omega_sq = perturbed.omega_eff_sq(0.0)
-        if not 0.0 < start_omega_sq < math.inf:
-            problem = "<= 0" if start_omega_sq <= 0.0 else "is not finite"
-            return SweepResult(
-                epsilon, t_final, math.nan, math.nan, math.nan, math.nan,
-                status=f"perturbed start frequency squared {start_omega_sq:.3e} {problem}",
-            )
-    state0 = thermal_state(params, start_omega_sq, params.bath_temperature)
-
-    m = marched.get((perturbed, options.tolerance))
-    if m is None:
-        final, m = propagate_transfer(perturbed, state0, 0.0, t_final, tol=options.tolerance)
-    else:
-        final = m.apply(state0, time=t_final)
-    n_final = thermometry.occupation_from_state(final, 1.0)
-    if n_final == math.inf:  # finite moments whose energy overflowed
-        raise IntegrationError("occupation overflowed", t_final)
-    t_eff = thermometry.effective_temperature(params.bare_frequency, n_final)
-    state_omega = signed_sqrt(thermometry.state_frequency(final))
-    b_sq = m.m11 * m.m11 + nominal.spec.omega0_sq * m.m12 * m.m12
-    if b_sq < math.inf:
-        b_final = math.sqrt(b_sq)
-    else:  # b^2 overflows first, past b ~ 1e154: the same norm without the squares
-        b_final = math.hypot(m.m11, math.sqrt(nominal.spec.omega0_sq) * m.m12)
-    return SweepResult(epsilon, t_final, n_final, t_eff, state_omega, b_final)
+        state0 = thermal_state(params, start_omega_sq, params.bath_temperature)
+        try:
+            if matrix is None:
+                _, matrix = propagate_transfer(perturbed, state0, 0.0, t_final, tol=options.tolerance)
+            m11, m12, m21, m22 = matrix.m11, matrix.m12, matrix.m21, matrix.m22
+            _, xx, pp, _ = _moment_row((m11, m12, m21, m22), state0.xx, state0.pp, state0.xp, t_final)
+            n_final = thermometry.occupation(xx, pp, 1.0)
+            if n_final == math.inf:  # finite moments whose energy overflowed
+                raise IntegrationError("occupation overflowed", t_final)
+        except IntegrationError as exc:
+            status = f"integration failed: {exc}"
+        else:
+            t_eff = thermometry.effective_temperature(params.bare_frequency, n_final)
+            b_sq = m11 * m11 + omega0_sq * m12 * m12
+            if b_sq < math.inf:
+                b_final = math.sqrt(b_sq)
+            else:  # b^2 overflows first, past b ~ 1e154: the same norm without the squares
+                b_final = math.hypot(m11, math.sqrt(omega0_sq) * m12)
+            return SweepResult(epsilon, t_final, n_final, t_eff, signed_sqrt(pp / xx), b_final)
+    return SweepResult(epsilon, t_final, *[math.nan] * 4, status)
 
 
 def run_sweep(
@@ -125,32 +126,16 @@ def run_sweep(
     t_final_list: Sequence[float],
     epsilon_list: Sequence[float],
     options: SweepOptions = SweepOptions(),
-    marched: MarchedMatrices | None = None,
 ) -> list[SweepResult]:
-    """All (t_final, epsilon) cells, in the given order (t_final outer).
+    """``sweep_cell`` for all (t_final, epsilon) cells, in the given order (t_final outer).
 
-    Cell order does not influence any cell's value; a failed cell
-    yields NaN diagnostics and an explanatory status; a propagation
-    whose matrix, moments or occupation overflowed is such a failure.  A
-    cell whose drive and tolerance are a key of ``marched`` applies that
-    matrix to its start state instead of marching; the march is
-    deterministic, so the cell's values are the same bits either way.
+    Cell order does not influence any cell's value; a failed cell is
+    recorded and the sweep continues.
     """
     if not t_final_list or not epsilon_list:
         raise ValueError("t_final_list and epsilon_list must be non-empty")
-    results = []
-    for t_final in t_final_list:
-        for epsilon in epsilon_list:
-            try:
-                results.append(
-                    _run_cell(params, float(t_final), float(epsilon), options, marched or {})
-                )
-            except IntegrationError as exc:
-                results.append(
-                    SweepResult(
-                        float(epsilon), float(t_final),
-                        math.nan, math.nan, math.nan, math.nan,
-                        status=f"integration failed: {exc}",
-                    )
-                )
-    return results
+    return [
+        sweep_cell(params, float(t_final), float(epsilon), options)
+        for t_final in t_final_list
+        for epsilon in epsilon_list
+    ]

@@ -1,10 +1,11 @@
 """Independent oracles and test-only helpers for the package.
 
 The oracles share no integration code with the product paths: the
-covariance ODE, a sampled numpy scan of the trajectory validation, the
-two-electrode Coulomb model behind eta, and the Lewis-Riesenfeld
-invariant.  They are the only users of numpy and scipy, which is why
-they live with the tests: importing biascool loads neither.
+covariance ODE, the forward Ermakov equation, a sampled numpy scan of
+the trajectory validation, the two-electrode Coulomb model behind eta,
+and the Lewis-Riesenfeld invariant.  They are the only users of numpy
+and scipy, which is why they live with the tests: importing biascool
+loads neither.
 """
 
 from __future__ import annotations
@@ -117,6 +118,27 @@ def validate_trajectory_numpy(traj: ControlTrajectory, n_samples: int = 2001) ->
         boundary_residual_start=float(abs(f[0] - traj.f_scale)),
         boundary_residual_end=float(abs(f[-1])),
     )
+
+
+def ermakov_end_point(
+    traj: ControlTrajectory | FrequencyProfile, omega0_sq: float, t1: float, tol: float = 1e-12
+) -> float:
+    """Independent oracle: b(t1) of b'' + w(t) b = omega0_sq / b^3 from b(0) = 1, b'(0) = 0.
+
+    scipy's DOP853 at rtol = atol = tol; it shares no code with the
+    transfer march, whose matrix gives the sweep's closed-form (Pinney)
+    end point, nor with the package's RK solver.
+    """
+    w = dynamics._profile(traj)
+
+    def rhs(t, y):
+        b, b_dot = y
+        return (b_dot, omega0_sq / (b * b * b) - w(t) * b)
+
+    sol = solve_ivp(rhs, (0.0, t1), (1.0, 0.0), method="DOP853", rtol=tol, atol=tol)
+    if not sol.success:
+        raise IntegrationError(f"Ermakov ODE failed: {sol.message}", float(sol.t[-1]))
+    return float(sol.y[0, -1])
 
 
 def propagate_covariance_ode(

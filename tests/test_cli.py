@@ -431,6 +431,32 @@ class TestReproduce:
         assert [len(costs) for costs in handed] == [3, 9]
         assert handed[1].count(0.0) == 3
 
+    @pytest.mark.parametrize("initial_state", ["nominal", "perturbed"])
+    def test_only_nominal_drive_cells_reuse_a_march(self, tmp_path, monkeypatch, initial_state):
+        # 1 + eps == 1 holds for eps = 0 and 1e-17 alone: only those cells apply
+        # simulate's matrix, at no cost, and they give the bytes a march gives
+        cfg = fast_config(tmp_path, **{
+            "t_final = 1.0": "t_final = 0.5, 1.0",
+            "epsilon = -0.1, 0.0, 0.1": "epsilon = -0.1, 0.0, 1e-17, 0.1",
+            "initial_state = nominal": f"initial_state = {initial_state}",
+        })
+        handed = []
+        run_tasks = cli._run_tasks
+
+        def recorded(fn, items, costs):
+            handed.append(list(costs))
+            return run_tasks(fn, items, costs)
+
+        monkeypatch.setattr(cli, "_run_tasks", recorded)
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep")]) == 0
+        assert main(["reproduce", "--config", str(cfg), "--out", str(tmp_path / "reproduce")]) == 0
+        sweep_csv = (tmp_path / "sweep" / "sweep.csv").read_bytes()
+        assert sweep_csv == (tmp_path / "reproduce" / "sweep.csv").read_bytes()
+        # the sweep's cells, then reproduce's ramps and cells
+        assert handed == [
+            [0.5] * 4 + [1.0] * 4, [0.5, 1.0], [0.5, 0.0, 0.0, 0.5, 1.0, 0.0, 0.0, 1.0]
+        ]
+
     def test_failing_target_exits_3(self, tmp_path, capsys):
         out = tmp_path / "out"
         cfg = fast_config(tmp_path, **{"voltage_amplitude = 7.00 V": "voltage_amplitude = 5 V"})
@@ -516,15 +542,19 @@ class TestExitCodes:
 
     def test_extreme_finite_inputs_end_without_traceback(self, tmp_path, capsys):
         # every device key at the edges of the float range: an eta out of
-        # range is a config error, k_B T underflowing is the T -> 0 limit
+        # range is a config error, k_B T underflowing is the T -> 0 limit, and
+        # a report that exits 0 holds finite numbers only
         device_lines = [line for line in DEFAULT_CONFIG.splitlines() if line.split(" = ")[0] in FIELD_UNITS]
         assert len(device_lines) == 9
         for line in device_lines:
             key = line.split(" = ")[0]
             for value in ("5e-324", "1e-300", "1e-200", "1e200", "1e300", "1.7e308"):
                 cfg = fast_config(tmp_path, **{line: f"{key} = {value}"})
-                assert main(["params", "--config", str(cfg)]) in (0, 1), (key, value)
-                assert len(capsys.readouterr().err.splitlines()) <= 1, (key, value)
+                rc = main(["params", "--config", str(cfg)])
+                captured = capsys.readouterr()
+                assert rc in (0, 1), (key, value)
+                assert len(captured.err.splitlines()) <= 1, (key, value)
+                assert rc or not re.search(r"\b(nan|inf)\b", captured.out), (key, value)
         # a perturbed start frequency that overflows fails its cell before any march
         cfg = fast_config(tmp_path, **{
             "t_final = 1.0": "t_final = 0.5",

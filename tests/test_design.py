@@ -500,6 +500,26 @@ class TestExactValidation:
                 edges = [e / t_final for window in validate_trajectory(traj).negative_omega_sq_windows for e in window]
                 assert_same_roots(edges, mp_real_roots(w))
 
+    def test_turns_where_chi_to_the_fifth_leaves_the_float_range(self):
+        # coulomb_k = 1e300 on the built-in device: chi ~ 2e74, and R's terms grow as chi^5.
+        # polyroots stalls on R's coefficients (~1e74 to ~1e370), so R's signs at 50 digits
+        spec = TrajectorySpec(1.0 + 1.392e297, 1.0, 0.5)
+        turns = _drive_turns(spec)
+        with mp.workdps(50):
+            chi, om0sq, t_f = (mp.mpf(repr(x)) for x in (spec.chi, spec.omega0_sq, spec.t_final))
+            c = chi - 1
+            b = [mp.mpf(1), 0, 0, 10 * c, -15 * c, 6 * c]
+            bs, bss, bsss = [0, 0, 30 * c, -60 * c, 30 * c], [0, 60 * c, -180 * c, 120 * c], [60 * c, -360 * c, 360 * c]
+            b3 = mp_mul(mp_mul(b, b), b)
+            r = mp_add([4 * om0sq * t_f**2 * x for x in bs], mp_mul(mp_mul(b3, b), bsss), [-x for x in mp_mul(mp_mul(b3, bss), bs)])
+
+            def positive(x):
+                return mp.polyval(r[::-1], mp.mpf(x)) > 0
+
+            signs = [positive(i / 1000) for i in range(1001)]
+            assert sum(a != b for a, b in zip(signs, signs[1:])) == len(turns) == 2
+            assert all(positive(x * (1 - 1e-12)) != positive(x * (1 + 1e-12)) for x in turns)
+
     def test_shortest_ramp_is_where_the_windows_end(self, device_params):
         t_star = shortest_ramp(make_spec(device_params, 1.0))
         assert t_star == pytest.approx(0.33466342, rel=2e-8)

@@ -8,21 +8,18 @@ from biascool import cli, integrate, robustness
 from biascool.config import load_config
 from biascool.constants import BOLTZMANN, HBAR
 from biascool.design import control_function, make_trajectory
-from biascool.dynamics import (
-    TransferMatrix,
-    propagate_transfer,
-    solve_ermakov_forward,
-    thermal_state,
-)
+from biascool.dynamics import TransferMatrix, propagate_transfer, thermal_state
 from biascool.robustness import (
     REFERENCE_TARGETS,
     SweepOptions,
     SweepResult,
     perturb_trajectory,
     run_sweep,
+    sweep_cell,
 )
 
 from conftest import NBAR_COLD, TEFF_FINAL, make_params_eta
+from oracles import ermakov_end_point
 
 
 def count_propagations(monkeypatch) -> list:
@@ -134,11 +131,10 @@ class TestSweep:
         # the closed form from the transfer matrix against a disjoint integrator
         for row in rk_free_sweep:
             nominal = make_trajectory(device_params, row.t_final)
-            oracle = solve_ermakov_forward(
-                perturb_trajectory(nominal, row.epsilon),
-                1.0, 0.0, nominal.spec.omega0_sq, 0.0, row.t_final, tol=1e-12,
+            oracle = ermakov_end_point(
+                perturb_trajectory(nominal, row.epsilon), nominal.spec.omega0_sq, row.t_final
             )
-            assert row.ermakov_b_final == pytest.approx(oracle.b_final, rel=1e-9)
+            assert row.ermakov_b_final == pytest.approx(oracle, rel=1e-9)
 
     def test_ermakov_end_point_ignores_start_state(self, device_params, small_sweep):
         perturbed = run_sweep(
@@ -179,29 +175,17 @@ class TestSweep:
         for t_final in grid[0]:
             traj = make_trajectory(device_params, t_final)
             state0 = thermal_state(device_params, traj.spec.omega0_sq, device_params.bath_temperature)
-            marched[traj, options.tolerance] = propagate_transfer(
-                traj, state0, 0.0, t_final, tol=options.tolerance
-            )[1]
+            marched[t_final] = propagate_transfer(traj, state0, 0.0, t_final, tol=options.tolerance)[1]
         expected = run_sweep(device_params, *grid, options)
         calls = count_propagations(monkeypatch)
-        reused = run_sweep(device_params, *grid, options, marched)
+        reused = [
+            sweep_cell(device_params, t_final, eps, options, marched[t_final] if eps == 0.0 else None)
+            for t_final in grid[0]
+            for eps in grid[1]
+        ]
         assert len(calls) == 4 and not any(traj.f_scale == 1.0 for traj in calls)
         assert all(row.status == "ok" for row in reused)
         assert list(map(repr, reused)) == list(map(repr, expected))
-
-    def test_marched_matrix_for_another_ramp_is_ignored(self, device_params, monkeypatch):
-        wrong = TransferMatrix(1.0, 0.0, 0.0, 1.0)
-        marched = {
-            (make_trajectory(device_params, 0.5), 1e-9): wrong,  # another tolerance
-            (make_trajectory(device_params, 1.0), 1e-10): wrong,  # another t_final
-            (make_trajectory(make_params_eta(1.0e7), 0.5), 1e-10): wrong,  # another device
-        }
-        options = SweepOptions(tolerance=1e-10)
-        expected = run_sweep(device_params, [0.5], [0.0], options)
-        calls = count_propagations(monkeypatch)
-        cells = run_sweep(device_params, [0.5], [0.0], options, marched)
-        assert len(calls) == 1
-        assert list(map(repr, cells)) == list(map(repr, expected))
 
     def test_small_error_envelope(self, device_params):
         # occupation deviation grows monotonically with the drive error
@@ -284,8 +268,7 @@ class TestOverflow:
         # cell must not hand an infinite occupation to effective_temperature
         b = 1.7e152
         huge = TransferMatrix(0.0, b, -1.0 / b, b)
-        marched = {(make_trajectory(device_params, 0.5), 1e-10): huge}
-        cell, = run_sweep(device_params, [0.5], [0.0], SweepOptions(), marched)
+        cell = sweep_cell(device_params, 0.5, 0.0, SweepOptions(), huge)
         assert cell.status == "integration failed: occupation overflowed (at t = 0.5)"
 
 
