@@ -3,7 +3,7 @@
 commands:
   params      device analysis: coupling, boundary frequencies, occupations
   design      drive f(t), omega_eff(t) and scale factor b(t) per t_final
-  simulate    propagated thermal state: occupations, T_eff, moments
+  simulate    exact thermal-state moments from the invariant: occupations, T_eff
   sweep       drive-error sweep table
   reproduce   design + simulate + sweep, report, manifest, hard checks
 
@@ -33,6 +33,7 @@ from .design import (
     TrajectoryValidation,
     b_polynomial,
     control_function,
+    invariant_moments,
     linspace,
     make_spec,
     make_trajectory,
@@ -40,7 +41,7 @@ from .design import (
     signed_sqrt,
     validate_trajectory,
 )
-from .dynamics import IntegrationError, TransferMatrix, moment_series, purity, thermal_state
+from .dynamics import IntegrationError, thermal_state
 from .outputs import (
     check_entry,
     format_float,
@@ -61,6 +62,7 @@ CHECK_NBAR_COLD = (0.47, 0.01, "abs")
 CHECK_TEFF_FINAL = (6e-6, 0.15, "rel")
 CHECK_OCCUPATION_DRIFT = (0.0, 1e-3, "abs")
 CHECK_SWEEP_GROUND = (1.0, 0.0, "upper")
+CHECK_MARCH_VS_INVARIANT = (1e-3, 0.0, "upper")
 
 
 @dataclass
@@ -282,63 +284,55 @@ def cmd_design(cfg: RunConfig) -> int:
     return 0
 
 
-def _simulate_rows(
-    cfg: RunConfig, t_final: float
-) -> tuple[list[tuple], TransferMatrix | None, IntegrationError | None]:
-    """Per-sample (t, n_bar_ref_omega_eff, n_bar_ref_omega_m, t_eff, xx, pp, xp).
+def _simulate_rows(cfg: RunConfig, t_final: float) -> tuple[list[tuple], IntegrationError | None]:
+    """Per-sample (t, n_bar_ref_omega_eff, n_bar_ref_omega_m, t_eff, xx, pp, xp, purity).
 
-    One pass over the moment rows of ``moment_series``; no object is
-    built per sample.  Also returns the ramp's transfer matrix over
-    [0, t_final], None when the ramp failed: on a failed march, or on a
-    sample whose moments or occupations overflowed, the rows before the
-    failure are returned together with the error so callers can write
-    partial output.
+    The moments are exact, from the invariant (``invariant_moments``);
+    nothing is marched.  The purity is the invariant covariance's
+    determinant, (nbar + 1/2)^2 of the thermal start.  A purity or an
+    occupation that overflowed fails the ramp: the rows before the failure
+    are returned together with the error so callers can write partial output.
     """
     params = cfg.physical
     traj = make_trajectory(params, t_final)
-    state0 = thermal_state(params, traj.spec.omega0_sq, params.bath_temperature)
+    omega0_sq, bath = traj.spec.omega0_sq, params.bath_temperature
+    thermal_state(params, omega0_sq, bath)  # a config error past the float range
+    e = thermometry.thermal_occupation(math.sqrt(omega0_sq) * params.bare_frequency, bath) + 0.5
+    purity = e * e
+    if purity == math.inf:
+        return [], IntegrationError("purity (n_bar + 1/2)^2 overflowed", 0.0)
     times = linspace(0.0, t_final, cfg.protocol.sample_count)
-    failure: IntegrationError | None = None
-    matrix: TransferMatrix | None = None
-    try:
-        moments, matrix = moment_series(traj, state0, times, tol=cfg.protocol.tolerance)
-    except IntegrationError as exc:
-        failure = exc
-        moments = exc.rows
-
-    # the reference is the instantaneous nominal drive frequency, evaluated
-    # at the times of the rows actually returned; in an inverted-potential
-    # window no occupation/temperature is defined
-    w_refs = traj.omega_eff_sq(times[: len(moments)])
+    # the reference is the instantaneous nominal drive frequency; in an
+    # inverted-potential window no occupation/temperature is defined
+    w_refs = traj.omega_eff_sq(times)
     occupation, temperature = thermometry.occupation, thermometry.effective_temperature
     omega_m, nan, inf = params.bare_frequency, math.nan, math.inf
     rows = []
-    for (t, xx, pp, xp), w_ref in zip(moments, w_refs):
+    for (t, xx, pp, xp), w_ref in zip(invariant_moments(traj.spec, times, e), w_refs):
         n_inst = occupation(xx, pp, w_ref) if w_ref > 0.0 else nan
         n_bare = occupation(xx, pp, 1.0)
-        if n_inst == inf or n_bare == inf:  # finite moments whose energy overflowed
-            failure, matrix = IntegrationError("occupation overflowed", t), None
-            break
+        if n_inst == inf or n_bare == inf:  # moments or an energy that overflowed
+            return rows, IntegrationError("occupation overflowed", t)
         t_eff = temperature(math.sqrt(w_ref) * omega_m, n_inst) if w_ref > 0.0 else nan
-        rows.append((t, n_inst, n_bare, t_eff, xx, pp, xp))
-    return rows, matrix, failure
+        rows.append((t, n_inst, n_bare, t_eff, xx, pp, xp, purity))
+    return rows, None
 
 
 def _simulate_tables(
     cfg: RunConfig, t_final: float
-) -> tuple[list[tuple[str, str]], float | None, TransferMatrix | None, IntegrationError | None]:
+) -> tuple[list[tuple[str, str]], float | None, IntegrationError | None]:
     """One ramp's three tables as (file stem, text), without writing them.
 
-    Also returns the ramp's final bare occupation and transfer matrix,
-    both None when it failed, and its failure.
+    Also returns the ramp's final bare occupation, None when it failed,
+    and its failure.
     """
-    rows, matrix, failure = _simulate_rows(cfg, t_final)
+    rows, failure = _simulate_rows(cfg, t_final)
     note = None if failure is None else f"integration_error: {failure}"
     n_bar, t_eff, moments = [], [], []
-    for t, n_inst, n_bare, temp, xx, pp, xp in rows:
+    for t, n_inst, n_bare, temp, xx, pp, xp, purity in rows:
         n_bar.append((t, n_inst, n_bare))
         t_eff.append((t, temp))
-        moments.append((t, xx, pp, xp, purity(xx, pp, xp)))
+        moments.append((t, xx, pp, xp, purity))
     label, out = tf_label(t_final), cfg.output
     tables = []
     for name, header, table in (
@@ -347,36 +341,31 @@ def _simulate_tables(
         ("moments_t", ("t_omega_m", "xx", "pp", "xp", "purity"), moments),
     ):
         tables.append((f"{name}_{label}", render_table(header, table, out.precision, out.format, note)))
-    return tables, None if matrix is None else rows[-1][2], matrix, failure
+    return tables, None if failure else rows[-1][2], failure
 
 
-def _simulate_files(
-    cfg: RunConfig,
-) -> tuple[list[Path], dict[str, float], dict[float, TransferMatrix], IntegrationError | None]:
+def _simulate_files(cfg: RunConfig) -> tuple[list[Path], dict[str, float], IntegrationError | None]:
     """Write the series of every ramp.
 
-    Returns the final bare occupation of each completed ramp by label,
-    and its transfer matrix by t_final.
+    Returns the final bare occupation of each completed ramp by label.
     """
     written: list[Path] = []
     finals: dict[str, float] = {}
-    matrices: dict[float, TransferMatrix] = {}
     first_failure: IntegrationError | None = None
     t_finals = cfg.protocol.t_final
-    ramps = _run_tasks(partial(_simulate_tables, cfg), t_finals, t_finals)
-    for t_final, (tables, n_final, matrix, failure) in zip(t_finals, ramps):
+    ramps = _run_tasks(partial(_simulate_tables, cfg), t_finals, [1.0] * len(t_finals))
+    for t_final, (tables, n_final, failure) in zip(t_finals, ramps):
         first_failure = first_failure or failure
-        if matrix is not None:
+        if n_final is not None:
             finals[tf_label(t_final)] = n_final
-            matrices[t_final] = matrix
         for stem, text in tables:
             written.append(_path(cfg, stem))
             write_text(written[-1], text)
-    return written, finals, matrices, first_failure
+    return written, finals, first_failure
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
-    written, _, _, failure = _simulate_files(cfg)
+    written, _, failure = _simulate_files(cfg)
     for path in written:
         print(path)
     return _report_failures(failure, [])
@@ -404,21 +393,13 @@ def _sweep_row(result: SweepResult) -> tuple:
     return (*astuple(result), *target)
 
 
-def _sweep_file(
-    cfg: RunConfig, matrices: dict[float, TransferMatrix] | None = None
-) -> tuple[Path, list[SweepResult]]:
-    """Write the sweep table.  ``matrices`` are simulate's, by t_final: a cell
-    whose scaled drive is the nominal one, 1 + eps == 1, applies its ramp's
-    matrix and does not march."""
-    params, matrices = cfg.physical, matrices or {}
+def _sweep_file(cfg: RunConfig) -> tuple[Path, list[SweepResult]]:
+    """Write the sweep table; every cell marches its ramp."""
+    params = cfg.physical
     options = SweepOptions(tolerance=cfg.protocol.tolerance, initial_state=cfg.sweep.initial_state)
-    cells = [
-        (t_final, eps, matrices.get(t_final) if 1.0 + eps == 1.0 else None)
-        for t_final in cfg.protocol.t_final
-        for eps in cfg.sweep.epsilon
-    ]
-    costs = [t_final if matrix is None else 0.0 for t_final, _, matrix in cells]
-    results = list(_run_tasks(lambda c: sweep_cell(params, c[0], c[1], options, c[2]), cells, costs))
+    cells = [(t_final, eps) for t_final in cfg.protocol.t_final for eps in cfg.sweep.epsilon]
+    costs = [t_final for t_final, _ in cells]
+    results = list(_run_tasks(lambda c: sweep_cell(params, *c, options), cells, costs))
     return _write(cfg, "sweep", _SWEEP_HEADER, [_sweep_row(r) for r in results]), results
 
 
@@ -444,6 +425,11 @@ def _reproduce_checks(
         drift = report.n_bar_final[label] - report.n_bar_cold
         checks.append(check_entry(f"occupation_drift_{label}", drift, *CHECK_OCCUPATION_DRIFT))
     for result in results:
+        if result.epsilon == 0.0 and not result.failed:  # the march against the closed form
+            b_off = abs(result.ermakov_b_final / report.chi - 1.0)
+            deviation = max(b_off, abs(result.state_omega_final - 1.0))
+            name = f"march_vs_invariant_{tf_label(result.t_final)}"
+            checks.append(check_entry(name, deviation, *CHECK_MARCH_VS_INVARIANT))
         if abs(abs(result.epsilon) - 0.1) <= 1e-12 and not result.failed:
             checks.append(
                 check_entry(
@@ -460,7 +446,7 @@ def cmd_reproduce(cfg: RunConfig) -> int:
     report = build_report(cfg)
 
     written = _design_files(cfg)
-    sim_written, finals, matrices, failure = _simulate_files(cfg)
+    sim_written, finals, failure = _simulate_files(cfg)
     written.extend(sim_written)
     if failure is not None:
         return _report_failures(failure, [])
@@ -470,7 +456,7 @@ def cmd_reproduce(cfg: RunConfig) -> int:
             cfg.physical.bare_frequency, n_final
         )
 
-    sweep_path, results = _sweep_file(cfg, matrices)
+    sweep_path, results = _sweep_file(cfg)
     written.append(sweep_path)
 
     report_path = out_dir / "report.json"

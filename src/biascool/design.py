@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Iterator
 
 from .physical import PhysicalParams
 
@@ -114,6 +114,23 @@ def b_polynomial(s, chi: float):
     if isinstance(result, list):  # one triple per item -> three lists
         return tuple(map(list, zip(*result))) if result else ([], [], [])
     return result
+
+
+def invariant_moments(spec: TrajectorySpec, times, e: float) -> Iterator[tuple[float, float, float, float]]:
+    """Exact rows (t, xx, pp, xp) of the designed ramp from a thermal start at omega_0.
+
+    The Lewis-Riesenfeld invariant fixes the state: with e = nbar + 1/2 at
+    omega_0, xx = e b^2/omega_0, xp = e b b'/omega_0 and pp = e (b'^2 +
+    omega_0^2/b^2)/omega_0, where b is the quintic and b' = b_s/t_f (Lewis &
+    Riesenfeld, J. Math. Phys. 10 (1969) 1458; Chen et al., PRL 104 (2010)
+    063002).  Only the nominal drive has this b, hence the nominal spec.
+    """
+    t_f, chi, omega0_sq = spec.t_final, spec.chi, spec.omega0_sq
+    scale = e / math.sqrt(omega0_sq)
+    for t in times:
+        b, b_s, _ = b_polynomial(t / t_f, chi)
+        b_dot = b_s / t_f
+        yield t, scale * b * b, scale * (b_dot * b_dot + omega0_sq / (b * b)), scale * b * b_dot
 
 
 def linspace(start: float, stop: float, n: int) -> list[float]:

@@ -14,8 +14,10 @@ Two code paths live here:
   Gauss nodes per step) whose elementary step is a closed-form
   exponential of a traceless matrix, so each step is unimodular to
   rounding and the symplectic invariants are conserved structurally,
-  not by luck of the tolerance.  ``moment_series`` samples it as plain
-  moment rows; ``transfer_series`` is the same series as GaussianStates.
+  not by luck of the tolerance.  ``transfer_series`` samples it as
+  GaussianStates.  No CLI command samples it: ``simulate`` writes the
+  nominal ramp's exact moments (``design.invariant_moments``), and the
+  sweep marches end points only.
 * ``solve_ermakov_forward`` -- oracle for the auxiliary nonlinear
   equation, integrated forward with the RK solver in ``integrate``; it
   closes the design/simulate loop.  No CLI command runs it.
@@ -45,18 +47,9 @@ class StateError(ValueError):
     """A Gaussian state violates positivity or the uncertainty bound."""
 
 
-#: One sampled state as a plain row: (time, xx, pp, xp).
-MomentRow = tuple[float, float, float, float]
-
-
 def _require_positive(xx: float, pp: float) -> None:
     if not (0.0 < xx < math.inf and 0.0 < pp < math.inf):
         raise StateError(f"moments must be positive and finite: xx={xx!r}, pp={pp!r}")
-
-
-def purity(xx: float, pp: float, xp: float) -> float:
-    """det of the covariance matrix, xx*pp - xp^2; >= 1/4 for physical states."""
-    return xx * pp - xp * xp
 
 
 @dataclass(frozen=True)
@@ -74,7 +67,7 @@ class GaussianState:
     @property
     def purity_invariant(self) -> float:
         """det of the covariance matrix, xx*pp - xp^2; >= 1/4 for physical states."""
-        return purity(self.xx, self.pp, self.xp)
+        return self.xx * self.pp - self.xp * self.xp
 
     def validate(self) -> None:
         if self.purity_invariant < 0.25 * (1.0 - 1e-9):
@@ -111,13 +104,13 @@ class TransferMatrix:
 
 def _moment_row(
     m: tuple[float, float, float, float], xx: float, pp: float, xp: float, time: float
-) -> MomentRow:
-    """The moments (xx, pp, xp) mapped by m, M Sigma M^T, as the row at ``time``.
+) -> tuple[float, float, float, float]:
+    """The moments (xx, pp, xp) mapped by m, M Sigma M^T, as the row (time, xx, pp, xp).
 
     The one moment formula: ``TransferMatrix.apply`` and every sampled
-    row go through it.  Raises IntegrationError if a moment is not
-    finite (the map overflowed) and StateError if xx or pp is not
-    positive, as GaussianState does.
+    state go through it.  Raises
+    IntegrationError if a moment is not finite (the map overflowed) and
+    StateError if xx or pp is not positive, as GaussianState does.
     """
     a, b, c, d = m
     mxx = a * a * xx + 2.0 * a * b * xp + b * b * pp
@@ -162,14 +155,15 @@ _GAUSS_HI = 0.5 + _ROOT15 / 10.0
 _P_COEF = -_ROOT15 / 3.0  # literal-only coefficients are folded by the compiler
 _sqrt, _cos, _sin, _cosh, _sinh = math.sqrt, math.cos, math.sin, math.cosh, math.sinh
 
-#: Upper bound on attempted steps per propagation.  Every step is at most
-#: ``max_phase`` long (the frequency scale is >= 1), so a span longer than
-#: ``_MAX_STEPS * max_phase`` is refused before marching instead of
-#: running for an unbounded time; a march that still exhausts the budget
-#: stops with the time it reached.  A huge frequency scale shortens every
-#: step, so such a ramp marches the whole budget before it fails: ``sweep``
-#: at bare_frequency = 1e-20, t_final = 1 runs 24-35 s on 2 vCPUs, exit 2.
+#: Upper bound on attempted steps per propagation.  A step spans at most
+#: ``max_phase`` of phase, measured as integral of max(sqrt|w|, 1) dt, so a
+#: march whose phase, estimated on ``_PHASE_PROBES`` midpoints, exceeds
+#: ``_MAX_STEPS * max_phase`` is refused before its first step instead of
+#: marching the whole budget (``sweep`` at bare_frequency = 1e-20, t_final =
+#: 1 ran 15 s on 2 vCPUs before it exited 2); one that still exhausts the
+#: budget stops with the time it reached.
 _MAX_STEPS = 1_000_000
+_PHASE_PROBES = 32
 
 #: Accepted steps between two checks that the matrix is still finite.  The
 #: step controller looks at each step's error, not at M, so without them a
@@ -256,16 +250,17 @@ def _integrate_transfer(
     Sample emission never alters the marching step sequence: interior
     samples are reached by a single interpolating sub-step off the last
     accepted point, so the final matrix is bit-identical with or without
-    sampling (series end points, one-shot propagation, and sweep cells
-    must agree exactly).
+    sampling (series end points and one-shot propagation must agree
+    exactly).
 
     Raises IntegrationError, with the time reached, on step-size
-    underflow or once ``_MAX_STEPS`` steps have been attempted; a span
-    that cannot fit in that budget is refused before the first step.  A
-    matrix that overflowed is an IntegrationError too, at the time
-    reached: M is checked every ``_OVERFLOW_CHECK_STEPS`` accepted steps
-    and at the end, so sampled matrices between the overflow and its
-    check may already be emitted, and a caller checks each sample it maps.
+    underflow or once ``_MAX_STEPS`` steps have been attempted; a ramp
+    whose estimated phase cannot fit in that budget is refused before the
+    first step.  A matrix that overflowed is an IntegrationError too, at
+    the time reached: M is checked every ``_OVERFLOW_CHECK_STEPS``
+    accepted steps and at the end, so sampled matrices between the
+    overflow and its check may already be emitted, and a caller checks
+    each sample it maps.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
@@ -280,9 +275,12 @@ def _integrate_transfer(
     if targets and (targets[0] <= t0 or targets[-1] > max(t1 * (1 + 1e-15), t1 * (1 - 1e-15))):
         raise ValueError("samples must lie in (t0, t1]")
     max_phase = 1.5  # keep per-step phase below the Magnus convergence radius
-    if span / max_phase > _MAX_STEPS:
+    probe = span / _PHASE_PROBES  # the phase estimate is never below the span
+    phase = probe * sum(max(_sqrt(abs(w(t0 + (k + 0.5) * probe))), 1.0) for k in range(_PHASE_PROBES))
+    if phase / max_phase > _MAX_STEPS:
         raise IntegrationError(
-            f"span {span:.3g} needs more than {_MAX_STEPS} transfer-matrix steps", t0
+            f"phase {phase:.3g} over span {span:.3g} needs more than {_MAX_STEPS} transfer-matrix steps",
+            t0,
         )
 
     if emitted is None:
@@ -377,21 +375,19 @@ def propagate_transfer(
     return matrix.apply(state0, time=t1), matrix
 
 
-def moment_series(
+def transfer_series(
     traj: ControlTrajectory | FrequencyProfile,
     state0: GaussianState,
     times: Sequence[float],
     tol: float = 1e-10,
-) -> tuple[list[MomentRow], TransferMatrix]:
-    """Moment rows (t, xx, pp, xp) at the given times, and the span's matrix.
+) -> tuple[list[GaussianState], TransferMatrix]:
+    """States at the given times (ascending, starting at state0.time), and the span's matrix.
 
-    The first entry of ``times`` must equal the state's own time; its row
-    holds state0's moments at state0.time.  Every later row maps state0
-    by the matrix the march emits at that time, through the one moment
-    formula, so no object is built per sample.  An IntegrationError --
-    the march's, or a sample whose moments overflowed, whichever comes
-    first in time -- carries the rows before it, state0's first, as
-    ``.rows``.
+    state0 itself comes first; every later state maps state0 by the matrix
+    the march emits at its time, through the one moment formula, with no
+    TransferMatrix built per sample.  An IntegrationError -- the march's, or a
+    sample whose moments overflowed, whichever comes first in time --
+    carries the states before it, state0 first, as ``.states``.
     """
     times = [float(v) for v in times]
     if not times or not math.isclose(times[0], state0.time, rel_tol=0.0, abs_tol=1e-12):
@@ -402,42 +398,18 @@ def moment_series(
         m = _integrate_transfer(_profile(traj), times[0], times[-1], tol, times[1:], emitted)
     except IntegrationError as exc:
         failure = exc
-    xx, pp, xp = state0.xx, state0.pp, state0.xp
-    rows = [(state0.time, xx, pp, xp)]
+    xx0, pp0, xp0 = state0.xx, state0.pp, state0.xp
+    states = [state0]
     try:
         for t, mat in zip(times[1:], emitted):
-            rows.append(_moment_row(mat, xx, pp, xp, t))
+            _, xx, pp, xp = _moment_row(mat, xx0, pp0, xp0, t)
+            states.append(GaussianState(xx, pp, xp, t))
     except IntegrationError as exc:
         failure = exc
     if failure is not None:
-        failure.rows = rows
+        failure.states = states
         raise failure
-    return rows, TransferMatrix(*m)
-
-
-def transfer_series(
-    traj: ControlTrajectory | FrequencyProfile,
-    state0: GaussianState,
-    times: Sequence[float],
-    tol: float = 1e-10,
-) -> tuple[list[GaussianState], TransferMatrix]:
-    """States at the given times (ascending, starting at state0.time).
-
-    The object view of ``moment_series``: the same rows, one
-    GaussianState each, with state0 itself first.  An IntegrationError
-    carries the states reached before the failure, state0 first, as
-    ``.states``.
-    """
-
-    def states(rows: list[MomentRow]) -> list[GaussianState]:
-        return [state0] + [GaussianState(xx, pp, xp, t) for t, xx, pp, xp in rows[1:]]
-
-    try:
-        rows, matrix = moment_series(traj, state0, times, tol)
-    except IntegrationError as exc:
-        exc.states = states(exc.rows)
-        raise
-    return states(rows), matrix
+    return states, TransferMatrix(*m)
 
 
 # --- auxiliary (Ermakov) equation -------------------------------------------

@@ -12,11 +12,11 @@ b'(0) = 0 the Pinney solution is b^2 = m11^2 + omega_0^2 m12^2, where
 m11, m12 are entries of the perturbed ramp's transfer matrix (Pinney,
 Proc. AMS 1 (1950) 681; Lewis & Riesenfeld, J. Math. Phys. 10 (1969)
 1458).  That matrix is the one the occupation columns come from, so each
-cell runs at most one propagation, and none when handed the matrix:
-``reproduce`` hands simulate's to the cells with the nominal drive.  At
-the default tolerance the 6th-order Magnus march keeps b within 1e-9
-relative of an extended-precision reference, and the epsilon = 0 cell
-equals the simulated series bit for bit.
+cell runs one propagation, end point only.  At the default tolerance the
+6th-order Magnus march keeps b within 1e-9 relative of an
+extended-precision reference; the epsilon = 0 cell is the march that
+``reproduce`` checks against the invariant's closed form (b = chi and a
+state frequency of 1 at t_f).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Sequence
 
 from . import thermometry
 from .design import ControlTrajectory, make_trajectory, signed_sqrt
-from .dynamics import IntegrationError, TransferMatrix, _moment_row, propagate_transfer, thermal_state
+from .dynamics import IntegrationError, propagate_transfer, thermal_state
 from .physical import PhysicalParams
 
 #: Published end-point reference values for the +-10% drive-error study
@@ -81,12 +81,9 @@ def sweep_cell(
     t_final: float,
     epsilon: float,
     options: SweepOptions = SweepOptions(),
-    matrix: TransferMatrix | None = None,
 ) -> SweepResult:
     """One cell: the perturbed ramp's end-point diagnostics, or its failure.
 
-    ``matrix`` is the perturbed ramp's transfer matrix over [0, t_final] at
-    ``options.tolerance`` when the caller has it; the cell marches without.
     A failed cell -- no thermal start state at the perturbed frequency,
     or a march whose matrix, moments or occupation overflowed -- has NaN
     diagnostics and an explanatory status.
@@ -101,23 +98,21 @@ def sweep_cell(
     else:
         state0 = thermal_state(params, start_omega_sq, params.bath_temperature)
         try:
-            if matrix is None:
-                _, matrix = propagate_transfer(perturbed, state0, 0.0, t_final, tol=options.tolerance)
-            m11, m12, m21, m22 = matrix.m11, matrix.m12, matrix.m21, matrix.m22
-            _, xx, pp, _ = _moment_row((m11, m12, m21, m22), state0.xx, state0.pp, state0.xp, t_final)
-            n_final = thermometry.occupation(xx, pp, 1.0)
+            final, matrix = propagate_transfer(perturbed, state0, 0.0, t_final, tol=options.tolerance)
+            n_final = thermometry.occupation(final.xx, final.pp, 1.0)
             if n_final == math.inf:  # finite moments whose energy overflowed
                 raise IntegrationError("occupation overflowed", t_final)
         except IntegrationError as exc:
             status = f"integration failed: {exc}"
         else:
             t_eff = thermometry.effective_temperature(params.bare_frequency, n_final)
+            m11, m12 = matrix.m11, matrix.m12
             b_sq = m11 * m11 + omega0_sq * m12 * m12
             if b_sq < math.inf:
                 b_final = math.sqrt(b_sq)
             else:  # b^2 overflows first, past b ~ 1e154: the same norm without the squares
                 b_final = math.hypot(m11, math.sqrt(omega0_sq) * m12)
-            return SweepResult(epsilon, t_final, n_final, t_eff, signed_sqrt(pp / xx), b_final)
+            return SweepResult(epsilon, t_final, n_final, t_eff, signed_sqrt(final.pp / final.xx), b_final)
     return SweepResult(epsilon, t_final, *[math.nan] * 4, status)
 
 

@@ -17,12 +17,11 @@ from biascool import cli, dynamics
 from biascool.cli import main
 from biascool.config import DEFAULT_CONFIG, load_config
 from biascool.design import ControlTrajectory, make_trajectory
-from biascool.dynamics import IntegrationError, TransferMatrix, thermal_state
+from biascool.dynamics import TransferMatrix, thermal_state
 from biascool.physical import FIELD_UNITS
-from biascool.robustness import perturb_trajectory
-from biascool.thermometry import effective_temperature, occupation_from_state
 
 from conftest import CHI_DEFAULT, NBAR_COLD, OMEGA0_DEFAULT, TEFF_FINAL
+from oracles import propagate_covariance_ode
 
 # one ramp and a coarse grid keep the CLI tests quick
 FAST_LINES = {
@@ -52,34 +51,6 @@ def column(path, name):
     header, rows = read_csv(path)
     idx = header.index(name)
     return [row[idx] for row in rows]
-
-
-def object_path_rows(cfg, t_final):
-    """``_simulate_rows`` built the per-object way: a TransferMatrix and a
-    GaussianState per sample, then occupation_from_state and
-    effective_temperature on each state."""
-    params = cfg.physical
-    traj = make_trajectory(params, t_final)
-    state0 = thermal_state(params, traj.spec.omega0_sq, params.bath_temperature)
-    times = np.linspace(0.0, t_final, cfg.protocol.sample_count).tolist()
-    emitted = []
-    try:
-        dynamics._integrate_transfer(
-            traj.frequency_sq_fn(), 0.0, t_final, cfg.protocol.tolerance, times[1:], emitted
-        )
-    except IntegrationError:
-        pass
-    states = [state0] + [TransferMatrix(*m).apply(state0, time=t) for t, m in zip(times[1:], emitted)]
-    rows = []
-    for state in states:
-        w_ref = traj.omega_eff_sq(state.time)
-        n_inst = t_eff = math.nan
-        if w_ref > 0.0:
-            n_inst = occupation_from_state(state, w_ref)
-            t_eff = effective_temperature(math.sqrt(w_ref) * params.bare_frequency, n_inst)
-        n_bare = occupation_from_state(state, 1.0)
-        rows.append((state.time, n_inst, n_bare, t_eff, state.xx, state.pp, state.xp))
-    return rows
 
 
 class TestParams:
@@ -199,55 +170,26 @@ class TestSimulate:
         assert vector == [traj.omega_eff_sq(t) for t in times]
 
 
-    def test_failed_march_writes_the_rows_it_reached(self, tmp_path, capsys, monkeypatch):
-        # one propagation; its partial states are the rows, all before the failure
-        monkeypatch.setattr(dynamics, "_MAX_STEPS", 2000)
-        marches = 0
-        march = dynamics._integrate_transfer
-
-        def counted(*args, **kwargs):
-            nonlocal marches
-            marches += 1
-            return march(*args, **kwargs)
-
-        monkeypatch.setattr(dynamics, "_integrate_transfer", counted)
-        out = tmp_path / "out"
-        cfg = fast_config(tmp_path, **{"t_final = 1.0": "t_final = 8.0"})
-        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
-        assert marches == 1
-        assert "budget" in capsys.readouterr().err
-        for stem in ("n_bar_t", "t_eff_t", "moments_t"):
-            lines = (out / f"{stem}_tf8.csv").read_text(encoding="utf-8").splitlines()
-            error_line = lines[-1]
-            assert error_line.startswith("# integration_error:")
-            failed_at = float(re.search(r"at t = ([^)]+)\)", error_line).group(1))
-            times = [float(t) for t in column(out / f"{stem}_tf8.csv", "t_omega_m")]
-            assert 1 <= len(times) < 41
-            assert all(t < failed_at for t in times)
-
-    def test_failed_march_marks_json_tables(self, tmp_path, capsys, monkeypatch):
-        # JSON tables carry the failure as a "note" key, as CSV does as a trailer
-        monkeypatch.setattr(dynamics, "_MAX_STEPS", 2000)
-        out = tmp_path / "out"
-        cfg = fast_config(tmp_path, **{"t_final = 1.0": "t_final = 8.0", "format = csv": "format = json"})
-        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
-        error = capsys.readouterr().err.strip().removeprefix("error: ")
-        for stem in ("n_bar_t", "t_eff_t", "moments_t"):
-            payload = json.loads((out / f"{stem}_tf8.json").read_text(encoding="utf-8"))
-            assert payload["note"] == f"integration_error: {error}"
-            assert 1 <= len(payload["rows"]) < 41
-
-    @pytest.mark.parametrize("t_final,max_steps", [(0.1, None), (1.0, None), (8.0, None), (8.0, 2000)])
-    def test_rows_equal_the_object_path_bit_for_bit(self, tmp_path, monkeypatch, t_final, max_steps):
-        # t_f 0.1 has inverted windows; _MAX_STEPS 2000 fails the t_f 8 march part way
-        if max_steps is not None:
-            monkeypatch.setattr(dynamics, "_MAX_STEPS", max_steps)
-        cfg = load_config(fast_config(tmp_path, **{"sample_count = 201": "sample_count = 4001"}))
-        rows, matrix, failure = cli._simulate_rows(cfg, t_final)
-        expected = object_path_rows(cfg, t_final)
-        assert (failure is None) == (matrix is not None) == (max_steps is None)
-        assert (len(rows) == 4001) == (max_steps is None) and len(rows) > 1
-        assert [list(map(repr, row)) for row in rows] == [list(map(repr, row)) for row in expected]
+    @pytest.mark.parametrize("t_final", [0.1, 1.0, 8.0])
+    def test_rows_equal_the_covariance_ode(self, tmp_path, t_final):
+        # the closed-form rows against an independent DOP853 march; t_f 0.1 has inverted
+        # windows.  At tol 1e-12 the oracle's own error reaches 1.5e-9 in pp (its absolute
+        # tolerance scales with the start's pp ~ 3437; pp ends near 1) and it shrinks ~10x
+        # per decade of tol towards the closed form; at 3e-14 (scipy's rtol floor is
+        # 2.2e-14) the worst row is 4e-11 off
+        cfg = load_config(fast_config(tmp_path))
+        rows, failure = cli._simulate_rows(cfg, t_final)
+        assert failure is None and len(rows) == 41
+        params = cfg.physical
+        traj = make_trajectory(params, t_final)
+        state0 = thermal_state(params, traj.spec.omega0_sq, params.bath_temperature)
+        times = [row[0] for row in rows]
+        states = [state0] + propagate_covariance_ode(traj, state0, 0.0, t_final, tol=3e-14, t_eval=times[1:])
+        for (t, _, _, _, xx, pp, xp, purity), state in zip(rows, states):
+            assert (t, xx) == (state.time, pytest.approx(state.xx, rel=1e-10))
+            assert pp == pytest.approx(state.pp, rel=1e-10)
+            assert abs(xp - state.xp) <= 1e-10 * math.sqrt(xx * pp)
+            assert purity == rows[0][-1] == pytest.approx(state0.xx * state0.pp, rel=1e-15)
 
     def test_one_ramp_builds_no_object_per_sample(self, tmp_path, monkeypatch):
         # the moment rows go straight into the tables: the count of states
@@ -263,42 +205,57 @@ class TestSimulate:
         for samples in (41, 4001):
             cfg = load_config(fast_config(tmp_path, **{"sample_count = 201": f"sample_count = {samples}"}))
             built.update(dict.fromkeys(built, 0))
-            rows, _, failure = cli._simulate_rows(cfg, 1.0)
+            rows, failure = cli._simulate_rows(cfg, 1.0)
             assert failure is None and len(rows) == samples
             counts.append(dict(built))
-        assert counts[0] == counts[1]
-        assert all(1 <= n <= 2 for n in counts[1].values())
+        assert counts[0] == counts[1] == {dynamics.GaussianState: 1, TransferMatrix: 0}  # the start state
 
-    def test_overflowing_march_writes_the_rows_before_it(self, tmp_path, capsys, monkeypatch):
-        # a drive error of -200 % overflows the moments part way through the ramp
-        make = cli.make_trajectory
-        monkeypatch.setattr(
-            cli, "make_trajectory", lambda params, t_final: perturb_trajectory(make(params, t_final), -2.0)
-        )
+    def test_overflowing_occupation_ends_the_rows(self, tmp_path, capsys):
+        # on a 1e150 K bath, b'^2 ~ 1e162 of a 1e-80 ramp overflows pp mid-ramp: the
+        # rows before the first overflowed sample are written, with a note, and exit 2
+        for fmt in ("csv", "json"):
+            out = tmp_path / fmt
+            cfg = fast_config(tmp_path, **{
+                "t_final = 1.0": "t_final = 1e-80",
+                "bath_temperature = 20 mK": "bath_temperature = 1e150",
+                "format = csv": f"format = {fmt}",
+            })
+            assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1 and err.startswith("error: occupation overflowed (at t = ")
+            failed_at = float(re.search(r"at t = ([^)]+)\)", err).group(1))
+            note = f"integration_error: {err.strip().removeprefix('error: ')}"
+            for stem in ("n_bar_t", "t_eff_t", "moments_t"):
+                if fmt == "json":
+                    payload = json.loads((out / f"{stem}_tf1e-80.json").read_text(encoding="utf-8"))
+                    assert payload["note"] == note and 1 <= len(payload["rows"]) < 41
+                    continue
+                lines = (out / f"{stem}_tf1e-80.csv").read_text(encoding="utf-8").splitlines()
+                assert lines[-1] == f"# {note}"
+                times = [float(t) for t in column(out / f"{stem}_tf1e-80.csv", "t_omega_m")]
+                assert 1 <= len(times) < 41 and all(t < failed_at for t in times)
+                assert "inf" not in "".join(lines[1:-1])
+
+    def test_purity_column_is_exact_on_short_ramps(self, tmp_path):
+        # xx pp - xp^2 cancels catastrophically at t_f = 1e-9 (it read -512 to 512);
+        # the column is the invariant's determinant, (nbar + 1/2)^2 of the start
         out = tmp_path / "out"
-        cfg = fast_config(tmp_path, **{"t_final = 1.0": "t_final = 2.0"})
+        cfg = fast_config(tmp_path, **{"t_final = 1.0": "t_final = 1e-9"})
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        purity = set(column(out / "moments_t_tf1e-09.csv", "purity"))
+        assert len(purity) == 1 and float(purity.pop()) == pytest.approx((NBAR_COLD + 0.5) ** 2, rel=1e-12)
+
+    @pytest.mark.parametrize("bath", ["1e160", "1e285"])
+    def test_overflowing_purity_fails_the_ramp(self, tmp_path, capsys, bath):
+        # (nbar + 1/2)^2 beyond the float range: one error line, exit 2, a note in each table
+        out = tmp_path / "out"
+        cfg = fast_config(tmp_path, **{"bath_temperature = 20 mK": f"bath_temperature = {bath}"})
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and "second moments overflowed" in err
-        assert "Traceback" not in err
+        assert err == "error: purity (n_bar + 1/2)^2 overflowed (at t = 0)\n"
         for stem in ("n_bar_t", "t_eff_t", "moments_t"):
-            lines = (out / f"{stem}_tf2.csv").read_text(encoding="utf-8").splitlines()
-            assert lines[-1] == f"# integration_error: {err.strip().removeprefix('error: ')}"
-            failed_at = float(re.search(r"at t = ([^)]+)\)", lines[-1]).group(1))
-            times = [float(t) for t in column(out / f"{stem}_tf2.csv", "t_omega_m")]
-            assert 1 <= len(times) < 41 and all(t < failed_at for t in times)
-            assert "inf" not in "".join(lines[1:-1])
-
-    def test_overflowing_occupation_ends_the_rows(self, tmp_path, monkeypatch):
-        # finite moments whose energy overflows end the series like a failed march
-        def huge_moments(traj, state0, times, tol):
-            rows = [(0.0, state0.xx, state0.pp, state0.xp), (times[1], 1e308, 1e308, 0.0)]
-            return rows, TransferMatrix(1.0, 0.0, 0.0, 1.0)
-
-        monkeypatch.setattr(cli, "moment_series", huge_moments)
-        rows, matrix, failure = cli._simulate_rows(load_config(fast_config(tmp_path)), 1.0)
-        assert len(rows) == 1 and matrix is None
-        assert str(failure) == "occupation overflowed (at t = 0.025)"
+            lines = (out / f"{stem}_tf1.csv").read_text(encoding="utf-8").splitlines()
+            assert lines[1:] == [f"# integration_error: {err.strip().removeprefix('error: ')}"]
 
 
 class TestSweep:
@@ -321,8 +278,8 @@ class TestSweep:
         ]
         assert all(row[6] == "ok" for row in rows)
         by_eps = {row[0]: row for row in rows}
-        # the unperturbed sweep cell and the simulated series share the
-        # same marching, so the formatted occupations match exactly
+        # the unperturbed sweep cell's march and the simulated closed form
+        # agree to ~1e-14, so the 12-digit occupations match exactly
         n_bare_series = column(out / "n_bar_t_tf1.csv", "n_bar_ref_omega_m")
         assert by_eps["0"][2] == n_bare_series[-1]
         assert float(by_eps["0"][3]) == pytest.approx(TEFF_FINAL, rel=1e-9)
@@ -390,9 +347,9 @@ class TestReproduce:
         assert len(files) == 20
         assert manifest["all_passed"] is True
 
-    def test_sweep_reuses_the_simulated_marches(self, tmp_path, monkeypatch):
-        # work counters: 3 simulate marches and the 6 perturbed sweep cells;
-        # the epsilon = 0 cells apply simulate's matrices (12 marches before)
+    def test_reproduce_marches_only_sweep_cells(self, tmp_path, monkeypatch):
+        # work counters: simulate writes the closed form and marches nothing; the
+        # 9 sweep cells march once each, the epsilon = 0 ones as the certificate
         marches = evaluations = 0
         integrate = dynamics._integrate_transfer
         profile = ControlTrajectory.frequency_sq_fn
@@ -414,48 +371,54 @@ class TestReproduce:
 
         # the counters live in this process, so every task must run here
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
-        handed = []
-        run_tasks = cli._run_tasks
+        before_sweep = []
+        sweep_file = cli._sweep_file
 
-        def recorded(fn, items, costs):
-            handed.append(list(costs))
-            return run_tasks(fn, items, costs)
+        def recorded(cfg):
+            before_sweep.append(marches)
+            return sweep_file(cfg)
 
-        monkeypatch.setattr(cli, "_run_tasks", recorded)
+        monkeypatch.setattr(cli, "_sweep_file", recorded)
         monkeypatch.setattr(dynamics, "_integrate_transfer", counted_march)
         monkeypatch.setattr(ControlTrajectory, "frequency_sq_fn", counted_profile)
         assert main(["reproduce", "--out", str(tmp_path / "out")]) == 0
-        assert marches == 9
-        assert evaluations <= 93_270  # 123,787 when every cell marched
-        # 3 ramp tasks, then 9 cell tasks; the 3 epsilon = 0 cells cost nothing
-        assert [len(costs) for costs in handed] == [3, 9]
-        assert handed[1].count(0.0) == 3
+        assert before_sweep == [0] and marches == 9
+        # 93,270 when simulate marched its sampled ramps and the sweep reused them;
+        # the phase preflight's probes included
+        assert evaluations <= 92_100
 
     @pytest.mark.parametrize("initial_state", ["nominal", "perturbed"])
-    def test_only_nominal_drive_cells_reuse_a_march(self, tmp_path, monkeypatch, initial_state):
-        # 1 + eps == 1 holds for eps = 0 and 1e-17 alone: only those cells apply
-        # simulate's matrix, at no cost, and they give the bytes a march gives
+    def test_only_nominal_drive_cells_reuse_a_march(self, tmp_path, initial_state):
+        # every cell marches, 1 + eps == 1 (eps = 0 and 1e-17) as any other:
+        # sweep and reproduce write the same table
         cfg = fast_config(tmp_path, **{
             "t_final = 1.0": "t_final = 0.5, 1.0",
             "epsilon = -0.1, 0.0, 0.1": "epsilon = -0.1, 0.0, 1e-17, 0.1",
             "initial_state = nominal": f"initial_state = {initial_state}",
         })
-        handed = []
-        run_tasks = cli._run_tasks
-
-        def recorded(fn, items, costs):
-            handed.append(list(costs))
-            return run_tasks(fn, items, costs)
-
-        monkeypatch.setattr(cli, "_run_tasks", recorded)
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep")]) == 0
         assert main(["reproduce", "--config", str(cfg), "--out", str(tmp_path / "reproduce")]) == 0
         sweep_csv = (tmp_path / "sweep" / "sweep.csv").read_bytes()
         assert sweep_csv == (tmp_path / "reproduce" / "sweep.csv").read_bytes()
-        # the sweep's cells, then reproduce's ramps and cells
-        assert handed == [
-            [0.5] * 4 + [1.0] * 4, [0.5, 1.0], [0.5, 0.0, 0.0, 0.5, 1.0, 0.0, 0.0, 1.0]
-        ]
+
+    def test_march_certificate_catches_a_wrong_march(self, tmp_path, capsys):
+        # at t_f = 1e-12 the march keeps b near chi but ends at omega ~ 27, not 1
+        out = tmp_path / "out"
+        cfg = fast_config(tmp_path, **{"t_final = 1.0": "t_final = 1e-12", "epsilon = -0.1, 0.0, 0.1": "epsilon = 0.0"})
+        assert main(["reproduce", "--config", str(cfg), "--out", str(out)]) == 3
+        failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+        assert [line.split(":")[0] for line in failed] == ["FAIL  march_vs_invariant_tf1e-12"]
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        (check,) = [c for c in manifest["checks"] if c["name"] == "march_vs_invariant_tf1e-12"]
+        assert check["value"] > 10.0 and check["target"] == 1e-3 and check["kind"] == "upper"
+
+    def test_coarse_tolerance_passes_every_check(self, tmp_path, capsys):
+        # the certificate's bound holds at tol 1e-3 (deviation at most 3.1e-5) on the built-in config
+        out = tmp_path / "out"
+        assert main(["reproduce", "--out", str(out), "--samples", "41", "--tol", "1e-3"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        marches = [c for c in manifest["checks"] if c["name"].startswith("march_vs_invariant_")]
+        assert len(marches) == 3 and manifest["all_passed"] is True
 
     def test_failing_target_exits_3(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -590,9 +553,9 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("config error:") and "Traceback" not in err
 
-    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("command", ["reproduce", "sweep"])
     def test_huge_ramp_time_is_a_numeric_error(self, tmp_path, capsys, command):
-        # a finite ramp far beyond the step budget fails at once, not after ages
+        # a finite ramp far beyond the step budget fails its march at once, not after ages
         cfg = fast_config(
             tmp_path, **{"t_final = 1.0": "t_final = 1e150", "epsilon = -0.1, 0.0, 0.1": "epsilon = 0.0"}
         )
@@ -601,6 +564,28 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1.0
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    def test_huge_ramp_time_simulates_without_a_march(self, tmp_path):
+        # simulate writes the closed form, whatever the ramp time
+        out = tmp_path / "out"
+        cfg = fast_config(tmp_path, **{"t_final = 1.0": "t_final = 1e150"})
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        n_bare = [float(v) for v in column(out / "n_bar_t_tf1e+150.csv", "n_bar_ref_omega_m")]
+        assert len(n_bare) == 41 and n_bare[-1] == pytest.approx(NBAR_COLD, rel=1e-12)
+
+    def test_huge_frequency_scale_is_refused_before_marching(self, tmp_path, capsys):
+        # omega_0 ~ 3e29 omega_m: the phase preflight refuses the cell instead of
+        # marching the 10^6-step budget (15 s); simulate marches nothing
+        cfg = fast_config(tmp_path, **{
+            "bare_frequency = 134 kHz": "bare_frequency = 1e-20", "epsilon = -0.1, 0.0, 0.1": "epsilon = 0.1"
+        })
+        start = time.perf_counter()
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep")]) == 2
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "simulate")]) == 0
+        assert time.perf_counter() - start < 5.0
+        (error,) = capsys.readouterr().err.splitlines()
+        assert error.startswith("error: eps=0.1 t_final=1.0: integration failed: phase ")
+        assert "needs more than 1000000 transfer-matrix steps (at t = 0)" in error
 
     def test_non_finite_epsilon_is_a_config_error(self, tmp_path, capsys):
         cfg = fast_config(tmp_path, **{"epsilon = -0.1, 0.0, 0.1": "epsilon = nan"})

@@ -4,15 +4,23 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biascool import dynamics
-from biascool.design import ControlTrajectory, b_polynomial, make_trajectory
+from biascool.design import (
+    ControlTrajectory,
+    TrajectorySpec,
+    b_polynomial,
+    invariant_moments,
+    linspace,
+    make_trajectory,
+)
 from biascool.dynamics import (
     GaussianState,
     IntegrationError,
     StateError,
     TransferMatrix,
-    moment_series,
     propagate_transfer,
     solve_ermakov_forward,
     thermal_state,
@@ -225,12 +233,27 @@ class TestTransferPropagation:
 
         with pytest.raises(IntegrationError) as excinfo:
             propagate_transfer(counted, squeezed_state(), 0.0, 1e150, tol=1e-10)
-        assert calls == 0 and excinfo.value.time == 0.0
+        # the phase estimate's probes only, no step
+        assert calls <= dynamics._PHASE_PROBES and excinfo.value.time == 0.0
+
+    def test_huge_frequency_scale_refused_before_marching(self):
+        # a span well inside the old span test, at a frequency scale of 1e12: phase ~1e12
+        calls = 0
+
+        def counted(t):
+            nonlocal calls
+            calls += 1
+            return 1e24
+
+        with pytest.raises(IntegrationError, match="phase") as excinfo:
+            propagate_transfer(counted, squeezed_state(), 0.0, 1.0, tol=1e-10)
+        assert calls <= dynamics._PHASE_PROBES and excinfo.value.time == 0.0
 
     def test_step_budget_stops_the_march(self, monkeypatch):
+        # a phase of ~60 fits 50 steps of 1.5, but the tolerance needs shorter steps
         monkeypatch.setattr(dynamics, "_MAX_STEPS", 50)
         with pytest.raises(IntegrationError) as excinfo:
-            propagate_transfer(lambda t: 1e6, squeezed_state(), 0.0, 60.0, tol=1e-10)
+            propagate_transfer(lambda t: 1.0 + 0.5 * math.sin(3.0 * t), squeezed_state(), 0.0, 60.0, tol=1e-10)
         assert "budget" in str(excinfo.value) and 0.0 < excinfo.value.time < 60.0
 
     @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan])
@@ -263,15 +286,19 @@ class TestTransferPropagation:
 
 class TestMomentRows:
     def test_states_are_the_moment_rows(self, device_params):
-        # transfer_series is the object view of moment_series, not a second march
+        # each sampled state maps state0 by the matrix the march emits, through the
+        # one moment formula, and the series ends on the one-shot propagation's bits
         traj = make_trajectory(device_params, 0.1)  # inverted windows: hyperbolic steps
         state0 = thermal_state(device_params, traj.spec.omega0_sq, device_params.bath_temperature)
         times = np.linspace(0.0, 0.1, 201).tolist()
-        rows, m_rows = moment_series(traj, state0, times)
-        states, m_states = transfer_series(traj, state0, times)
-        assert states[0] is state0 and m_rows == m_states
-        assert [(s.time, s.xx, s.pp, s.xp) for s in states] == rows
-        assert [row[0] for row in rows] == times
+        emitted = []
+        dynamics._integrate_transfer(traj.frequency_sq_fn(), 0.0, 0.1, 1e-10, times[1:], emitted)
+        states, matrix = transfer_series(traj, state0, times)
+        rows = [dynamics._moment_row(m, state0.xx, state0.pp, state0.xp, t) for t, m in zip(times[1:], emitted)]
+        assert states[0] is state0
+        assert [(s.time, s.xx, s.pp, s.xp) for s in states[1:]] == rows
+        assert [s.time for s in states] == times
+        assert (states[-1], matrix) == propagate_transfer(traj, state0, 0.0, 0.1)
 
     @pytest.mark.parametrize("epsilon,what", [(-1.25, "second moments"), (-2.0, "transfer matrix")])
     def test_overflowing_propagation_is_an_integration_error(self, device_params, epsilon, what):
@@ -313,11 +340,10 @@ class TestMomentRows:
         times = np.linspace(0.0, 1.0, 101).tolist()
         with pytest.raises(IntegrationError, match="second moments overflowed") as excinfo:
             transfer_series(lambda t: -1e6, GaussianState(1.0, 1.0), times)
-        rows, states = excinfo.value.rows, excinfo.value.states
-        assert 1 < len(rows) < len(times)
-        assert excinfo.value.time == times[len(rows)]
-        assert all(math.isfinite(v) for row in rows for v in row)
-        assert [(s.time, s.xx, s.pp, s.xp) for s in states] == rows
+        states = excinfo.value.states
+        assert 1 < len(states) < len(times)
+        assert excinfo.value.time == times[len(states)]
+        assert all(math.isfinite(v) for s in states for v in (s.xx, s.pp, s.xp))
 
     def test_non_positive_sample_refused(self):
         # a finite map to a non-positive xx is still a StateError, as for GaussianState
@@ -413,6 +439,36 @@ class TestInvariantExpectation:
         ref = values[0]
         assert ref == pytest.approx(math.sqrt(spec.omega0_sq) * (NBAR_COLD + 0.5), rel=1e-9)
         assert max(abs(v - ref) for v in values) < 1e-6 * abs(ref)
+
+
+class TestInvariantMoments:
+    def test_thermal_at_both_ends(self):
+        # the quintic has b' = 0 at both ends: thermal at omega_0, then at omega_m
+        spec = TrajectorySpec(4.0, 1.0, 0.5)
+        (t0, xx0, pp0, xp0), *_, (t1, xx1, pp1, xp1) = invariant_moments(spec, linspace(0.0, 0.5, 11), 1.5)
+        assert (t0, xx0, pp0, xp0) == (0.0, 0.75, 3.0, 0.0)
+        assert t1 == 0.5 and xx1 == pytest.approx(1.5, rel=1e-15) and pp1 == pytest.approx(1.5, rel=1e-15)
+        assert xp1 == 0.0
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=25)
+    @given(st.floats(-0.9, 1e8).filter(lambda eta: eta != 0.0), st.floats(1e-3, 20.0))
+    def test_march_converges_to_the_closed_form(self, eta, t_final):
+        # the march at the default tolerance, end point and sampled rows, against the
+        # invariant's exact moments.  Worst seen over a 400-point random scan and a
+        # 48-point grid of (eta, t_final): 7.7e-7 at the corner (-0.9, 1e-3); the
+        # deviation grows as the ramp shortens (1e-12 has omega_final ~ 27, not 1)
+        spec = TrajectorySpec(1.0 + eta, 1.0, t_final)
+        traj = ControlTrajectory(spec, eta)
+        omega0 = math.sqrt(spec.omega0_sq)
+        state0 = GaussianState(1.0 / omega0, omega0)
+        times = linspace(0.0, t_final, 11)
+        exact = list(invariant_moments(spec, times, 1.0))
+        end, _ = propagate_transfer(traj, state0, 0.0, t_final)
+        states, _ = transfer_series(traj, state0, times)
+        for (t, xx, pp, xp), state in zip(exact + exact[-1:], states + [end]):
+            assert state.time == t
+            assert state.xx == pytest.approx(xx, rel=2e-6) and state.pp == pytest.approx(pp, rel=2e-6)
+            assert abs(state.xp - xp) <= 2e-6 * math.sqrt(xx * pp)
 
 
 class TestErmakovForward:

@@ -11,7 +11,7 @@ import threading
 
 import pytest
 
-from biascool import cli, dynamics
+from biascool import cli
 from biascool.config import DEFAULT_CONFIG, ConfigError
 from biascool.design import DesignError
 from biascool.dynamics import StateError
@@ -99,17 +99,22 @@ def test_failing_sweep_cells(tmp_path, monkeypatch, capsys):
     assert rc == 2 and len(err.splitlines()) == 2 and "overflowed" in err
 
 
-def test_failed_marches_write_partial_rows(tmp_path, monkeypatch, capsys):
-    # t_f 8 and 16 exhaust the budget; the t_f 8 failure, reported first, comes from a child
-    monkeypatch.setattr(dynamics, "_MAX_STEPS", 2000)
-    cfg = config(
-        tmp_path,
-        **{"t_final = 0.5, 1.0, 2.0": "t_final = 0.5, 8.0, 16.0", "sample_count = 201": "sample_count = 41"},
-    )
+def test_failed_ramps_write_partial_rows(tmp_path, monkeypatch, capsys):
+    # on a hot bath the t_f 1e-80 and 2e-80 ramps overflow the occupation part way;
+    # the 1e-80 failure, reported first, comes from a child
+    cfg = config(tmp_path, **{
+        "t_final = 0.5, 1.0, 2.0": "t_final = 0.5, 1e-80, 2e-80",
+        "sample_count = 201": "sample_count = 41",
+        "bath_temperature = 20 mK": "bath_temperature = 1e150",
+    })
     rc, out, err, files = both_paths(monkeypatch, capsys, tmp_path, ["simulate", "--config", cfg])
-    assert rc == 2 and len(err.splitlines()) == 1 and "budget" in err and len(files) == 9
+    assert rc == 2 and len(err.splitlines()) == 1 and "tf" not in err and len(files) == 9
+    assert err.startswith("error: occupation overflowed (at t = ")
+    assert 0.0 < float(err.split("t = ")[1].rstrip(")\n")) < 1e-80
     assert files["out/n_bar_t_tf0.5.csv"].decode().splitlines()[-1].startswith("0.5,")
-    assert files["out/n_bar_t_tf8.csv"].decode().splitlines()[-1].startswith("# integration_error:")
+    for label in ("tf1e-80", "tf2e-80"):
+        lines = files[f"out/n_bar_t_{label}.csv"].decode().splitlines()
+        assert 2 < len(lines) < 42 and lines[-1].startswith("# integration_error: occupation overflowed")
 
 
 def test_a_raising_ramp_stops_the_files_there(tmp_path, monkeypatch, capsys):
@@ -166,7 +171,7 @@ def test_runs_in_process(tmp_path, monkeypatch, capsys, reason):
 
 def test_costliest_task_first_to_the_least_loaded_worker():
     assert cli._deal([0.1, 1.0, 8.0], 2) == [[2], [1, 0]]
-    # reproduce's cells: the epsilon = 0 cells apply simulate's matrices
+    # tasks that cost nothing go last, each to the least-loaded worker
     costs = [0.5, 0.0, 0.5, 1.0, 0.0, 1.0, 2.0, 0.0, 2.0]
     assert cli._deal(costs, 2) == [[6, 3, 0, 1, 7], [8, 5, 2, 4]]
     assert cli._deal([0.0, 0.0, 0.0], 3) == [[0], [1], [2]]
@@ -185,9 +190,7 @@ def test_costliest_task_first_to_the_least_loaded_worker():
     ids=lambda error: type(error).__name__,
 )
 def test_errors_survive_pickling(error):
-    error.rows = [(0.0, 1.0, 2.0, 0.0)]  # a failed march's partial rows ride along
     copy = pickle.loads(pickle.dumps(error))
     assert type(copy) is type(error)
     assert str(copy) == str(error)
-    assert copy.rows == error.rows
     assert getattr(copy, "time", None) == getattr(error, "time", None)
