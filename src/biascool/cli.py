@@ -24,6 +24,8 @@ import sys
 import threading
 from dataclasses import asdict, astuple, dataclass, field
 from functools import partial
+from itertools import islice
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -45,6 +47,7 @@ from .dynamics import IntegrationError, thermal_state
 from .outputs import (
     check_entry,
     format_float,
+    format_rows,
     hash_manifest,
     render_table,
     tf_label,
@@ -154,29 +157,19 @@ def _run_tasks(fn: Callable, items: Sequence, costs: Sequence[float]) -> Iterato
     """``fn(item)`` for each item, yielded in item order.
 
     The tasks must be independent, do no I/O and print nothing.  They run
-    on up to one worker per usable CPU: the parent runs one share and
-    forked children run the others, and each child sends its results and
-    exceptions back pickled.  A task's exception is raised when its turn
-    comes, so the caller does what a one-CPU run does and its output is
-    the same bytes.  With one CPU or one task, without ``os.fork``, or
-    with a second Python thread alive, the tasks run here, lazily, one by
-    one.
+    on up to one worker per usable CPU, this process and forked children,
+    which take the next task from one shared queue, costliest first,
+    whenever they finish one; so a worker on a slower CPU takes fewer.
+    Each child sends its results and exceptions back pickled.  A task's
+    exception is raised when its turn comes, so the caller does what a
+    one-CPU run does and its output is the same bytes.  With one CPU or
+    one task, without ``os.fork``, or with a second Python thread alive,
+    the tasks run here, lazily, one by one.
     """
     workers = min(len(items), _usable_cpus())
     if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
         return map(fn, items)
     return _raise_in_order(_forked_outcomes(fn, items, costs, workers))
-
-
-def _deal(costs: Sequence[float], workers: int) -> list[list[int]]:
-    """Task indices per worker: the costliest task first, each to the least-loaded worker."""
-    shares: list[list[int]] = [[] for _ in range(workers)]
-    loads = [0.0] * workers
-    for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
-        w = min(range(workers), key=lambda w: (loads[w], len(shares[w])))
-        shares[w].append(i)
-        loads[w] += costs[i]
-    return shares
 
 
 def _outcome(fn: Callable, item) -> tuple:
@@ -188,49 +181,64 @@ def _outcome(fn: Callable, item) -> tuple:
 
 
 def _forked_outcomes(fn: Callable, items: Sequence, costs: Sequence[float], workers: int) -> list:
-    """The outcome of each task; every share but the first runs in a forked child.
+    """The outcome of each task, run here and in ``workers - 1`` forked children.
 
-    Children always leave through ``os._exit``, and every child is reaped
-    before this returns; on an exception (Ctrl-C included) they are killed
-    first.  A child that ends without sending its outcomes fails its
-    tasks with an OSError.
+    The queue is a pipe holding one 8-byte record, the place in the costliest-first order of
+    the next task; a worker takes that task by reading the record and writing the next place
+    back, so claims wait for each other (a worker killed between the two would stall the rest).
+    Children always leave through ``os._exit`` and are reaped before this returns, killed first
+    on an exception (Ctrl-C included).  A task whose child ended without sending its outcomes
+    fails with an OSError.
     """
     import pickle  # only a forking run pays for these imports
     from signal import SIGKILL
 
-    shares = _deal(costs, workers)
-    outcomes: list = [None] * len(items)
-    children: list[tuple[int, int, list[int]]] = []  # pid, read end of its pipe, share
+    order = sorted(range(len(items)), key=lambda i: -costs[i])
+    outcomes = [(OSError("a worker process ended without sending its results"), None)] * len(items)
+    queue_read, queue_write = os.pipe()
+    os.write(queue_write, bytes(8))
+
+    def taken() -> Iterator[int]:  # the items this worker takes, as it takes them
+        while True:
+            place = int.from_bytes(os.read(queue_read, 8), "little")
+            os.write(queue_write, (place + 1).to_bytes(8, "little"))
+            if place >= len(order):
+                return
+            yield order[place]
+
+    children: list[tuple[int, int]] = []  # pid, read end of its pipe
     try:
-        for share in shares[1:]:
+        for _ in range(workers - 1):
             read, write = os.pipe()
             pid = os.fork()
             if pid == 0:
                 try:
-                    for fd in (read, *(r for _, r, _ in children)):  # only the parent reads
+                    for fd in (read, *(r for _, r in children)):  # only the parent reads
                         os.close(fd)
+                    sent = [(i, _outcome(fn, items[i])) for i in taken()]
                     with open(write, "wb") as pipe:
-                        pickle.dump([_outcome(fn, items[i]) for i in share], pipe)
+                        pickle.dump(sent, pipe)
                 finally:
                     os._exit(0)
             os.close(write)
-            children.append((pid, read, share))
-        for i in shares[0]:
+            children.append((pid, read))
+        for i in taken():
             outcomes[i] = _outcome(fn, items[i])
-        for _, read, share in children:
+        for _, read in children:
             try:
                 with open(read, "rb", closefd=False) as pipe:
-                    sent = pickle.load(pipe)
+                    for i, outcome in pickle.load(pipe):
+                        outcomes[i] = outcome
             except (EOFError, pickle.UnpicklingError):  # empty or cut short: the child died first
-                sent = [(OSError("a worker process ended without sending its results"), None)] * len(share)
-            for i, outcome in zip(share, sent):
-                outcomes[i] = outcome
+                pass
     except BaseException:
-        for pid, _, _ in children:
+        for pid, _ in children:
             os.kill(pid, SIGKILL)
         raise
     finally:
-        for pid, read, _ in children:
+        os.close(queue_read)
+        os.close(queue_write)
+        for pid, read in children:
             os.close(read)
             os.waitpid(pid, 0)
     return outcomes
@@ -284,8 +292,10 @@ def cmd_design(cfg: RunConfig) -> int:
     return 0
 
 
-def _simulate_rows(cfg: RunConfig, t_final: float) -> tuple[list[tuple], IntegrationError | None]:
-    """Per-sample (t, n_bar_ref_omega_eff, n_bar_ref_omega_m, t_eff, xx, pp, xp, purity).
+def _simulate_rows(
+    cfg: RunConfig, t_final: float, times: list[float]
+) -> tuple[list[tuple], IntegrationError | None]:
+    """Rows (t, n_bar_ref_omega_eff, n_bar_ref_omega_m, t_eff, xx, pp, xp, purity) of a ramp at ``times``.
 
     The moments are exact, from the invariant (``invariant_moments``);
     nothing is marched.  The purity is the invariant covariance's
@@ -301,7 +311,6 @@ def _simulate_rows(cfg: RunConfig, t_final: float) -> tuple[list[tuple], Integra
     purity = e * e
     if purity == math.inf:
         return [], IntegrationError("purity (n_bar + 1/2)^2 overflowed", 0.0)
-    times = linspace(0.0, t_final, cfg.protocol.sample_count)
     # the reference is the instantaneous nominal drive frequency; in an
     # inverted-potential window no occupation/temperature is defined
     w_refs = traj.omega_eff_sq(times)
@@ -318,49 +327,52 @@ def _simulate_rows(cfg: RunConfig, t_final: float) -> tuple[list[tuple], Integra
     return rows, None
 
 
-def _simulate_tables(
-    cfg: RunConfig, t_final: float
-) -> tuple[list[tuple[str, str]], float | None, IntegrationError | None]:
-    """One ramp's three tables as (file stem, text), without writing them.
+# each simulate table: file stem, header and its columns of a _simulate_rows row
+_SIMULATE_TABLES = (
+    ("n_bar_t", ("t_omega_m", "n_bar_ref_omega_eff", "n_bar_ref_omega_m"), itemgetter(0, 1, 2)),
+    ("t_eff_t", ("t_omega_m", "value"), itemgetter(0, 3)),
+    ("moments_t", ("t_omega_m", "xx", "pp", "xp", "purity"), itemgetter(0, 4, 5, 6, 7)),
+)
 
-    Also returns the ramp's final bare occupation, None when it failed,
-    and its failure.
-    """
-    rows, failure = _simulate_rows(cfg, t_final)
-    note = None if failure is None else f"integration_error: {failure}"
-    n_bar, t_eff, moments = [], [], []
-    for t, n_inst, n_bare, temp, xx, pp, xp, purity in rows:
-        n_bar.append((t, n_inst, n_bare))
-        t_eff.append((t, temp))
-        moments.append((t, xx, pp, xp, purity))
-    label, out = tf_label(t_final), cfg.output
-    tables = []
-    for name, header, table in (
-        ("n_bar_t", ("t_omega_m", "n_bar_ref_omega_eff", "n_bar_ref_omega_m"), n_bar),
-        ("t_eff_t", ("t_omega_m", "value"), t_eff),
-        ("moments_t", ("t_omega_m", "xx", "pp", "xp", "purity"), moments),
-    ):
-        tables.append((f"{name}_{label}", render_table(header, table, out.precision, out.format, note)))
-    return tables, None if failure else rows[-1][2], failure
+
+def _simulate_blocks(cfg: RunConfig, task: tuple[float, list[float]]) -> tuple:
+    """A ramp's range (t_final, times) as its blocks of the three tables, last bare occupation, failure."""
+    rows, failure = _simulate_rows(cfg, *task)
+    out = cfg.output
+    blocks = [format_rows(map(cols, rows), out.precision, out.format) for _, _, cols in _SIMULATE_TABLES]
+    return blocks, rows[-1][2] if rows else None, failure
 
 
 def _simulate_files(cfg: RunConfig) -> tuple[list[Path], dict[str, float], IntegrationError | None]:
-    """Write the series of every ramp.
+    """Write the series of every ramp; return each completed ramp's final bare occupation by label.
 
-    Returns the final bare occupation of each completed ramp by label.
+    Each ramp runs as tasks of contiguous sample ranges, four per worker, so a worker on a slower
+    CPU holds up the last task for less; its tables are its ranges' blocks up to the first failure.
     """
     written: list[Path] = []
     finals: dict[str, float] = {}
     first_failure: IntegrationError | None = None
-    t_finals = cfg.protocol.t_final
-    ramps = _run_tasks(partial(_simulate_tables, cfg), t_finals, [1.0] * len(t_finals))
-    for t_final, (tables, n_final, failure) in zip(t_finals, ramps):
+    n = cfg.protocol.sample_count
+    pieces = min(n, 4 * _usable_cpus())
+    cuts = [n * k // pieces for k in range(pieces + 1)]
+    tasks = []
+    for t_final in cfg.protocol.t_final:
+        times = linspace(0.0, t_final, n)
+        tasks += [(t_final, times[a:b]) for a, b in zip(cuts, cuts[1:])]
+    ranges = _run_tasks(partial(_simulate_blocks, cfg), tasks, [1.0] * len(tasks))
+    for t_final in cfg.protocol.t_final:
+        blocks, failure = [], None
+        for range_blocks, n_final, range_failure in islice(ranges, pieces):
+            if failure is None:  # the ranges after a failed one are dropped
+                blocks.append(range_blocks)
+                failure = range_failure
         first_failure = first_failure or failure
-        if n_final is not None:
+        if failure is None:
             finals[tf_label(t_final)] = n_final
-        for stem, text in tables:
-            written.append(_path(cfg, stem))
-            write_text(written[-1], text)
+        note = None if failure is None else f"integration_error: {failure}"
+        for (name, header, _), table_blocks in zip(_SIMULATE_TABLES, zip(*blocks)):
+            written.append(_path(cfg, f"{name}_{tf_label(t_final)}"))
+            write_text(written[-1], render_table(header, table_blocks, cfg.output.format, note))
     return written, finals, first_failure
 
 

@@ -105,15 +105,18 @@ def b_polynomial(s, chi: float):
         outside = (s < 0.0) | (s > 1.0)
         if (outside.any() if hasattr(outside, "any") else outside):  # an array or a bool
             raise DesignError("s must lie in [0, 1]")
-        b = ((6.0 * c * s - 15.0 * c) * s + 10.0 * c) * s * s * s + 1.0
-        db = 30.0 * c * (s * s) * ((s - 1.0) * (s - 1.0))
-        d2b = 60.0 * c * s * (2.0 * s - 1.0) * (s - 1.0)
-        return b, db, d2b
+        return (*_quintic(s, c), 60.0 * c * s * (2.0 * s - 1.0) * (s - 1.0))
 
     result = _elementwise(terms, s)
     if isinstance(result, list):  # one triple per item -> three lists
         return tuple(map(list, zip(*result))) if result else ([], [], [])
     return result
+
+
+def _quintic(s, c: float):
+    """b and b_s of the quintic at s, for c = chi - 1; float or array arithmetic alike."""
+    u = s - 1.0
+    return ((6.0 * c * s - 15.0 * c) * s + 10.0 * c) * s * s * s + 1.0, 30.0 * c * (s * s) * (u * u)
 
 
 def invariant_moments(spec: TrajectorySpec, times, e: float) -> Iterator[tuple[float, float, float, float]]:
@@ -124,11 +127,15 @@ def invariant_moments(spec: TrajectorySpec, times, e: float) -> Iterator[tuple[f
     omega_0^2/b^2)/omega_0, where b is the quintic and b' = b_s/t_f (Lewis &
     Riesenfeld, J. Math. Phys. 10 (1969) 1458; Chen et al., PRL 104 (2010)
     063002).  Only the nominal drive has this b, hence the nominal spec.
+    b and b_s have ``b_polynomial``'s bits; the times are checked once, not one by one.
     """
-    t_f, chi, omega0_sq = spec.t_final, spec.chi, spec.omega0_sq
+    t_f, c, omega0_sq = spec.t_final, spec.chi - 1.0, spec.omega0_sq
     scale = e / math.sqrt(omega0_sq)
-    for t in times:
-        b, b_s, _ = b_polynomial(t / t_f, chi)
+    s_values = [t / t_f for t in times]
+    if s_values and (min(s_values) < 0.0 or max(s_values) > 1.0):
+        raise DesignError("s must lie in [0, 1]")
+    for t, s in zip(times, s_values):
+        b, b_s = _quintic(s, c)
         b_dot = b_s / t_f
         yield t, scale * b * b, scale * (b_dot * b_dot + omega0_sq / (b * b)), scale * b * b_dot
 

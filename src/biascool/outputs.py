@@ -1,6 +1,6 @@
 """Deterministic CSV/JSON emission and the reproduction manifest.
 
-Table cells are rendered by :func:`render_table` with ``%.{precision}g``
+Table cells are rendered by :func:`format_rows` with ``%.{precision}g``
 for floats, the same digits as :func:`format_float`; files end with a
 newline and use LF endings, and JSON is sorted -- two runs of the same
 config produce byte-identical files, which the manifest check relies on.
@@ -59,27 +59,18 @@ def write_table(
     note: str | None = None,
 ) -> None:
     """Write a table as CSV (default) or as a columnar JSON document."""
-    write_text(path, render_table(header, rows, precision, fmt, note))
+    write_text(path, render_table(header, [format_rows(rows, precision, fmt)], fmt, note))
 
 
-def render_table(
-    header: Sequence[str],
-    rows: Iterable[Sequence],
-    precision: int,
-    fmt: str = "csv",
-    note: str | None = None,
-) -> str:
-    """A table's file text: CSV (default) or a columnar JSON document.
+def format_rows(rows: Iterable[Sequence], precision: int, fmt: str) -> str:
+    """A block of table rows: each row's text after the separator the document puts before it.
 
-    Each row is rendered with a %-template built from its cell types,
-    together with the positions of the cells that need quoting -- str
-    cells in CSV, %s cells in JSON -- so rows of floats pay nothing for
-    it; the template is kept while the cell types repeat the previous
-    row's and rebuilt when they change.  JSON is the bytes of
-    ``json.dumps(payload, indent=2, sort_keys=True)`` with every cell a
-    string, laid out here instead, because an indented dump runs json's
-    pure-Python encoder.  ``note`` (say, why the table stops early) is a
-    trailing ``# note`` line in CSV and a ``"note"`` key in JSON.
+    So blocks of consecutive rows concatenate to the rows of one document,
+    and no rows give an empty block.  Each row is rendered with a
+    %-template built from its cell types, together with the positions of
+    the cells that need quoting -- str cells in CSV, %s cells in JSON --
+    so rows of floats pay nothing for it; the template is kept while the
+    cell types repeat the previous row's and rebuilt when they change.
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown table format {fmt!r}")
@@ -95,24 +86,34 @@ def render_table(
             cells = _cell_formats(types, precision)
             if csv:
                 quoted = tuple(i for i, t in enumerate(types) if issubclass(t, str))
-                template = ",".join(cells)
+                template = "\n" + ",".join(cells)
             else:  # %g and empty cells need no JSON escapes, so they are quoted in place
                 quoted = tuple(i for i, c in enumerate(cells) if c == "%s")
-                template = _json_array([c if c == "%s" else f'"{c}"' for c in cells], "    ")
+                template = ",\n    " + _json_array([c if c == "%s" else f'"{c}"' for c in cells], "    ")
         if quoted:
             row = tuple(quote(c) if i in quoted else c for i, c in enumerate(row))
         formatted.append(template % row)
-    if csv:
-        lines = [",".join(header), *formatted]
-        if note is not None:
-            lines.append(f"# {note}")
-        text = "\n".join(lines) + "\n"
-    else:
-        text = '{\n  "columns": ' + _json_array([_json_str(h) for h in header], "  ")
-        if note is not None:
-            text += ',\n  "note": ' + _json_str(note)
-        text += ',\n  "rows": ' + _json_array(formatted, "  ") + "\n}\n"
-    return text
+    return "".join(formatted)
+
+
+def render_table(header: Sequence[str], blocks: Iterable[str], fmt: str, note: str | None) -> str:
+    """A table's file text, CSV or a columnar JSON document, from its row blocks.
+
+    The blocks (``format_rows``' text, in row order) are the rows; this
+    adds the frame: the header, the note and JSON's brackets.  JSON is the
+    bytes of ``json.dumps(payload, indent=2, sort_keys=True)`` with every
+    cell a string, laid out here instead, because an indented dump runs
+    json's pure-Python encoder.  ``note`` (say, why the table stops early)
+    is a trailing ``# note`` line in CSV and a ``"note"`` key in JSON.
+    """
+    rows = "".join(blocks)
+    if fmt == "csv":
+        return ",".join(header) + rows + ("" if note is None else f"\n# {note}") + "\n"
+    text = '{\n  "columns": ' + _json_array([_json_str(h) for h in header], "  ")
+    if note is not None:
+        text += ',\n  "note": ' + _json_str(note)
+    # the first row's separator, less its comma, opens the array
+    return text + ',\n  "rows": ' + ("[" + rows[1:] + "\n  ]" if rows else "[]") + "\n}\n"
 
 
 def write_text(path: Path, text: str) -> None:

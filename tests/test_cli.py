@@ -16,7 +16,7 @@ import biascool
 from biascool import cli, dynamics
 from biascool.cli import main
 from biascool.config import DEFAULT_CONFIG, load_config
-from biascool.design import ControlTrajectory, make_trajectory
+from biascool.design import ControlTrajectory, linspace, make_trajectory
 from biascool.dynamics import TransferMatrix, thermal_state
 from biascool.physical import FIELD_UNITS
 
@@ -173,18 +173,15 @@ class TestSimulate:
     @pytest.mark.parametrize("t_final", [0.1, 1.0, 8.0])
     def test_rows_equal_the_covariance_ode(self, tmp_path, t_final):
         # the closed-form rows against an independent DOP853 march; t_f 0.1 has inverted
-        # windows.  At tol 1e-12 the oracle's own error reaches 1.5e-9 in pp (its absolute
-        # tolerance scales with the start's pp ~ 3437; pp ends near 1) and it shrinks ~10x
-        # per decade of tol towards the closed form; at 3e-14 (scipy's rtol floor is
-        # 2.2e-14) the worst row is 4e-11 off
+        # windows.  At tol 1e-12 the worst row is 1.5e-11 off (pp at t_f 0.1)
         cfg = load_config(fast_config(tmp_path))
-        rows, failure = cli._simulate_rows(cfg, t_final)
+        rows, failure = cli._simulate_rows(cfg, t_final, linspace(0.0, t_final, cfg.protocol.sample_count))
         assert failure is None and len(rows) == 41
         params = cfg.physical
         traj = make_trajectory(params, t_final)
         state0 = thermal_state(params, traj.spec.omega0_sq, params.bath_temperature)
         times = [row[0] for row in rows]
-        states = [state0] + propagate_covariance_ode(traj, state0, 0.0, t_final, tol=3e-14, t_eval=times[1:])
+        states = [state0] + propagate_covariance_ode(traj, state0, 0.0, t_final, tol=1e-12, t_eval=times[1:])
         for (t, _, _, _, xx, pp, xp, purity), state in zip(rows, states):
             assert (t, xx) == (state.time, pytest.approx(state.xx, rel=1e-10))
             assert pp == pytest.approx(state.pp, rel=1e-10)
@@ -205,7 +202,7 @@ class TestSimulate:
         for samples in (41, 4001):
             cfg = load_config(fast_config(tmp_path, **{"sample_count = 201": f"sample_count = {samples}"}))
             built.update(dict.fromkeys(built, 0))
-            rows, failure = cli._simulate_rows(cfg, 1.0)
+            rows, failure = cli._simulate_rows(cfg, 1.0, linspace(0.0, 1.0, samples))
             assert failure is None and len(rows) == samples
             counts.append(dict(built))
         assert counts[0] == counts[1] == {dynamics.GaussianState: 1, TransferMatrix: 0}  # the start state

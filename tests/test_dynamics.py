@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from biascool import dynamics
 from biascool.design import (
     ControlTrajectory,
+    DesignError,
     TrajectorySpec,
     b_polynomial,
     invariant_moments,
@@ -449,6 +450,23 @@ class TestInvariantMoments:
         assert (t0, xx0, pp0, xp0) == (0.0, 0.75, 3.0, 0.0)
         assert t1 == 0.5 and xx1 == pytest.approx(1.5, rel=1e-15) and pp1 == pytest.approx(1.5, rel=1e-15)
         assert xp1 == 0.0
+
+    @pytest.mark.parametrize("t_final", [0.1, 1.0, 8.0])
+    def test_rows_keep_the_bits_of_b_polynomial(self, t_final):
+        # the times are checked once per call, and each row is b_polynomial's b and b_s
+        # through the same formulas, bit for bit
+        spec = TrajectorySpec(1.0 + 1.25e7, 1.0, t_final)
+        times, e = linspace(0.0, t_final, 401), 3.25
+        scale = e / math.sqrt(spec.omega0_sq)
+        expected = []
+        for t in times:
+            b, b_s, _ = b_polynomial(t / t_final, spec.chi)
+            b_dot = b_s / t_final
+            expected.append((t, scale * b * b, scale * (b_dot * b_dot + spec.omega0_sq / (b * b)), scale * b * b_dot))
+        assert list(invariant_moments(spec, times, e)) == expected
+        for outside in ([0.0, 1.5 * t_final], [-0.5 * t_final, 0.0]):
+            with pytest.raises(DesignError, match=r"s must lie in \[0, 1\]"):
+                list(invariant_moments(spec, outside, e))
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=25)
     @given(st.floats(-0.9, 1e8).filter(lambda eta: eta != 0.0), st.floats(1e-3, 20.0))

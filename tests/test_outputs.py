@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from biascool.outputs import hash_manifest, write_table
+from biascool.outputs import format_rows, hash_manifest, render_table, write_table
 
 EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.797e308, -1.797e308, 0.1, 1.0]
 
@@ -82,6 +82,17 @@ def test_json_table_is_the_indented_dump_byte_for_byte(tmp_path, header, rows, n
         payload["note"] = note
     expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     assert (tmp_path / "t.json").read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_row_blocks_join_into_one_table(tmp_path, fmt):
+    # blocks of consecutive rows, empty ones included, frame into the one-block
+    # table's bytes; a CSV row of one empty cell is still a line of its own
+    rows = [(0.5, "a,b"), (None,), (), (1.5, 2), (None,)]
+    write_table(tmp_path / "t", ("x", "y"), rows, 12, fmt, "stopped")
+    for cut in range(len(rows) + 1):
+        blocks = [format_rows(rows[:cut], 12, fmt), "", format_rows(rows[cut:], 12, fmt)]
+        assert render_table(("x", "y"), blocks, fmt, "stopped").encode() == (tmp_path / "t").read_bytes()
 
 
 def test_hash_manifest_is_sha256_of_the_file_bytes(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from biascool import cli, integrate, robustness
 from biascool.config import load_config
 from biascool.constants import BOLTZMANN, HBAR
-from biascool.design import control_function, make_trajectory
+from biascool.design import control_function, linspace, make_trajectory
 from biascool.dynamics import propagate_transfer, thermal_state
 from biascool.robustness import (
     REFERENCE_TARGETS,
@@ -148,7 +148,7 @@ class TestSweep:
     def test_unperturbed_cell_agrees_with_simulate(self):
         # the cell marches; simulate writes the invariant's closed form
         cfg = load_config(None)
-        rows, failure = cli._simulate_rows(cfg, 0.5)
+        rows, failure = cli._simulate_rows(cfg, 0.5, linspace(0.0, 0.5, cfg.protocol.sample_count))
         assert failure is None
         cell, = run_sweep(cfg.physical, [0.5], [0.0], SweepOptions(tolerance=cfg.protocol.tolerance))
         assert cell.n_bar_final == pytest.approx(rows[-1][2], rel=1e-12)

@@ -1,19 +1,23 @@
 """Forked workers: every command's outputs are those of a one-CPU run.
 
-Each case runs ``main`` with the worker count pinned to 2 and then to 1
-(``cli._usable_cpus`` picks it; forked children inherit the patch) and
-compares exit code, stdout, stderr and the bytes of every file written.
+Each case runs ``main`` with the worker count pinned to 1 and then to 2
+or more (``cli._usable_cpus`` picks it; forked children inherit the
+patch) and compares exit code, stdout, stderr and the bytes of every file
+written.
 """
 
+import itertools
+import json
 import os
 import pickle
+import select
 import threading
 
 import pytest
 
 from biascool import cli
 from biascool.config import DEFAULT_CONFIG, ConfigError
-from biascool.design import DesignError
+from biascool.design import DesignError, linspace
 from biascool.dynamics import StateError
 from biascool.integrate import IntegrationError
 from biascool.physical import ParameterError
@@ -53,12 +57,14 @@ def run(monkeypatch, capsys, workdir, argv, workers):
     return rc, captured.out, captured.err, files, len(forks)
 
 
-def both_paths(monkeypatch, capsys, tmp_path, argv, workers=2):
-    """Run with ``workers`` workers and with 1; assert they agree; return the one-CPU run."""
-    forked = run(monkeypatch, capsys, tmp_path / "many", [*argv, "--out", "out"], workers)
+def both_paths(monkeypatch, capsys, tmp_path, argv, workers=(2,)):
+    """Run with 1 worker and with each count in ``workers``; assert they agree; return the one-CPU run."""
     single = run(monkeypatch, capsys, tmp_path / "one", [*argv, "--out", "out"], 1)
-    assert forked[:4] == single[:4]
-    assert forked[4] >= 1 and single[4] == 0
+    assert single[4] == 0
+    for count in workers:
+        forked = run(monkeypatch, capsys, tmp_path / f"many{count}", [*argv, "--out", "out"], count)
+        assert forked[:4] == single[:4]
+        assert forked[4] and forked[4] % (count - 1) == 0  # count - 1 children per fork round
     return single[:4]
 
 
@@ -71,17 +77,23 @@ def test_reproduce(tmp_path, monkeypatch, capsys, fmt):
 
 def test_more_workers_than_cpus(tmp_path, monkeypatch, capsys):
     # two children per pool: the second closes the first one's pipe
-    rc, out, err, files = both_paths(monkeypatch, capsys, tmp_path, ["reproduce", "--config", config(tmp_path)], 3)
+    argv = ["reproduce", "--config", config(tmp_path)]
+    rc, out, err, files = both_paths(monkeypatch, capsys, tmp_path, argv, (3,))
     assert rc == 0 and err == "" and len(files) == 21
 
 
 def test_simulate_dense(tmp_path, monkeypatch, capsys):
-    cfg = config(
-        tmp_path,
-        **{"t_final = 0.5, 1.0, 2.0": "t_final = 0.1, 1.0, 8.0", "sample_count = 201": "sample_count = 4001"},
-    )
-    rc, out, err, files = both_paths(monkeypatch, capsys, tmp_path, ["simulate", "--config", cfg])
-    assert rc == 0 and err == "" and len(files) == 9
+    # 4001 samples in 4 ranges per worker: 8 and 12 ranges, neither divides it
+    for fmt in ("csv", "json"):
+        (tmp_path / fmt).mkdir()
+        cfg = config(tmp_path / fmt, **{
+            "t_final = 0.5, 1.0, 2.0": "t_final = 0.1, 1.0, 8.0",
+            "sample_count = 201": "sample_count = 4001",
+            "format = csv": f"format = {fmt}",
+        })
+        argv = ["simulate", "--config", cfg]
+        rc, out, err, files = both_paths(monkeypatch, capsys, tmp_path / fmt, argv, (2, 3))
+        assert rc == 0 and err == "" and len(files) == 9
 
 
 @pytest.mark.parametrize("start", ["nominal", "perturbed"])
@@ -101,7 +113,7 @@ def test_failing_sweep_cells(tmp_path, monkeypatch, capsys):
 
 def test_failed_ramps_write_partial_rows(tmp_path, monkeypatch, capsys):
     # on a hot bath the t_f 1e-80 and 2e-80 ramps overflow the occupation part way;
-    # the 1e-80 failure, reported first, comes from a child
+    # the 1e-80 failure is reported first
     cfg = config(tmp_path, **{
         "t_final = 0.5, 1.0, 2.0": "t_final = 0.5, 1e-80, 2e-80",
         "sample_count = 201": "sample_count = 41",
@@ -117,33 +129,70 @@ def test_failed_ramps_write_partial_rows(tmp_path, monkeypatch, capsys):
         assert 2 < len(lines) < 42 and lines[-1].startswith("# integration_error: occupation overflowed")
 
 
-def test_a_raising_ramp_stops_the_files_there(tmp_path, monkeypatch, capsys):
-    rows = cli._simulate_rows
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_failure_inside_a_middle_range(tmp_path, monkeypatch, capsys, fmt):
+    # t_f 1e-78 on a 1e150 K bath overflows at sample 22 of 41, inside the range
+    # 20-30 of one CPU, 20-25 of two and 20-23 of three; some later samples do
+    # not overflow, and their ranges are dropped
+    cfg = config(tmp_path, **{
+        "t_final = 0.5, 1.0, 2.0": "t_final = 1e-78, 0.5",
+        "sample_count = 201": "sample_count = 41",
+        "bath_temperature = 20 mK": "bath_temperature = 1e150",
+        "format = csv": f"format = {fmt}",
+    })
+    rc, out, err, files = both_paths(monkeypatch, capsys, tmp_path, ["simulate", "--config", cfg], (2, 3))
+    assert rc == 2 and err == "error: occupation overflowed (at t = 5.5e-79)\n" and len(files) == 6
+    for name in ("n_bar_t", "t_eff_t", "moments_t"):
+        text = files[f"out/{name}_tf1e-78.{fmt}"].decode()
+        if fmt == "csv":
+            lines = text.splitlines()
+            assert len(lines) == 24 and lines[-1] == "# integration_error: occupation overflowed (at t = 5.5e-79)"
+        else:
+            table = json.loads(text)
+            assert len(table["rows"]) == 22 and table["note"].startswith("integration_error: occupation overflowed")
 
-    def raising(cfg, t_final):
-        if t_final == 1.0:
+
+def test_a_raising_ramp_stops_the_files_there(tmp_path, monkeypatch, capsys):
+    # only the range that holds sample 22 of the t_f 1 ramp raises
+    rows = cli._simulate_rows
+    refused = linspace(0.0, 1.0, 41)[22]
+
+    def raising(cfg, t_final, times):
+        if t_final == 1.0 and refused in times:
             raise ValueError("ramp refused")
-        return rows(cfg, t_final)
+        return rows(cfg, t_final, times)
 
     monkeypatch.setattr(cli, "_simulate_rows", raising)
     cfg = config(tmp_path, **{"sample_count = 201": "sample_count = 41"})
-    rc, out, err, files = both_paths(monkeypatch, capsys, tmp_path, ["simulate", "--config", cfg])
+    rc, out, err, files = both_paths(monkeypatch, capsys, tmp_path, ["simulate", "--config", cfg], (2, 3))
     assert rc == 1 and out == "" and err == "config error: ramp refused\n"
     assert sorted(files) == [f"out/{stem}_tf0.5.csv" for stem in ("moments_t", "n_bar_t", "t_eff_t")]
 
 
 def test_a_worker_that_dies_is_an_io_error(tmp_path, monkeypatch, capsys):
+    # the parent's first task waits until the child has taken one, so the child
+    # dies with a task whatever the scheduling
     parent = os.getpid()
     rows = cli._simulate_rows
+    taken_read, taken_write = os.pipe()
+    waited = []
 
-    def dying(cfg, t_final):
+    def dying(cfg, t_final, times):
         if os.getpid() != parent:
+            os.write(taken_write, b"x")
             os._exit(1)
-        return rows(cfg, t_final)
+        if not waited:
+            waited.append(select.select([taken_read], [], [], 30.0)[0])
+        return rows(cfg, t_final, times)
 
     monkeypatch.setattr(cli, "_simulate_rows", dying)
     cfg = config(tmp_path, **{"sample_count = 201": "sample_count = 41"})
-    rc, out, err, files, forks = run(monkeypatch, capsys, tmp_path / "many", ["simulate", "--config", cfg], 2)
+    try:
+        rc, out, err, files, forks = run(monkeypatch, capsys, tmp_path / "many", ["simulate", "--config", cfg], 2)
+    finally:
+        os.close(taken_read)
+        os.close(taken_write)
+    assert waited == [[taken_read]]
     assert rc == 2 and forks == 1 and out == ""
     assert err == "i/o error: a worker process ended without sending its results\n"
 
@@ -169,12 +218,42 @@ def test_runs_in_process(tmp_path, monkeypatch, capsys, reason):
     assert not thread.is_alive()
 
 
-def test_costliest_task_first_to_the_least_loaded_worker():
-    assert cli._deal([0.1, 1.0, 8.0], 2) == [[2], [1, 0]]
-    # tasks that cost nothing go last, each to the least-loaded worker
-    costs = [0.5, 0.0, 0.5, 1.0, 0.0, 1.0, 2.0, 0.0, 2.0]
-    assert cli._deal(costs, 2) == [[6, 3, 0, 1, 7], [8, 5, 2, 4]]
-    assert cli._deal([0.0, 0.0, 0.0], 3) == [[0], [1], [2]]
+def test_each_worker_takes_the_costliest_task_left(monkeypatch):
+    # every worker's tasks, in the order it ran them, follow the queue's
+    # costliest-first order; equal costs keep the item order
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    costs = [0.5, 0.0, 0.5, 1.0, 0.0, 1.0, 2.0, 0.0, 2.0] * 20
+    queue = sorted(range(len(costs)), key=lambda i: -costs[i])
+    runs = itertools.count()  # each process counts its own calls from 0
+
+    def task(i):
+        return os.getpid(), next(runs), i
+
+    results = list(cli._run_tasks(task, range(len(costs)), costs))
+    assert [i for _, _, i in results] == list(range(len(costs)))
+    by_worker = {}
+    for pid, run_number, i in sorted(results):
+        by_worker.setdefault(pid, []).append(i)
+    for taken in by_worker.values():
+        assert taken == [i for i in queue if i in taken]
+
+
+def test_any_number_of_tasks(monkeypatch):
+    # far more task records than a pipe buffer holds, and still one fork
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    n = 20_000
+    assert list(cli._run_tasks(lambda i: -i, range(n), [1.0] * n)) == [-i for i in range(n)]
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):  # the worker was reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize(
