@@ -24,8 +24,7 @@ import sys
 import threading
 from dataclasses import asdict, astuple, dataclass, field
 from functools import partial
-from itertools import islice
-from operator import itemgetter
+from itertools import chain, islice
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -46,13 +45,14 @@ from .design import (
 from .dynamics import IntegrationError, thermal_state
 from .outputs import (
     check_entry,
+    format_columns,
     format_float,
+    format_floats,
     format_rows,
     hash_manifest,
     render_table,
     tf_label,
     write_json,
-    write_table,
     write_text,
 )
 from .robustness import REFERENCE_TARGETS, SweepOptions, SweepResult, sweep_cell
@@ -251,14 +251,10 @@ def _raise_in_order(outcomes: list) -> Iterator:
         yield result
 
 
-def _path(cfg: RunConfig, stem: str) -> Path:
-    return Path(cfg.output.directory) / f"{stem}.{cfg.output.format}"
-
-
-def _write(cfg: RunConfig, stem: str, header: tuple[str, ...], rows) -> Path:
-    """Write one table into the output directory; return its path."""
-    path = _path(cfg, stem)
-    write_table(path, header, rows, cfg.output.precision, cfg.output.format)
+def _write(cfg: RunConfig, stem: str, header: tuple[str, ...], blocks, note: str | None = None) -> Path:
+    """Write one table, framed from its blocks of rows, into the output directory; return its path."""
+    path = Path(cfg.output.directory) / f"{stem}.{cfg.output.format}"
+    write_text(path, render_table(header, blocks, cfg.output.format, note))
     return path
 
 
@@ -280,9 +276,10 @@ def _design_files(cfg: RunConfig) -> list[Path]:
         f = control_function(traj, t)
         omega_eff = list(map(signed_sqrt, traj.omega_eff_sq(t)))
         b, _, _ = b_polynomial([ti / t_final for ti in t], traj.spec.chi)
+        t_texts = format_floats(t, cfg.output.precision)  # once for the three tables
         for name, series in (("f_t", f), ("omega_eff_t", omega_eff), ("b_t", b)):
-            rows = zip(t, series)
-            written.append(_write(cfg, f"{name}_{label}", ("t_omega_m", "value"), rows))
+            block = format_columns([t_texts, format_floats(series, cfg.output.precision)], cfg.output.format)
+            written.append(_write(cfg, f"{name}_{label}", ("t_omega_m", "value"), [block]))
     return written
 
 
@@ -329,17 +326,25 @@ def _simulate_rows(
 
 # each simulate table: file stem, header and its columns of a _simulate_rows row
 _SIMULATE_TABLES = (
-    ("n_bar_t", ("t_omega_m", "n_bar_ref_omega_eff", "n_bar_ref_omega_m"), itemgetter(0, 1, 2)),
-    ("t_eff_t", ("t_omega_m", "value"), itemgetter(0, 3)),
-    ("moments_t", ("t_omega_m", "xx", "pp", "xp", "purity"), itemgetter(0, 4, 5, 6, 7)),
+    ("n_bar_t", ("t_omega_m", "n_bar_ref_omega_eff", "n_bar_ref_omega_m"), (0, 1, 2)),
+    ("t_eff_t", ("t_omega_m", "value"), (0, 3)),
+    ("moments_t", ("t_omega_m", "xx", "pp", "xp", "purity"), (0, 4, 5, 6, 7)),
 )
 
 
 def _simulate_blocks(cfg: RunConfig, task: tuple[float, list[float]]) -> tuple:
-    """A ramp's range (t_final, times) as its blocks of the three tables, last bare occupation, failure."""
+    """A ramp's range (t_final, times) as its blocks of the three tables, last bare occupation, failure.
+
+    Each number is formatted once, the purity once per range, and the three tables share t's texts.
+    """
     rows, failure = _simulate_rows(cfg, *task)
     out = cfg.output
-    blocks = [format_rows(map(cols, rows), out.precision, out.format) for _, _, cols in _SIMULATE_TABLES]
+    numbers = list(chain.from_iterable(rows))
+    del numbers[7::8]  # the purity column
+    texts = format_floats(numbers, out.precision)
+    purity = format_floats([row[7] for row in rows[:1]], out.precision)
+    columns = [texts[k::7] for k in range(7)] + [purity * len(rows)]
+    blocks = [format_columns([columns[k] for k in cols], out.format) for _, _, cols in _SIMULATE_TABLES]
     return blocks, rows[-1][2] if rows else None, failure
 
 
@@ -371,8 +376,7 @@ def _simulate_files(cfg: RunConfig) -> tuple[list[Path], dict[str, float], Integ
             finals[tf_label(t_final)] = n_final
         note = None if failure is None else f"integration_error: {failure}"
         for (name, header, _), table_blocks in zip(_SIMULATE_TABLES, zip(*blocks)):
-            written.append(_path(cfg, f"{name}_{tf_label(t_final)}"))
-            write_text(written[-1], render_table(header, table_blocks, cfg.output.format, note))
+            written.append(_write(cfg, f"{name}_{tf_label(t_final)}", header, table_blocks, note))
     return written, finals, first_failure
 
 
@@ -412,7 +416,8 @@ def _sweep_file(cfg: RunConfig) -> tuple[Path, list[SweepResult]]:
     cells = [(t_final, eps) for t_final in cfg.protocol.t_final for eps in cfg.sweep.epsilon]
     costs = [t_final for t_final, _ in cells]
     results = list(_run_tasks(lambda c: sweep_cell(params, *c, options), cells, costs))
-    return _write(cfg, "sweep", _SWEEP_HEADER, [_sweep_row(r) for r in results]), results
+    rows = format_rows(map(_sweep_row, results), cfg.output.precision, cfg.output.format)
+    return _write(cfg, "sweep", _SWEEP_HEADER, [rows]), results
 
 
 def cmd_sweep(cfg: RunConfig) -> int:

@@ -1,9 +1,10 @@
 """Deterministic CSV/JSON emission and the reproduction manifest.
 
-Table cells are rendered by :func:`format_rows` with ``%.{precision}g``
-for floats, the same digits as :func:`format_float`; files end with a
-newline and use LF endings, and JSON is sorted -- two runs of the same
-config produce byte-identical files, which the manifest check relies on.
+Float cells are ``%.{precision}g``, the digits of :func:`format_float`, in
+rows of mixed cells from :func:`format_rows` or of numbers formatted once
+(:func:`format_floats`, :func:`format_columns`), framed alike; files end
+with a newline and use LF endings, and JSON is sorted -- two runs of the
+same config produce byte-identical files, which the manifest check relies on.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ def _cell_formats(types: tuple[type, ...], precision: int) -> tuple[str, ...]:
 
 
 def _csv_field(text: str) -> str:
-    """A str cell as one CSV field: quoted per RFC 4180 if it holds , " or a line break."""
+    """A cell's text as one CSV field: quoted per RFC 4180 if it holds , " or a line break."""
     if "," in text or '"' in text or "\n" in text or "\r" in text:
         return '"' + text.replace('"', '""') + '"'
     return text
@@ -37,9 +38,11 @@ def _csv_field(text: str) -> str:
 _json_str = json.encoder.encode_basestring_ascii
 
 
-def _json_cell(value) -> str:
-    """A %s-formatted cell as the JSON string json.dumps writes for it."""
-    return _json_str("%s" % value)
+def _row_template(cells: Sequence[str], fmt: str) -> str:
+    """A row's %-template: its separator, then its cells, joined by commas (CSV) or quoted (JSON)."""
+    if fmt == "csv":
+        return "\n" + ",".join(cells)
+    return ",\n    " + _json_array([f'"{c}"' for c in cells], "    ")
 
 
 def _json_array(items: Sequence[str], indent: str) -> str:
@@ -68,14 +71,13 @@ def format_rows(rows: Iterable[Sequence], precision: int, fmt: str) -> str:
     So blocks of consecutive rows concatenate to the rows of one document,
     and no rows give an empty block.  Each row is rendered with a
     %-template built from its cell types, together with the positions of
-    the cells that need quoting -- str cells in CSV, %s cells in JSON --
-    so rows of floats pay nothing for it; the template is kept while the
+    its %s cells, whose text may need CSV quoting or JSON escapes -- so
+    rows of floats pay nothing for it; the template is kept while the
     cell types repeat the previous row's and rebuilt when they change.
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown table format {fmt!r}")
-    csv = fmt == "csv"
-    quote = _csv_field if csv else _json_cell
+    quote = _csv_field if fmt == "csv" else lambda text: _json_str(text)[1:-1]  # the template quotes it
     formatted = []
     last_types = None
     for row in rows:
@@ -84,16 +86,29 @@ def format_rows(rows: Iterable[Sequence], precision: int, fmt: str) -> str:
         if types != last_types:  # most rows repeat the previous row's cell types
             last_types = types
             cells = _cell_formats(types, precision)
-            if csv:
-                quoted = tuple(i for i, t in enumerate(types) if issubclass(t, str))
-                template = "\n" + ",".join(cells)
-            else:  # %g and empty cells need no JSON escapes, so they are quoted in place
-                quoted = tuple(i for i, c in enumerate(cells) if c == "%s")
-                template = ",\n    " + _json_array([c if c == "%s" else f'"{c}"' for c in cells], "    ")
+            quoted = tuple(i for i, c in enumerate(cells) if c == "%s")
+            template = _row_template(cells, fmt)
         if quoted:
-            row = tuple(quote(c) if i in quoted else c for i, c in enumerate(row))
+            row = tuple(quote(str(c)) if i in quoted else c for i, c in enumerate(row))
         formatted.append(template % row)
     return "".join(formatted)
+
+
+def format_floats(values: Sequence[float], precision: int) -> list[str]:
+    """Each value as ``format_rows`` writes a float cell, all from one %-operation."""
+    return (f"%.{precision}g\n" * len(values) % tuple(values)).split("\n")[:-1]
+
+
+def format_columns(columns: Sequence[Sequence[str]], fmt: str) -> str:
+    """``format_rows``' block of the rows whose cells are ``columns``' texts, from one %-operation.
+
+    The texts go in as they are, so they must need no CSV quoting or JSON escapes, as numbers do.
+    """
+    width, count = len(columns), len(columns[0])
+    cells = [""] * (width * count)
+    for k, column in enumerate(columns):
+        cells[k::width] = column
+    return _row_template(("%s",) * width, fmt) * count % tuple(cells)
 
 
 def render_table(header: Sequence[str], blocks: Iterable[str], fmt: str, note: str | None) -> str:

@@ -6,8 +6,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from biascool.outputs import format_rows, hash_manifest, render_table, write_table
+from biascool.outputs import format_columns, format_floats, format_rows, hash_manifest, render_table, write_table
 
 EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.797e308, -1.797e308, 0.1, 1.0]
 
@@ -93,6 +95,36 @@ def test_row_blocks_join_into_one_table(tmp_path, fmt):
     for cut in range(len(rows) + 1):
         blocks = [format_rows(rows[:cut], 12, fmt), "", format_rows(rows[cut:], 12, fmt)]
         assert render_table(("x", "y"), blocks, fmt, "stopped").encode() == (tmp_path / "t").read_bytes()
+
+
+@settings(derandomize=True, database=None, max_examples=200)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda width: st.lists(
+            st.lists(
+                st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7e308]) | st.floats(),
+                min_size=width,
+                max_size=width,
+            ),
+            max_size=12,
+        ).map(lambda rows: (width, rows))
+    ),
+    st.sampled_from([6, 12, 17]),
+    st.sampled_from(["csv", "json"]),
+)
+def test_columns_of_formatted_floats_are_format_rows(table, precision, fmt):
+    # numbers formatted once, column by column, give format_rows' bytes, and
+    # blocks cut at any row still frame into the one-block table
+    width, rows = table
+
+    def block(part):
+        return format_columns([format_floats([row[k] for row in part], precision) for k in range(width)], fmt)
+
+    assert block(rows) == format_rows(rows, precision, fmt)
+    header = tuple("abcde"[:width])
+    whole = render_table(header, [format_rows(rows, precision, fmt)], fmt, "stopped")
+    for cut in range(len(rows) + 1):
+        assert render_table(header, [block(rows[:cut]), block(rows[cut:])], fmt, "stopped") == whole
 
 
 def test_hash_manifest_is_sha256_of_the_file_bytes(tmp_path):

@@ -16,10 +16,11 @@ import threading
 import pytest
 
 from biascool import cli
-from biascool.config import DEFAULT_CONFIG, ConfigError
+from biascool.config import DEFAULT_CONFIG, ConfigError, load_config
 from biascool.design import DesignError, linspace
 from biascool.dynamics import StateError
 from biascool.integrate import IntegrationError
+from biascool.outputs import tf_label, write_table
 from biascool.physical import ParameterError
 from biascool.thermometry import ThermometryError
 
@@ -150,6 +151,53 @@ def test_a_failure_inside_a_middle_range(tmp_path, monkeypatch, capsys, fmt):
         else:
             table = json.loads(text)
             assert len(table["rows"]) == 22 and table["note"].startswith("integration_error: occupation overflowed")
+
+
+# each simulate table's header and its columns of a _simulate_rows row
+SIMULATE_TABLES = {
+    "n_bar_t": (("t_omega_m", "n_bar_ref_omega_eff", "n_bar_ref_omega_m"), (0, 1, 2)),
+    "t_eff_t": (("t_omega_m", "value"), (0, 3)),
+    "moments_t": (("t_omega_m", "xx", "pp", "xp", "purity"), (0, 4, 5, 6, 7)),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("precision", [6, 17])
+@pytest.mark.parametrize("ramps", ["inverted", "hot bath"])
+def test_simulate_files_are_write_table_of_the_rows(tmp_path, monkeypatch, capsys, fmt, precision, ramps):
+    # simulate formats each number once and shares the texts between its tables,
+    # yet every file is write_table's over _simulate_rows' rows: t_f 0.1 has nan
+    # cells, and the hot bath (as in test_a_failure_inside_a_middle_range) stops
+    # the t_f 1e-78 tables part way, with the note
+    replacements = {
+        "sample_count = 201": "sample_count = 41",
+        "format = csv": f"format = {fmt}",
+        "precision = 12": f"precision = {precision}",
+    }
+    if ramps == "inverted":
+        replacements["t_final = 0.5, 1.0, 2.0"] = "t_final = 0.1, 1.0"
+    else:
+        replacements["t_final = 0.5, 1.0, 2.0"] = "t_final = 1e-78, 0.5"
+        replacements["bath_temperature = 20 mK"] = "bath_temperature = 1e150"
+    cfg_path = config(tmp_path, **replacements)
+    cfg = load_config(cfg_path)
+    expected = {}
+    for t_final in cfg.protocol.t_final:
+        rows, failure = cli._simulate_rows(cfg, t_final, linspace(0.0, t_final, 41))
+        note = None if failure is None else f"integration_error: {failure}"
+        for name, (header, cols) in SIMULATE_TABLES.items():
+            path = tmp_path / "expected" / f"{name}_{tf_label(t_final)}.{fmt}"
+            write_table(path, header, [[row[k] for k in cols] for row in rows], precision, fmt, note)
+            expected[f"out/{path.name}"] = path.read_bytes()
+    if ramps == "inverted":
+        assert b"nan" in expected[f"out/n_bar_t_tf0.1.{fmt}"]
+    else:
+        assert b"integration_error" in expected[f"out/moments_t_tf1e-78.{fmt}"]
+    for workers in (1, 2):
+        argv = ["simulate", "--config", cfg_path, "--out", "out"]
+        rc, out, err, files, forks = run(monkeypatch, capsys, tmp_path / f"many{workers}", argv, workers)
+        assert files == expected
+        assert (rc, forks) == (0 if ramps == "inverted" else 2, workers - 1)
 
 
 def test_a_raising_ramp_stops_the_files_there(tmp_path, monkeypatch, capsys):
