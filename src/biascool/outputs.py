@@ -9,7 +9,6 @@ same config produce byte-identical files, which the manifest check relies on.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -132,9 +131,9 @@ def render_table(header: Sequence[str], blocks: Iterable[str], fmt: str, note: s
 
 
 def write_text(path: Path, text: str) -> None:
-    """Write ``text`` as UTF-8, creating the parent directories."""
+    """Write ``text`` as UTF-8 with LF endings on every platform, creating the parent directories."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    path.write_text(text, encoding="utf-8", newline="\n")
 
 
 def write_json(path: Path, payload) -> None:
@@ -143,6 +142,8 @@ def write_json(path: Path, payload) -> None:
 
 def hash_manifest(out_dir: Path, files: Iterable[Path]) -> dict[str, str]:
     """Relative path -> SHA-256 content hash, sorted by path."""
+    import hashlib  # here only: it loads OpenSSL, which no command but reproduce needs
+
     entries = {
         path.relative_to(out_dir).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in files

@@ -657,7 +657,9 @@ def test_cli_import_leaves_numpy_unloaded():
 
 
 def test_every_command_runs_with_numpy_blocked(tmp_path):
-    # a minimal install: importing numpy fails, and each command still exits 0 with its files
+    # a minimal install: importing numpy fails, and each command still exits 0 with its files;
+    # and only reproduce, which hashes its manifest, loads hashlib (and so OpenSSL).  -S keeps
+    # site hooks from preloading it.
     src = str(Path(biascool.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     cfg = fast_config(tmp_path)
@@ -665,17 +667,23 @@ def test_every_command_runs_with_numpy_blocked(tmp_path):
         "import sys\n"
         "sys.modules['numpy'] = None\n"
         "from biascool.cli import main\n"
+        "print('imported', 0, 'hashlib' in sys.modules)\n"
         "for command in sys.argv[2:]:\n"
-        "    print(command, main([command, '--config', sys.argv[1], '--out', command]))\n"
+        "    code = main([command, '--config', sys.argv[1], '--out', command])\n"
+        "    print(command, code, 'hashlib' in sys.modules)\n"
     )
     commands = ["params", "design", "simulate", "sweep", "reproduce"]
     run = subprocess.run(
-        [sys.executable, "-c", code, str(cfg), *commands],
+        [sys.executable, "-S", "-c", code, str(cfg), *commands],
         env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300,
     )
     assert run.returncode == 0 and "Traceback" not in run.stderr, run.stderr
-    codes = dict(line.split() for line in run.stdout.splitlines() if line.split()[0] in commands)
-    assert codes == dict.fromkeys(commands, "0")
+    states = {
+        words[0]: tuple(words[1:])
+        for words in map(str.split, run.stdout.splitlines())
+        if words and words[0] in ("imported", *commands)
+    }
+    assert states == {name: ("0", str(name == "reproduce")) for name in ("imported", *commands)}
     assert "coupling eta" in run.stdout
     written = {command: sorted(p.name for p in (tmp_path / command).iterdir()) for command in commands[1:]}
     assert written["design"] == ["b_t_tf1.csv", "f_t_tf1.csv", "omega_eff_t_tf1.csv"]

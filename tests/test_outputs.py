@@ -9,7 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biascool.outputs import format_columns, format_floats, format_rows, hash_manifest, render_table, write_table
+from biascool.outputs import (
+    check_entry,
+    format_columns,
+    format_floats,
+    format_rows,
+    hash_manifest,
+    render_table,
+    write_table,
+)
 
 EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.797e308, -1.797e308, 0.1, 1.0]
 
@@ -136,3 +144,45 @@ def test_hash_manifest_is_sha256_of_the_file_bytes(tmp_path):
     manifest = hash_manifest(tmp_path, [tmp_path / "sub/large.bin", tmp_path / "empty.csv"])
     assert list(manifest) == ["empty.csv", "sub/large.bin"]
     assert manifest == {name: hashlib.sha256(data).hexdigest() for name, data in files.items()}
+
+
+@pytest.mark.parametrize(
+    "kind, target, tolerance, edges",
+    [
+        # each edge is exactly the tolerance away, and the edges and the steps beyond
+        # them differ from the target by exactly representable amounts
+        ("rel", 1.0, 0.25, (0.75, 1.25)),
+        ("rel", -4.0, 0.25, (-5.0, -3.0)),
+        ("abs", 3.0, 0.5, (2.5, 3.5)),
+        ("abs", 0.0, 1e-300, (-1e-300, 1e-300)),
+    ],
+)
+def test_check_entry_passes_at_the_tolerance_and_fails_one_step_beyond(kind, target, tolerance, edges):
+    low, high = edges
+    for value, passed in [
+        (target, True),
+        (low, True),
+        (high, True),
+        (math.nextafter(low, -math.inf), False),
+        (math.nextafter(high, math.inf), False),
+    ]:
+        entry = check_entry("x", value, target, tolerance, kind)
+        assert entry["passed"] is passed, (value, entry)
+
+
+def test_check_entry_upper_is_strict():
+    assert check_entry("x", math.nextafter(2.0, -math.inf), 2.0, 0.1, "upper")["passed"] is True
+    assert check_entry("x", 2.0, 2.0, 0.1, "upper")["passed"] is False
+    assert check_entry("x", 2.05, 2.0, 0.1, "upper")["passed"] is False  # the tolerance is ignored
+
+
+@pytest.mark.parametrize("kind", ["rel", "abs", "upper"])
+def test_check_entry_fails_a_nan_value(kind):
+    entry = check_entry("x", math.nan, 1.0, 1e300, kind)
+    assert entry["passed"] is False
+    assert entry.keys() == {"name", "value", "target", "tolerance", "kind", "passed"}
+
+
+def test_check_entry_rejects_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown check kind 'lower'"):
+        check_entry("x", 1.0, 2.0, 0.1, "lower")
