@@ -55,7 +55,7 @@ from .outputs import (
     write_json,
     write_text,
 )
-from .robustness import REFERENCE_TARGETS, SweepOptions, SweepResult, sweep_cell
+from .robustness import REFERENCE_TARGETS, SweepOptions, SweepResult, sweep_row
 
 # Hard-check targets and tolerances for the reproduction run.
 CHECK_ETA = (1.25e7, 0.01, "rel")
@@ -410,12 +410,10 @@ def _sweep_row(result: SweepResult) -> tuple:
 
 
 def _sweep_file(cfg: RunConfig) -> tuple[Path, list[SweepResult]]:
-    """Write the sweep table; every cell marches its ramp."""
-    params = cfg.physical
+    """Write the sweep table; each t_final's cells march as one row."""
     options = SweepOptions(tolerance=cfg.protocol.tolerance, initial_state=cfg.sweep.initial_state)
-    cells = [(t_final, eps) for t_final in cfg.protocol.t_final for eps in cfg.sweep.epsilon]
-    costs = [t_final for t_final, _ in cells]
-    results = list(_run_tasks(lambda c: sweep_cell(params, *c, options), cells, costs))
+    row = partial(sweep_row, cfg.physical, epsilons=cfg.sweep.epsilon, options=options)
+    results = list(chain.from_iterable(_run_tasks(row, cfg.protocol.t_final, cfg.protocol.t_final)))
     rows = format_rows(map(_sweep_row, results), cfg.output.precision, cfg.output.format)
     return _write(cfg, "sweep", _SWEEP_HEADER, [rows]), results
 

@@ -15,9 +15,10 @@ Two code paths live here:
   exponential of a traceless matrix, so each step is unimodular to
   rounding and the symplectic invariants are conserved structurally,
   not by luck of the tolerance.  ``transfer_series`` samples it as
-  GaussianStates.  No CLI command samples it: ``simulate`` writes the
-  nominal ramp's exact moments (``design.invariant_moments``), and the
-  sweep marches end points only.
+  GaussianStates; ``propagate_row`` marches ramps differing only in the
+  drive's gain as the lanes of one march, one per t_final in the sweep.
+  No CLI command samples it: ``simulate`` writes the nominal ramp's
+  exact moments (``design.invariant_moments``).
 * ``solve_ermakov_forward`` -- oracle for the auxiliary nonlinear
   equation, integrated forward with the RK solver in ``integrate``; it
   closes the design/simulate loop.  No CLI command runs it.
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import thermometry
-from .design import ControlTrajectory
+from .design import ControlTrajectory, _drive
 from .integrate import IntegrationError, RKResult, solve_rk
 from .physical import PhysicalParams
 
@@ -173,10 +174,8 @@ _PHASE_PROBES = 32
 _OVERFLOW_CHECK_STEPS = 256
 
 
-def _magnus6_step(
-    w: FrequencyProfile, t: float, h: float, wmid: float | None = None
-) -> tuple[float, float, float, float]:
-    """6th-order Magnus step for x' = p, p' = -w(t) x (three-point Gauss).
+def _magnus6_exp(h: float, w1: float, w2: float, w3: float) -> tuple[float, float, float, float]:
+    """6th-order Magnus step for x' = p, p' = -w(t) x, from w at the step's three Gauss nodes.
 
     Blanes, Casas & Ros, BIT 40 (2000) 434: with A_i = A(t + c_i h),
     a1 = h A_2, a2 = (sqrt(15) h/3)(A_3 - A_1), a3 = (10 h/3)(A_3 - 2 A_2 + A_1),
@@ -185,11 +184,7 @@ def _magnus6_step(
     A = [[0, 1], [-w, 0]] the commutators reduce to the scalar products
     below, and Omega = [[a, b], [c, -a]] is traceless, so its exponential
     is cosh/sinh(sqrt(a^2 + bc)) in closed form with unit determinant.
-    ``wmid`` is w(t + h/2) when the caller already has it.
     """
-    w1 = w(t + _GAUSS_LO * h)
-    w2 = w(t + 0.5 * h) if wmid is None else wmid
-    w3 = w(t + _GAUSS_HI * h)
     # a1 = [[0, h], [r, 0]], a2 = [[0, 0], [p, 0]], a3 = [[0, 0], [q, 0]]
     r = -h * w2
     p = _P_COEF * h * (w3 - w1)
@@ -213,6 +208,11 @@ def _magnus6_step(
     return (ch + sh * a, sh * b, sh * c, ch - sh * a)
 
 
+def _magnus6_step(w: FrequencyProfile, t: float, h: float) -> tuple[float, float, float, float]:
+    """``_magnus6_exp`` over [t, t + h] on the profile w."""
+    return _magnus6_exp(h, w(t + _GAUSS_LO * h), w(t + 0.5 * h), w(t + _GAUSS_HI * h))
+
+
 def _mmul(A, B):
     a11, a12, a21, a22 = A
     b11, b12, b21, b22 = B
@@ -225,42 +225,45 @@ def _mmul(A, B):
 
 
 def _integrate_transfer(
-    w: FrequencyProfile,
-    t0: float,
-    t1: float,
-    tol: float,
+    q: FrequencyProfile,
+    t0: float, t1: float, tol: float,
     samples: Sequence[float] | None = None,
-    emitted: list[tuple[float, float, float, float]] | None = None,
-) -> tuple[float, float, float, float]:
-    """Accumulate the fundamental matrix; return it at t1.
+    emitted: list[list[tuple[float, float, float, float]]] | None = None,
+    lanes: Sequence[tuple[float, float]] = ((0.0, 1.0),),
+) -> list[tuple[float, float, float, float]]:
+    """Accumulate the fundamental matrix of each lane; return them at t1.
 
-    The matrix at each sample time is appended to ``emitted`` as soon as
-    the march passes it, so a caller that catches IntegrationError keeps
-    the samples reached before the failure.
+    A lane (offset, gain) marches the profile offset + gain * q(t); a plain
+    profile is q itself, the lane (0.0, 1.0).  The lanes share one step
+    sequence: each attempt evaluates q once per node for all of them, the
+    phase limit follows the largest local frequency, and a step is accepted
+    only when every lane's error estimate is within tol, the controller
+    following the largest.  So a lane's last digits depend on the other
+    lanes, but not on their order, and a one-lane march is its own.
 
     Each step is the 6th-order Magnus exponential on three Gauss nodes.
     Step-doubling Richardson control: the accepted update is the pair of
     half steps (each an exact unit-det exponential); the coarse full step
     only feeds the error estimate, (fine - coarse) / 63 for a 6th-order
-    method.  Off-diagonal errors are weighted by the local frequency so
-    the estimate is balanced for large omega.  The frequency probe at the
+    method.  Off-diagonal errors are weighted by the lane's local frequency
+    so the estimate is balanced for large omega.  The kernel probe at the
     step midpoint doubles as the coarse step's middle node whenever the
     step is not clipped to the phase limit.
 
-    Sample emission never alters the marching step sequence: interior
-    samples are reached by a single interpolating sub-step off the last
-    accepted point, so the final matrix is bit-identical with or without
-    sampling (series end points and one-shot propagation must agree
-    exactly).
+    The lanes' matrices at each sample time are appended to ``emitted`` as
+    soon as the march passes it, so a caller that catches IntegrationError
+    keeps the samples reached before the failure.  An interior sample is
+    a sub-step off the last accepted point, so sampling never alters the
+    step sequence or the final matrices.
 
     Raises IntegrationError, with the time reached, on step-size
-    underflow or once ``_MAX_STEPS`` steps have been attempted; a ramp
+    underflow or once ``_MAX_STEPS`` steps have been attempted; a march
     whose estimated phase cannot fit in that budget is refused before the
     first step.  A matrix that overflowed is an IntegrationError too, at
-    the time reached: M is checked every ``_OVERFLOW_CHECK_STEPS``
-    accepted steps and at the end, so sampled matrices between the
-    overflow and its check may already be emitted, and a caller checks
-    each sample it maps.
+    the time reached: the matrices are checked every
+    ``_OVERFLOW_CHECK_STEPS`` accepted steps and at the end, so sampled
+    matrices between the overflow and its check may already be emitted,
+    and a caller checks each sample it maps.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
@@ -276,7 +279,8 @@ def _integrate_transfer(
         raise ValueError("samples must lie in (t0, t1]")
     max_phase = 1.5  # keep per-step phase below the Magnus convergence radius
     probe = span / _PHASE_PROBES  # the phase estimate is never below the span
-    phase = probe * sum(max(_sqrt(abs(w(t0 + (k + 0.5) * probe))), 1.0) for k in range(_PHASE_PROBES))
+    probes = [q(t0 + (k + 0.5) * probe) for k in range(_PHASE_PROBES)]
+    phase = probe * sum(max(max(_sqrt(abs(o + g * v)), 1.0) for o, g in lanes) for v in probes)
     if phase / max_phase > _MAX_STEPS:
         raise IntegrationError(
             f"phase {phase:.3g} over span {span:.3g} needs more than {_MAX_STEPS} transfer-matrix steps",
@@ -285,10 +289,10 @@ def _integrate_transfer(
 
     if emitted is None:
         emitted = []
-    step, mmul, sqrt, isfinite = _magnus6_step, _mmul, _sqrt, math.isfinite
+    step, mmul, sqrt, isfinite = _magnus6_exp, _mmul, _sqrt, math.isfinite
     n_targets = len(targets)
     t = t0
-    M = (1.0, 0.0, 0.0, 1.0)
+    Ms = [(1.0, 0.0, 0.0, 1.0)] * len(lanes)
     next_target = 0
     h = span * 1e-4
     steps = accepted_steps = 0
@@ -301,47 +305,48 @@ def _integrate_transfer(
             raise IntegrationError(f"transfer-matrix step budget ({_MAX_STEPS}) exhausted", t)
         steps += 1
         h_try = min(h, t1 - t)
-        wmid = w(t + 0.5 * h_try)
-        wscale = sqrt(max(abs(wmid), 1.0))
+        qmid = q(t + 0.5 * h_try)
+        wscales = [sqrt(max(abs(o + g * qmid), 1.0)) for o, g in lanes]
+        wscale = max(wscales)
         if wscale * h_try > max_phase:
             h_try = max_phase / wscale
-            wmid = None  # no longer the midpoint of the step
+            qmid = q(t + 0.5 * h_try)  # the midpoint of the clipped step
         clipped = h_try < h
 
-        c11, c12, c21, c22 = step(w, t, h_try, wmid)
         half = 0.5 * h_try
-        a11, a12, a21, a22 = step(w, t + half, half)
-        b11, b12, b21, b22 = step(w, t, half)
-        f11 = a11 * b11 + a12 * b21
-        f12 = a11 * b12 + a12 * b22
-        f21 = a21 * b11 + a22 * b21
-        f22 = a21 * b12 + a22 * b22
-        err = (
-            max(
-                abs(f11 - c11),
-                abs(f22 - c22),
-                abs(f12 - c12) * wscale,
-                abs(f21 - c21) / wscale,
-            )
-            / 63.0
-        )
+        q1, q3 = q(t + _GAUSS_LO * h_try), q(t + _GAUSS_HI * h_try)
+        q4, q5, q6 = q(t + half + _GAUSS_LO * half), q(t + half + 0.5 * half), q(t + half + _GAUSS_HI * half)
+        q7, q8, q9 = q(t + _GAUSS_LO * half), q(t + 0.5 * half), q(t + _GAUSS_HI * half)
+        err, fine = 0.0, []  # the largest lane error estimate, each lane's fine update
+        for (o, g), ws in zip(lanes, wscales):
+            c11, c12, c21, c22 = step(h_try, o + g * q1, o + g * qmid, o + g * q3)
+            a = step(half, o + g * q4, o + g * q5, o + g * q6)
+            f = mmul(a, step(half, o + g * q7, o + g * q8, o + g * q9))
+            f11, f12, f21, f22 = f
+            e = max(abs(f11 - c11), abs(f22 - c22), abs(f12 - c12) * ws, abs(f21 - c21) / ws) / 63.0
+            if e > err or e != e:  # a NaN estimate is the largest, whatever the order
+                err = e
+            fine.append(f)
 
         accepted = err <= tol  # NaN error estimates reject
         if accepted:
             t_new = t + h_try
-            M_new = mmul((f11, f12, f21, f22), M)
+            Ms_new = list(map(mmul, fine, Ms))
             if next_target < n_targets:
                 hi, lo = t_new * (1 + 1e-15), t_new * (1 - 1e-15)
                 if t_new < 0.0:  # the relative slack flips with the sign
                     hi, lo = lo, hi
                 while next_target < n_targets and targets[next_target] <= hi:
                     target = targets[next_target]
-                    emitted.append(M_new if target >= lo else mmul(step(w, t, target - t), M))
+                    emitted.append(Ms_new if target >= lo else [
+                        mmul(_magnus6_step(lambda x: o + g * q(x), t, target - t), M)
+                        for (o, g), M in zip(lanes, Ms)
+                    ])
                     next_target += 1
             t = t_new
-            M = M_new
+            Ms = Ms_new
             accepted_steps += 1
-            if not accepted_steps % check_every and not all(map(isfinite, M)):
+            if not accepted_steps % check_every and not all(isfinite(x) for M in Ms for x in M):
                 raise IntegrationError("transfer matrix overflowed", t)
         if not isfinite(err):
             factor = 0.2
@@ -352,9 +357,9 @@ def _integrate_transfer(
         h_new = h_try * min(5.0, max(0.2, factor))
         h = max(h_new, h) if (clipped and accepted) else h_new
 
-    if not all(map(isfinite, M)):
+    if not all(isfinite(x) for M in Ms for x in M):
         raise IntegrationError("transfer matrix overflowed", t)
-    return M
+    return Ms
 
 
 def propagate_transfer(
@@ -369,10 +374,17 @@ def propagate_transfer(
     Inverted-potential windows (omega_eff^2 < 0) need no special
     handling: the elementary exponential simply goes hyperbolic.
     """
-    w = _profile(traj)
-    m = _integrate_transfer(w, t0, t1, tol)
-    matrix = TransferMatrix(*m)
+    matrix = TransferMatrix(*_integrate_transfer(_profile(traj), t0, t1, tol)[0])
     return matrix.apply(state0, time=t1), matrix
+
+
+def propagate_row(
+    trajs: Sequence[ControlTrajectory], t0: float, t1: float, tol: float = 1e-10
+) -> list[TransferMatrix]:
+    """The transfer matrices from t0 to t1 of ramps with one nominal drive (spec and eta), such as one
+    ramp's ``perturb_trajectory`` copies: the lanes (1, eta f_scale) of the first's kernel f0, one march."""
+    kernel, lanes = _drive(trajs[0], 1.0, 0.0), [(1.0, r.eta * r.f_scale) for r in trajs]
+    return [TransferMatrix(*m) for m in _integrate_transfer(kernel, t0, t1, tol, lanes=lanes)]
 
 
 def transfer_series(
@@ -392,16 +404,16 @@ def transfer_series(
     times = [float(v) for v in times]
     if not times or not math.isclose(times[0], state0.time, rel_tol=0.0, abs_tol=1e-12):
         raise ValueError("times must start at the state's own time")
-    emitted: list[tuple[float, float, float, float]] = []
+    emitted: list[list[tuple[float, float, float, float]]] = []
     failure: IntegrationError | None = None
     try:
-        m = _integrate_transfer(_profile(traj), times[0], times[-1], tol, times[1:], emitted)
+        (m,) = _integrate_transfer(_profile(traj), times[0], times[-1], tol, times[1:], emitted)
     except IntegrationError as exc:
         failure = exc
     xx0, pp0, xp0 = state0.xx, state0.pp, state0.xp
     states = [state0]
     try:
-        for t, mat in zip(times[1:], emitted):
+        for t, (mat,) in zip(times[1:], emitted):
             _, xx, pp, xp = _moment_row(mat, xx0, pp0, xp0, t)
             states.append(GaussianState(xx, pp, xp, t))
     except IntegrationError as exc:

@@ -345,26 +345,22 @@ class TestReproduce:
         assert manifest["all_passed"] is True
 
     def test_reproduce_marches_only_sweep_cells(self, tmp_path, monkeypatch):
-        # work counters: simulate writes the closed form and marches nothing; the
-        # 9 sweep cells march once each, the epsilon = 0 ones as the certificate
-        marches = evaluations = 0
+        # work counters: simulate writes the closed form and marches nothing; each
+        # t_final's 3 sweep cells march once, as the lanes of one row, the epsilon = 0
+        # lanes as the certificate.  The drive kernel is counted where the march calls it
+        marches, evaluations = [], 0
         integrate = dynamics._integrate_transfer
-        profile = ControlTrajectory.frequency_sq_fn
 
-        def counted_march(*args, **kwargs):
-            nonlocal marches
-            marches += 1
-            return integrate(*args, **kwargs)
-
-        def counted_profile(traj):
-            w = profile(traj)
+        def counted_march(kernel, *args, **kwargs):
+            nonlocal evaluations
+            marches.append(len(kwargs["lanes"]))
 
             def counted(t):
                 nonlocal evaluations
                 evaluations += 1
-                return w(t)
+                return kernel(t)
 
-            return counted
+            return integrate(counted, *args, **kwargs)
 
         # the counters live in this process, so every task must run here
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
@@ -372,17 +368,16 @@ class TestReproduce:
         sweep_file = cli._sweep_file
 
         def recorded(cfg):
-            before_sweep.append(marches)
+            before_sweep.append(len(marches))
             return sweep_file(cfg)
 
         monkeypatch.setattr(cli, "_sweep_file", recorded)
         monkeypatch.setattr(dynamics, "_integrate_transfer", counted_march)
-        monkeypatch.setattr(ControlTrajectory, "frequency_sq_fn", counted_profile)
         assert main(["reproduce", "--out", str(tmp_path / "out")]) == 0
-        assert before_sweep == [0] and marches == 9
-        # 93,270 when simulate marched its sampled ramps and the sweep reused them;
-        # the phase preflight's probes included
-        assert evaluations <= 92_100
+        assert before_sweep == [0] and marches == [3, 3, 3]
+        # 91,767 when each cell marched alone and 31,864 as rows (5,360, 9,502 and
+        # 17,002), the phase preflight's probes included
+        assert evaluations <= 32_180
 
     @pytest.mark.parametrize("initial_state", ["nominal", "perturbed"])
     def test_only_nominal_drive_cells_reuse_a_march(self, tmp_path, initial_state):
@@ -410,7 +405,7 @@ class TestReproduce:
         assert check["value"] > 10.0 and check["target"] == 1e-3 and check["kind"] == "upper"
 
     def test_coarse_tolerance_passes_every_check(self, tmp_path, capsys):
-        # the certificate's bound holds at tol 1e-3 (deviation at most 3.1e-5) on the built-in config
+        # the certificate's bound holds at tol 1e-3 (deviation at most 3.4e-5) on the built-in config
         out = tmp_path / "out"
         assert main(["reproduce", "--out", str(out), "--samples", "41", "--tol", "1e-3"]) == 0
         manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))

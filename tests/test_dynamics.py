@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 from dataclasses import astuple
@@ -22,6 +23,7 @@ from biascool.dynamics import (
     IntegrationError,
     StateError,
     TransferMatrix,
+    propagate_row,
     propagate_transfer,
     solve_ermakov_forward,
     thermal_state,
@@ -295,7 +297,9 @@ class TestMomentRows:
         emitted = []
         dynamics._integrate_transfer(traj.frequency_sq_fn(), 0.0, 0.1, 1e-10, times[1:], emitted)
         states, matrix = transfer_series(traj, state0, times)
-        rows = [dynamics._moment_row(m, state0.xx, state0.pp, state0.xp, t) for t, m in zip(times[1:], emitted)]
+        rows = [
+            dynamics._moment_row(m, state0.xx, state0.pp, state0.xp, t) for t, (m,) in zip(times[1:], emitted)
+        ]
         assert states[0] is state0
         assert [(s.time, s.xx, s.pp, s.xp) for s in states[1:]] == rows
         assert [s.time for s in states] == times
@@ -350,6 +354,41 @@ class TestMomentRows:
         # a finite map to a non-positive xx is still a StateError, as for GaussianState
         with pytest.raises(StateError, match="moments must be positive"):
             TransferMatrix(0.0, 0.0, 1.0, 1.0).apply(GaussianState(1.0, 1.0))
+
+
+class TestRowMarch:
+    @pytest.mark.parametrize("t_final,epsilon", [(0.1, 0.0), (0.5, -0.1), (1.0, 0.3), (2.0, -1.2)])
+    def test_one_lane_row_is_the_profile_march(self, device_params, t_final, epsilon):
+        # the kernel f0 on the lane (1, eta f_scale) has the bits of the profile 1 + eta f_scale f0
+        ramp = perturb_trajectory(make_trajectory(device_params, t_final), epsilon)
+        (row,) = propagate_row([ramp], 0.0, t_final)
+        _, alone = propagate_transfer(ramp.frequency_sq_fn(), squeezed_state(), 0.0, t_final)
+        assert row == alone
+
+    def test_lane_order_changes_no_lane(self, device_params):
+        nominal = make_trajectory(device_params, 0.5)
+        epsilons = [-0.9, 0.0, 3.0]
+        first = propagate_row([perturb_trajectory(nominal, e) for e in epsilons], 0.0, 0.5)
+        for order in itertools.permutations(range(len(epsilons))):
+            marched = propagate_row([perturb_trajectory(nominal, epsilons[k]) for k in order], 0.0, 0.5)
+            assert [marched[order.index(k)] for k in range(len(epsilons))] == first
+
+    def test_row_evaluates_the_kernel_once_per_node(self, device_params, monkeypatch):
+        # three lanes, one kernel: as many evaluations as a one-lane march on the same steps
+        counts = []
+        integrate = dynamics._integrate_transfer
+
+        def counted_march(kernel, *args, **kwargs):
+            calls = []
+            result = integrate(lambda t: calls.append(t) or kernel(t), *args, **kwargs)
+            counts.append(len(calls))
+            return result
+
+        monkeypatch.setattr(dynamics, "_integrate_transfer", counted_march)
+        nominal = make_trajectory(device_params, 0.5)
+        propagate_row([perturb_trajectory(nominal, e) for e in (-0.1, 0.0, 0.1)], 0.0, 0.5)
+        propagate_row([perturb_trajectory(nominal, 0.1)], 0.0, 0.5)
+        assert counts[0] == counts[1] < 6000
 
 
 class TestCovarianceOracle:

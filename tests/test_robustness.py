@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 
@@ -15,7 +16,7 @@ from biascool.robustness import (
     SweepResult,
     perturb_trajectory,
     run_sweep,
-    sweep_cell,
+    sweep_row,
 )
 
 from conftest import NBAR_COLD, TEFF_FINAL, make_params, make_params_eta
@@ -103,12 +104,10 @@ class TestSweep:
             )
 
     def test_grid_order_invariance(self, device_params, small_sweep):
-        reordered = run_sweep(device_params, [0.5], [0.1, -0.1, 0.0], SweepOptions(tolerance=1e-10))
-        by_eps = {r.epsilon: r for r in reordered}
-        for row in small_sweep:
-            other = by_eps[row.epsilon]
-            assert row.n_bar_final == other.n_bar_final
-            assert row.ermakov_b_final == other.ermakov_b_final
+        # a row's lanes share one step sequence, which no order of its epsilons changes
+        for order in itertools.permutations([-0.1, 0.0, 0.1]):
+            by_eps = {r.epsilon: r for r in run_sweep(device_params, [0.5], order, SweepOptions(tolerance=1e-10))}
+            assert [by_eps[row.epsilon] for row in small_sweep] == small_sweep
 
     def test_sweep_does_not_run_the_rk_solver(self, rk_free_sweep):
         assert len(rk_free_sweep) == 9
@@ -132,18 +131,50 @@ class TestSweep:
             assert (a.n_bar_final == b.n_bar_final) == (a.epsilon == 0.0)
             assert a.ermakov_b_final == b.ermakov_b_final
 
-    def test_one_propagation_per_cell(self, device_params, monkeypatch):
+    @pytest.mark.parametrize("t_final,missing", [(0.5, -1.2), (0.5, -1.5), (1.0, -2.0)])
+    def test_lanes_ignore_a_missing_start_state(self, device_params, t_final, missing):
+        # the first epsilon has no perturbed start, but its lane still marches: the row's
+        # other cells keep the bits they have under the nominal start.  The -1.5 and -2
+        # lanes set the row's steps, and the -2 cell's nominal moments overflow
+        grid = [missing, -0.1, 0.0, 0.1]
+        nominal = run_sweep(device_params, [t_final], grid)
+        perturbed = run_sweep(device_params, [t_final], grid, SweepOptions(initial_state="perturbed"))
+        assert "start frequency" in perturbed[0].status
+        assert (nominal[0].status == "ok") == (missing != -2.0)
+        assert all(row.status == "ok" for row in nominal[1:] + perturbed[1:])
+        b_perturbed = [row.ermakov_b_final for row in perturbed[1:]]
+        assert [row.ermakov_b_final for row in nominal[1:]] == b_perturbed
+        alone = run_sweep(device_params, [t_final], grid[1:])
+        assert ([row.ermakov_b_final for row in alone] == b_perturbed) == (missing == -1.2)
+
+    def test_one_march_per_row(self, device_params, monkeypatch):
         calls = []
-        propagate = robustness.propagate_transfer
+        propagate = robustness.propagate_row
 
-        def counted(*args, **kwargs):
-            calls.append(kwargs.get("tol"))
-            return propagate(*args, **kwargs)
+        def counted(ramps, *args):
+            calls.append((len(ramps), args))
+            return propagate(ramps, *args)
 
-        monkeypatch.setattr(robustness, "propagate_transfer", counted)
-        rows = run_sweep(device_params, [0.5], [-0.1, 0.0, 0.1], SweepOptions(tolerance=1e-10))
-        assert len(rows) == 3 and all(row.status == "ok" for row in rows)
-        assert calls == [1e-10] * 3
+        monkeypatch.setattr(robustness, "propagate_row", counted)
+        rows = run_sweep(device_params, [0.5, 1.0], [-0.1, 0.0, 0.1], SweepOptions(tolerance=1e-10))
+        assert len(rows) == 6 and all(row.status == "ok" for row in rows)
+        assert calls == [(3, (0.0, 0.5, 1e-10)), (3, (0.0, 1.0, 1e-10))]
+
+    @pytest.mark.parametrize(
+        "t_final,epsilons",
+        [(0.5, [-0.1, 0.0, 0.1]), (1.0, [-0.1, 0.0, 0.1]), (2.0, [-0.1, 0.0, 0.1]),
+         (1.0, [-1e-2, -1e-3, -1e-4, 0.0, 1e-4, 1e-3, 1e-2]), (0.5, [-0.9, 0.0, 3.0])],
+    )
+    def test_every_lane_as_accurate_as_alone(self, device_params, t_final, epsilons):
+        # the default grid's rows, the small-error row and a row of far-apart gains, whose
+        # +3 lane misses by 1.9e-6 if the steps follow the smallest error estimate: each
+        # lane of the shared march against its own one-lane march at tol 1e-13
+        row = sweep_row(device_params, t_final, epsilons)
+        for cell, epsilon in zip(row, epsilons):
+            (reference,) = sweep_row(device_params, t_final, [epsilon], SweepOptions(tolerance=1e-13))
+            assert cell.status == reference.status == "ok"
+            assert cell.n_bar_final == pytest.approx(reference.n_bar_final, rel=1e-9, abs=0.0)
+            assert cell.ermakov_b_final == pytest.approx(reference.ermakov_b_final, rel=1e-9, abs=0.0)
 
     def test_unperturbed_cell_agrees_with_simulate(self):
         # the cell marches; simulate writes the invariant's closed form
@@ -216,6 +247,14 @@ class TestOverflow:
             "ermakov_b_final=1.0641554896299314e+144, status='ok')"
         )
 
+    def test_failed_row_marches_cell_by_cell(self, device_params):
+        # the -2 lane overflows the shared march's matrix: every cell is then its
+        # one-lane self, status and bits (-1.25 overflows only its own moments)
+        epsilons = [-1.2, -1.25, -2.0, 0.0]
+        alone = [sweep_row(device_params, 2.0, [epsilon])[0] for epsilon in epsilons]
+        assert repr(sweep_row(device_params, 2.0, epsilons)) == repr(alone)
+        assert [cell.status == "ok" for cell in alone] == [True, False, False, True]
+
     def test_finite_cell_past_the_squares_range(self, device_params):
         # at epsilon = -1.23 the occupation (~7e304) and b (~2e154) are finite,
         # but kB ln(1 + 1/n) and b^2 are not: neither may crash nor read inf
@@ -239,7 +278,7 @@ class TestOverflow:
         state0 = thermal_state(params, nominal.spec.omega0_sq, params.bath_temperature)
         final, _ = propagate_transfer(perturb_trajectory(nominal, -1.2), state0, 0.0, 2.0)
         assert final.xx < math.inf and final.xx + final.pp == math.inf
-        cell = sweep_cell(params, 2.0, -1.2, SweepOptions())
+        (cell,) = sweep_row(params, 2.0, [-1.2], SweepOptions())
         assert cell.status == "integration failed: occupation overflowed (at t = 2)"
 
 

@@ -105,11 +105,12 @@ def test_sweep(tmp_path, monkeypatch, capsys, start):
 
 
 def test_failing_sweep_cells(tmp_path, monkeypatch, capsys):
+    # two rows, so the forked path runs too; each has a failing cell and marches again cell by cell
     cfg = config(
-        tmp_path, **{"t_final = 0.5, 1.0, 2.0": "t_final = 2", "epsilon = -0.1, 0.0, 0.1": "epsilon = -2, -1.25"}
+        tmp_path, **{"t_final = 0.5, 1.0, 2.0": "t_final = 1, 2", "epsilon = -0.1, 0.0, 0.1": "epsilon = -2, -1.25"}
     )
     rc, out, err, files = both_paths(monkeypatch, capsys, tmp_path, ["sweep", "--config", cfg])
-    assert rc == 2 and len(err.splitlines()) == 2 and "overflowed" in err
+    assert rc == 2 and len(err.splitlines()) == 3 and err.count("overflowed") == 3
 
 
 def test_failed_ramps_write_partial_rows(tmp_path, monkeypatch, capsys):
