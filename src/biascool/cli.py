@@ -164,12 +164,25 @@ def _run_tasks(fn: Callable, items: Sequence, costs: Sequence[float]) -> Iterato
     exception is raised when its turn comes, so the caller does what a
     one-CPU run does and its output is the same bytes.  With one CPU or
     one task, without ``os.fork``, or with a second Python thread alive,
-    the tasks run here, lazily, one by one.
+    the tasks run here, lazily, one by one.  Every command but ``params``
+    calls it once, through ``_one_round``.
     """
     workers = min(len(items), _usable_cpus())
     if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
         return map(fn, items)
     return _raise_in_order(_forked_outcomes(fn, items, costs, workers))
+
+
+def _one_round(*stages: tuple[list, list[float], Callable]) -> Iterator:
+    """Run every stage's tasks in one ``_run_tasks`` call; yield each stage's writer's return, in order.
+
+    A stage is a ``_*_stage`` builder's (zero-argument tasks, costs, writer of its results): in
+    ``reproduce`` the sweep rows (cost t_final > 0) start first, and the design ramps and simulate
+    ranges (cost 0) fill the other workers.  A writer not reached raises none of its tasks' errors.
+    """
+    tasks, costs, writers = zip(*stages)
+    results = _run_tasks(lambda task: task(), list(chain(*tasks)), list(chain(*costs)))
+    return (write(results) for write in writers)
 
 
 def _outcome(fn: Callable, item) -> tuple:
@@ -190,8 +203,7 @@ def _forked_outcomes(fn: Callable, items: Sequence, costs: Sequence[float], work
     on an exception (Ctrl-C included).  A task whose child ended without sending its outcomes
     fails with an OSError.
     """
-    import pickle  # only a forking run pays for these imports
-    from signal import SIGKILL
+    import pickle  # only a forking run pays for this import
 
     order = sorted(range(len(items)), key=lambda i: -costs[i])
     outcomes = [(OSError("a worker process ended without sending its results"), None)] * len(items)
@@ -232,6 +244,7 @@ def _forked_outcomes(fn: Callable, items: Sequence, costs: Sequence[float], work
             except (EOFError, pickle.UnpicklingError):  # empty or cut short: the child died first
                 pass
     except BaseException:
+        from signal import SIGKILL  # here only: importing signal takes ~1 ms
         for pid, _ in children:
             os.kill(pid, SIGKILL)
         raise
@@ -267,24 +280,34 @@ def _report_failures(failure: IntegrationError | None, results: list[SweepResult
     return 2 if errors else 0
 
 
-def _design_files(cfg: RunConfig) -> list[Path]:
+def _design_blocks(cfg: RunConfig, t_final: float) -> list[str]:
+    """A ramp's f, omega_eff and b tables as one block each."""
+    traj = make_trajectory(cfg.physical, t_final)
+    t = linspace(0.0, t_final, cfg.protocol.sample_count)
+    f = control_function(traj, t)
+    omega_eff = list(map(signed_sqrt, traj.omega_eff_sq(t)))
+    b, _, _ = b_polynomial([ti / t_final for ti in t], traj.spec.chi)
+    out = cfg.output
+    t_texts = format_floats(t, out.precision)  # once for the three tables
+    return [format_columns([t_texts, format_floats(y, out.precision)], out.format) for y in (f, omega_eff, b)]
+
+
+def _design_stage(cfg: RunConfig) -> tuple[list, list[float], Callable]:
+    """Design's tasks, one per ramp, cost 0, and ``_design_files``."""
+    tasks = [partial(_design_blocks, cfg, t_final) for t_final in cfg.protocol.t_final]
+    return tasks, [0.0] * len(tasks), partial(_design_files, cfg)
+
+
+def _design_files(cfg: RunConfig, ramps: Iterator[list[str]]) -> list[Path]:
     written: list[Path] = []
-    for t_final in cfg.protocol.t_final:
-        traj = make_trajectory(cfg.physical, t_final)
-        label = tf_label(t_final)
-        t = linspace(0.0, t_final, cfg.protocol.sample_count)
-        f = control_function(traj, t)
-        omega_eff = list(map(signed_sqrt, traj.omega_eff_sq(t)))
-        b, _, _ = b_polynomial([ti / t_final for ti in t], traj.spec.chi)
-        t_texts = format_floats(t, cfg.output.precision)  # once for the three tables
-        for name, series in (("f_t", f), ("omega_eff_t", omega_eff), ("b_t", b)):
-            block = format_columns([t_texts, format_floats(series, cfg.output.precision)], cfg.output.format)
-            written.append(_write(cfg, f"{name}_{label}", ("t_omega_m", "value"), [block]))
+    for t_final, blocks in zip(cfg.protocol.t_final, ramps):
+        for name, block in zip(("f_t", "omega_eff_t", "b_t"), blocks):
+            written.append(_write(cfg, f"{name}_{tf_label(t_final)}", ("t_omega_m", "value"), [block]))
     return written
 
 
 def cmd_design(cfg: RunConfig) -> int:
-    for path in _design_files(cfg):
+    for path in next(_one_round(_design_stage(cfg))):
         print(path)
     return 0
 
@@ -332,12 +355,12 @@ _SIMULATE_TABLES = (
 )
 
 
-def _simulate_blocks(cfg: RunConfig, task: tuple[float, list[float]]) -> tuple:
-    """A ramp's range (t_final, times) as its blocks of the three tables, last bare occupation, failure.
+def _simulate_blocks(cfg: RunConfig, t_final: float, times: list[float]) -> tuple:
+    """A ramp's range of ``times`` as its blocks of the three tables, last bare occupation, failure.
 
     Each number is formatted once, the purity once per range, and the three tables share t's texts.
     """
-    rows, failure = _simulate_rows(cfg, *task)
+    rows, failure = _simulate_rows(cfg, t_final, times)
     out = cfg.output
     numbers = list(chain.from_iterable(rows))
     del numbers[7::8]  # the purity column
@@ -348,23 +371,28 @@ def _simulate_blocks(cfg: RunConfig, task: tuple[float, list[float]]) -> tuple:
     return blocks, rows[-1][2] if rows else None, failure
 
 
-def _simulate_files(cfg: RunConfig) -> tuple[list[Path], dict[str, float], IntegrationError | None]:
-    """Write the series of every ramp; return each completed ramp's final bare occupation by label.
-
-    Each ramp runs as tasks of contiguous sample ranges, four per worker, so a worker on a slower
-    CPU holds up the last task for less; its tables are its ranges' blocks up to the first failure.
-    """
-    written: list[Path] = []
-    finals: dict[str, float] = {}
-    first_failure: IntegrationError | None = None
+def _simulate_stage(cfg: RunConfig) -> tuple[list, list[float], Callable]:
+    """Each ramp's contiguous sample ranges as tasks of cost 0, and ``_simulate_files``."""
     n = cfg.protocol.sample_count
-    pieces = min(n, 4 * _usable_cpus())
+    pieces = min(n, 4 * _usable_cpus())  # four per worker: one on a slower CPU holds up the last for less
     cuts = [n * k // pieces for k in range(pieces + 1)]
     tasks = []
     for t_final in cfg.protocol.t_final:
         times = linspace(0.0, t_final, n)
-        tasks += [(t_final, times[a:b]) for a, b in zip(cuts, cuts[1:])]
-    ranges = _run_tasks(partial(_simulate_blocks, cfg), tasks, [1.0] * len(tasks))
+        tasks += [partial(_simulate_blocks, cfg, t_final, times[a:b]) for a, b in zip(cuts, cuts[1:])]
+    return tasks, [0.0] * len(tasks), partial(_simulate_files, cfg, pieces)
+
+
+def _simulate_files(
+    cfg: RunConfig, pieces: int, ranges: Iterator
+) -> tuple[list[Path], dict[str, float], IntegrationError | None]:
+    """Write the series of every ramp; return each completed ramp's final bare occupation by label.
+
+    A ramp's tables are its ``pieces`` ranges' blocks up to the first failure.
+    """
+    written: list[Path] = []
+    finals: dict[str, float] = {}
+    first_failure: IntegrationError | None = None
     for t_final in cfg.protocol.t_final:
         blocks, failure = [], None
         for range_blocks, n_final, range_failure in islice(ranges, pieces):
@@ -381,7 +409,7 @@ def _simulate_files(cfg: RunConfig) -> tuple[list[Path], dict[str, float], Integ
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
-    written, _, failure = _simulate_files(cfg)
+    written, _, failure = next(_one_round(_simulate_stage(cfg)))
     for path in written:
         print(path)
     return _report_failures(failure, [])
@@ -409,17 +437,22 @@ def _sweep_row(result: SweepResult) -> tuple:
     return (*astuple(result), *target)
 
 
-def _sweep_file(cfg: RunConfig) -> tuple[Path, list[SweepResult]]:
-    """Write the sweep table; each t_final's cells march as one row."""
+def _sweep_stage(cfg: RunConfig) -> tuple[list, list[float], Callable]:
+    """A task per sweep row (its cells march together) at cost t_final > 0, and ``_sweep_file``."""
     options = SweepOptions(tolerance=cfg.protocol.tolerance, initial_state=cfg.sweep.initial_state)
-    row = partial(sweep_row, cfg.physical, epsilons=cfg.sweep.epsilon, options=options)
-    results = list(chain.from_iterable(_run_tasks(row, cfg.protocol.t_final, cfg.protocol.t_final)))
+    tasks = [partial(sweep_row, cfg.physical, t, cfg.sweep.epsilon, options) for t in cfg.protocol.t_final]
+    return tasks, list(cfg.protocol.t_final), partial(_sweep_file, cfg)
+
+
+def _sweep_file(cfg: RunConfig, cells: Iterator[list[SweepResult]]) -> tuple[Path, list[SweepResult]]:
+    """Write the sweep table from its rows' cells."""
+    results = list(chain.from_iterable(islice(cells, len(cfg.protocol.t_final))))
     rows = format_rows(map(_sweep_row, results), cfg.output.precision, cfg.output.format)
     return _write(cfg, "sweep", _SWEEP_HEADER, [rows]), results
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    path, results = _sweep_file(cfg)
+    path, results = next(_one_round(_sweep_stage(cfg)))
     print(path)
     return _report_failures(None, results)
 
@@ -460,8 +493,9 @@ def cmd_reproduce(cfg: RunConfig) -> int:
     out_dir = Path(cfg.output.directory)
     report = build_report(cfg)
 
-    written = _design_files(cfg)
-    sim_written, finals, failure = _simulate_files(cfg)
+    stages = _one_round(_design_stage(cfg), _simulate_stage(cfg), _sweep_stage(cfg))
+    written = next(stages)
+    sim_written, finals, failure = next(stages)
     written.extend(sim_written)
     if failure is not None:
         return _report_failures(failure, [])
@@ -471,7 +505,7 @@ def cmd_reproduce(cfg: RunConfig) -> int:
             cfg.physical.bare_frequency, n_final
         )
 
-    sweep_path, results = _sweep_file(cfg)
+    sweep_path, results = next(stages)
     written.append(sweep_path)
 
     report_path = out_dir / "report.json"

@@ -120,6 +120,8 @@ def _moment_row(
     inf = math.inf
     if not (0.0 < mxx < inf and 0.0 < mpp < inf and -inf < mxp < inf):
         if not (math.isfinite(mxx) and math.isfinite(mpp) and math.isfinite(mxp)):
+            if xp == 0.0:  # an overflowed a*b times xp = 0 is nan, not the inf that the sum overflowed to
+                mxx, mpp = a * a * xx + b * b * pp, c * c * xx + d * d * pp
             raise IntegrationError(f"second moments overflowed: xx={mxx!r}, pp={mpp!r}", time)
         _require_positive(mxx, mpp)
     return time, mxx, mpp, mxp

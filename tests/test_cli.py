@@ -367,9 +367,9 @@ class TestReproduce:
         before_sweep = []
         sweep_file = cli._sweep_file
 
-        def recorded(cfg):
+        def recorded(cfg, cells):
             before_sweep.append(len(marches))
-            return sweep_file(cfg)
+            return sweep_file(cfg, cells)
 
         monkeypatch.setattr(cli, "_sweep_file", recorded)
         monkeypatch.setattr(dynamics, "_integrate_transfer", counted_march)

@@ -12,6 +12,7 @@ import os
 import pickle
 import select
 import threading
+import time
 
 import pytest
 
@@ -59,13 +60,16 @@ def run(monkeypatch, capsys, workdir, argv, workers):
 
 
 def both_paths(monkeypatch, capsys, tmp_path, argv, workers=(2,)):
-    """Run with 1 worker and with each count in ``workers``; assert they agree; return the one-CPU run."""
+    """Run with 1 worker and with each count in ``workers``; assert they agree; return the one-CPU run.
+
+    Every command forks once, ``count - 1`` children.
+    """
     single = run(monkeypatch, capsys, tmp_path / "one", [*argv, "--out", "out"], 1)
     assert single[4] == 0
     for count in workers:
         forked = run(monkeypatch, capsys, tmp_path / f"many{count}", [*argv, "--out", "out"], count)
         assert forked[:4] == single[:4]
-        assert forked[4] and forked[4] % (count - 1) == 0  # count - 1 children per fork round
+        assert forked[4] == count - 1
     return single[:4]
 
 
@@ -77,7 +81,7 @@ def test_reproduce(tmp_path, monkeypatch, capsys, fmt):
 
 
 def test_more_workers_than_cpus(tmp_path, monkeypatch, capsys):
-    # two children per pool: the second closes the first one's pipe
+    # two children in reproduce's one fork round: the second closes the first one's pipe
     argv = ["reproduce", "--config", config(tmp_path)]
     rc, out, err, files = both_paths(monkeypatch, capsys, tmp_path, argv, (3,))
     assert rc == 0 and err == "" and len(files) == 21
@@ -95,6 +99,11 @@ def test_simulate_dense(tmp_path, monkeypatch, capsys):
         argv = ["simulate", "--config", cfg]
         rc, out, err, files = both_paths(monkeypatch, capsys, tmp_path / fmt, argv, (2, 3))
         assert rc == 0 and err == "" and len(files) == 9
+
+
+def test_design(tmp_path, monkeypatch, capsys):
+    rc, out, err, files = both_paths(monkeypatch, capsys, tmp_path, ["design", "--config", config(tmp_path)])
+    assert rc == 0 and err == "" and len(files) == 9
 
 
 @pytest.mark.parametrize("start", ["nominal", "perturbed"])
@@ -152,6 +161,27 @@ def test_a_failure_inside_a_middle_range(tmp_path, monkeypatch, capsys, fmt):
         else:
             table = json.loads(text)
             assert len(table["rows"]) == 22 and table["note"].startswith("integration_error: occupation overflowed")
+
+
+def test_reproduce_stops_at_a_failed_simulate(tmp_path, monkeypatch, capsys):
+    # the hot-bath ramps of test_a_failure_inside_a_middle_range: reproduce writes the
+    # design and simulate tables, then exits 2 with simulate's one line.  Forked workers
+    # have run the sweep rows by then, but a row's error is never raised
+    cfg = config(tmp_path, **{
+        "t_final = 0.5, 1.0, 2.0": "t_final = 1e-78, 0.5",
+        "sample_count = 201": "sample_count = 41",
+        "bath_temperature = 20 mK": "bath_temperature = 1e150",
+    })
+    rc, out, err, files = both_paths(monkeypatch, capsys, tmp_path, ["reproduce", "--config", cfg])
+    assert rc == 2 and out == "" and err == "error: occupation overflowed (at t = 5.5e-79)\n"
+    assert len(files) == 12 and not {"out/sweep.csv", "out/report.json", "out/manifest.json"} & set(files)
+
+    def refused(*args):
+        raise ValueError("sweep row refused")
+
+    monkeypatch.setattr(cli, "sweep_row", refused)
+    (tmp_path / "refused").mkdir()
+    assert both_paths(monkeypatch, capsys, tmp_path / "refused", ["reproduce", "--config", cfg]) == (rc, out, err, files)
 
 
 # each simulate table's header and its columns of a _simulate_rows row
@@ -301,6 +331,24 @@ def test_any_number_of_tasks(monkeypatch):
     n = 20_000
     assert list(cli._run_tasks(lambda i: -i, range(n), [1.0] * n)) == [-i for i in range(n)]
     assert len(forks) == 1
+    with pytest.raises(ChildProcessError):  # the worker was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_an_interrupt_kills_the_workers(monkeypatch):
+    # Ctrl-C during this process's own task: the child, still on its long one, is killed and reaped
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    parent = os.getpid()
+
+    def task(i):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)
+
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        list(cli._run_tasks(task, range(2), [1.0, 1.0]))
+    assert time.monotonic() - start < 30
     with pytest.raises(ChildProcessError):  # the worker was reaped
         os.waitpid(-1, os.WNOHANG)
 
