@@ -22,7 +22,6 @@ import math
 import os
 import sys
 import threading
-from dataclasses import asdict, astuple, dataclass, field
 from functools import partial
 from itertools import chain, islice
 from pathlib import Path
@@ -55,6 +54,7 @@ from .outputs import (
     write_json,
     write_text,
 )
+from .records import Record, asdict, astuple
 from .robustness import REFERENCE_TARGETS, SweepOptions, SweepResult, sweep_row
 
 # Hard-check targets and tolerances for the reproduction run.
@@ -68,8 +68,7 @@ CHECK_SWEEP_GROUND = (1.0, 0.0, "upper")
 CHECK_MARCH_VS_INVARIANT = (1e-3, 0.0, "upper")
 
 
-@dataclass
-class CoolingReport:
+class CoolingReport(Record, frozen=False):
     """Everything the protocol predicts or measures for one configuration."""
 
     t_final: tuple[float, ...]
@@ -83,10 +82,10 @@ class CoolingReport:
     t_eff_start: float  # K; trivially the bath temperature (consistency echo)
     t_eff_final_predicted: float  # K; from n_bar_cold referenced to omega_m
     shortest_t_final: float  # 1/omega_m; t_f*, the shortest ramp with omega_eff^2 >= 0
-    validation: dict[str, TrajectoryValidation] = field(default_factory=dict)
+    validation: dict[str, TrajectoryValidation] = {}
     # filled by simulation:
-    n_bar_final: dict[str, float] = field(default_factory=dict)
-    t_eff_final: dict[str, float] = field(default_factory=dict)
+    n_bar_final: dict[str, float] = {}
+    t_eff_final: dict[str, float] = {}
 
     def render(self) -> str:
         lines = [

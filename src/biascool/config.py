@@ -10,11 +10,11 @@ delegated to the physical layer, the single place units exist.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 from .outputs import tf_label
 from .physical import FIELD_UNITS, ParameterError, PhysicalParams, parse_quantity
+from .records import Record
 
 
 class ConfigError(ValueError):
@@ -49,8 +49,7 @@ format = csv
 precision = 12
 """
 
-@dataclass(frozen=True)
-class ProtocolConfig:
+class ProtocolConfig(Record):
     t_final: tuple[float, ...] = (0.5, 1.0, 2.0)
     sample_count: int = 201
     tolerance: float = 1e-10
@@ -67,8 +66,7 @@ class ProtocolConfig:
             raise ConfigError(f"tolerance must lie in (0, 1e-3], got {self.tolerance!r}")
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(Record):
     epsilon: tuple[float, ...] = (-0.1, 0.0, 0.1)
     initial_state: str = "nominal"
 
@@ -81,8 +79,7 @@ class SweepConfig:
             )
 
 
-@dataclass(frozen=True)
-class OutputConfig:
+class OutputConfig(Record):
     directory: str = "out"
     format: str = "csv"
     precision: int = 12
@@ -94,8 +91,7 @@ class OutputConfig:
             raise ConfigError(f"precision must lie in [6, 17], got {self.precision}")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     physical: PhysicalParams
     protocol: ProtocolConfig
     sweep: SweepConfig
@@ -106,8 +102,8 @@ def _float_list(raw: str) -> tuple[float, ...]:
     return tuple(float(part.strip()) for part in raw.split(",") if part.strip())
 
 
-# Every non-physical key: (section, dataclass field, parser), in
-# serialization order.  The section dataclasses hold the only defaults;
+# Every non-physical key: (section, record field, parser), in
+# serialization order.  The section records hold the only defaults;
 # the physical keys are those of physical.FIELD_UNITS.
 _KEYS = {
     "t_final": ("protocol", "t_final", _float_list),
@@ -157,7 +153,7 @@ def parse_config(
         except ValueError as exc:
             raise ConfigError(f"{where}: {key}: {exc}") from exc
 
-    required = (f.name for f in fields(PhysicalParams) if f.default is MISSING)
+    required = (name for name in PhysicalParams._fields if name not in PhysicalParams._field_defaults)
     missing = [key for key in required if key not in physical_kwargs]
     if missing:
         raise ConfigError(f"{source}: missing required physical parameters: {', '.join(missing)}")

@@ -20,19 +20,18 @@ Everything here is closed form; all quantities are in reduced units
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterator
 
 from .physical import PhysicalParams
+from .records import Record
 
 
 class DesignError(ValueError):
     """Trajectory request outside the designable domain."""
 
 
-@dataclass(frozen=True)
-class TrajectorySpec:
+class TrajectorySpec(Record, derived=("chi",)):
     """Boundary data of one ramp, in reduced units.
 
     chi, the end point of the scale factor b, is derived on construction
@@ -42,7 +41,7 @@ class TrajectorySpec:
     omega0_sq: float
     omega_final_sq: float
     t_final: float
-    chi: float = field(init=False)
+    chi: float
 
     def __post_init__(self) -> None:
         # finite here also catches an eta that overflows from finite device inputs
@@ -65,8 +64,7 @@ class TrajectorySpec:
             raise DesignError(f"t_final = {self.t_final!r} is too short: the drive overflows")
 
 
-@dataclass(frozen=True)
-class ControlTrajectory:
+class ControlTrajectory(Record):
     """A designed gate drive f(t) for a device with coupling eta.
 
     f_scale multiplies the nominal drive; it is 1 for as-designed ramps
@@ -245,8 +243,7 @@ def effective_frequency_profile(traj: ControlTrajectory, t):
     return _elementwise(_drive(traj, traj.eta * traj.f_scale, 1.0), t)
 
 
-@dataclass(frozen=True)
-class TrajectoryValidation:
+class TrajectoryValidation(Record):
     """Exact amplitude and sign report for one trajectory."""
 
     max_abs_f: float  # sup of |f| over [0, t_f]

@@ -30,13 +30,13 @@ DOP853) live with the tests, in ``tests/oracles.py``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import thermometry
 from .design import ControlTrajectory, _drive
 from .integrate import IntegrationError, RKResult, solve_rk
 from .physical import PhysicalParams
+from .records import Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -53,8 +53,7 @@ def _require_positive(xx: float, pp: float) -> None:
         raise StateError(f"moments must be positive and finite: xx={xx!r}, pp={pp!r}")
 
 
-@dataclass(frozen=True)
-class GaussianState:
+class GaussianState(Record):
     """Second moments of the resonator at one instant, reduced units."""
 
     xx: float
@@ -77,8 +76,7 @@ class GaussianState:
             )
 
 
-@dataclass(frozen=True)
-class TransferMatrix:
+class TransferMatrix(Record):
     """Classical phase-space map (x, p) over a time interval; det = 1."""
 
     m11: float
@@ -267,8 +265,8 @@ def _integrate_transfer(
     matrices between the overflow and its check may already be emitted,
     and a caller checks each sample it maps.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     span = t1 - t0
     if not span > 0.0:
         raise ValueError("require t1 > t0")
@@ -429,8 +427,7 @@ def transfer_series(
 # --- auxiliary (Ermakov) equation -------------------------------------------
 
 
-@dataclass(frozen=True)
-class ErmakovResult:
+class ErmakovResult(Record):
     """Sampled auxiliary scale factor; last entry is the end point."""
 
     t: np.ndarray

@@ -10,8 +10,9 @@ the linear covariance propagation uses other schemes (see dynamics).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
+
+from .records import Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -49,8 +50,7 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 
 
-@dataclass
-class RKResult:
+class RKResult(Record, frozen=False):
     """Sampled solution; ``t[0]`` is the start and ``t[-1]`` the end point."""
 
     t: np.ndarray

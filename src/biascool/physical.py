@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, fields
 from functools import cached_property
 
 from .constants import COULOMB_K_DEFAULT, ELEMENTARY_CHARGE
+from .records import Record, astuple
 
 
 class ParameterError(ValueError):
@@ -84,8 +84,7 @@ def parse_quantity(field: str, text: str) -> float:
     return value * table[unit]
 
 
-@dataclass(frozen=True, kw_only=True)
-class PhysicalParams:
+class PhysicalParams(Record, kw_only=True):
     """Device constants in SI units; the schema of the config's device keys.
 
     The fields without a default are the required keys.  Build through
@@ -105,10 +104,9 @@ class PhysicalParams:
     bath_temperature: float  # K
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
+        for name, value in zip(self._fields, astuple(self)):
             if not math.isfinite(value):
-                raise ParameterError(f"{f.name} must be finite, got {value!r}")
+                raise ParameterError(f"{name} must be finite, got {value!r}")
         for name in ("capacitance", "mass", "bare_frequency", "separation", "bath_temperature"):
             if not getattr(self, name) > 0.0:
                 raise ParameterError(f"{name} must be strictly positive, got {getattr(self, name)!r}")

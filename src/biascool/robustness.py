@@ -24,13 +24,13 @@ the march that ``reproduce`` checks against the invariant's closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from . import thermometry
 from .design import ControlTrajectory, make_trajectory, signed_sqrt
 from .dynamics import GaussianState, IntegrationError, TransferMatrix, propagate_row, thermal_state
 from .physical import PhysicalParams
+from .records import Record
 
 #: Published end-point reference values for the +-10% drive-error study
 #: (effective temperature in K, state-referenced frequency in omega_m),
@@ -44,8 +44,7 @@ REFERENCE_TARGETS: dict[float, tuple[float, float]] = {
 }
 
 
-@dataclass(frozen=True)
-class SweepOptions:
+class SweepOptions(Record):
     tolerance: float = 1e-10
     # initial state thermal at the nominal start frequency, or at the
     # perturbed one the scaled drive would actually produce
@@ -54,12 +53,11 @@ class SweepOptions:
     def __post_init__(self) -> None:
         if self.initial_state not in ("nominal", "perturbed"):
             raise ValueError(f"initial_state must be 'nominal' or 'perturbed', got {self.initial_state!r}")
-        if not self.tolerance > 0.0:
-            raise ValueError("tolerance must be positive")
+        if not 0.0 < self.tolerance < math.inf:
+            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance!r}")
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(Record):
     epsilon: float
     t_final: float
     n_bar_final: float  # referenced to omega_m

@@ -10,7 +10,6 @@ loads neither.
 
 from __future__ import annotations
 
-from dataclasses import fields
 from typing import Sequence
 
 import numpy as np
@@ -36,7 +35,7 @@ def as_array(m: TransferMatrix) -> np.ndarray:
 
 def serialize_config(cfg: RunConfig) -> str:
     """Canonical config text in base SI units; parses back to the same config."""
-    lines = [f"{f.name} = {getattr(cfg.physical, f.name)!r}" for f in fields(PhysicalParams)]
+    lines = [f"{name} = {getattr(cfg.physical, name)!r}" for name in PhysicalParams._fields]
     for key, (section, name, _) in _KEYS.items():
         value = getattr(getattr(cfg, section), name)
         lines.append(f"{key} = {', '.join(map(repr, value)) if isinstance(value, tuple) else value}")

@@ -651,10 +651,20 @@ def test_cli_import_leaves_numpy_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # start-up budget: the package's records share one small base class, so no command pays for
+    # dataclasses' code generation or for the inspect, ast and dis it imports; -S keeps site hooks out
+    src = str(Path(biascool.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, biascool.cli; print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_every_command_runs_with_numpy_blocked(tmp_path):
     # a minimal install: importing numpy fails, and each command still exits 0 with its files;
-    # and only reproduce, which hashes its manifest, loads hashlib (and so OpenSSL).  -S keeps
-    # site hooks from preloading it.
+    # only reproduce, which hashes its manifest, loads hashlib (and so OpenSSL), and no command
+    # loads dataclasses.  -S keeps site hooks from preloading either.
     src = str(Path(biascool.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     cfg = fast_config(tmp_path)
@@ -662,10 +672,10 @@ def test_every_command_runs_with_numpy_blocked(tmp_path):
         "import sys\n"
         "sys.modules['numpy'] = None\n"
         "from biascool.cli import main\n"
-        "print('imported', 0, 'hashlib' in sys.modules)\n"
+        "print('imported', 0, 'hashlib' in sys.modules, 'dataclasses' in sys.modules)\n"
         "for command in sys.argv[2:]:\n"
         "    code = main([command, '--config', sys.argv[1], '--out', command])\n"
-        "    print(command, code, 'hashlib' in sys.modules)\n"
+        "    print(command, code, 'hashlib' in sys.modules, 'dataclasses' in sys.modules)\n"
     )
     commands = ["params", "design", "simulate", "sweep", "reproduce"]
     run = subprocess.run(
@@ -678,7 +688,7 @@ def test_every_command_runs_with_numpy_blocked(tmp_path):
         for words in map(str.split, run.stdout.splitlines())
         if words and words[0] in ("imported", *commands)
     }
-    assert states == {name: ("0", str(name == "reproduce")) for name in ("imported", *commands)}
+    assert states == {name: ("0", str(name == "reproduce"), "False") for name in ("imported", *commands)}
     assert "coupling eta" in run.stdout
     written = {command: sorted(p.name for p in (tmp_path / command).iterdir()) for command in commands[1:]}
     assert written["design"] == ["b_t_tf1.csv", "f_t_tf1.csv", "omega_eff_t_tf1.csv"]

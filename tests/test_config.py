@@ -1,5 +1,4 @@
 import math
-from dataclasses import MISSING, fields
 from pathlib import Path
 
 import pytest
@@ -162,7 +161,7 @@ def test_readme_shows_the_built_in_config_and_units():
     assert listed == {field: units for field, units in suffixes.items() if units}
     required = readme.split("Required device keys:", 1)[1].split(".", 1)[0]
     assert [key.strip().strip("`") for key in required.split(",")] == [
-        f.name for f in fields(PhysicalParams) if f.default is MISSING
+        name for name in PhysicalParams._fields if name not in PhysicalParams._field_defaults
     ]
 
 

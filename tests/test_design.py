@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -184,7 +183,8 @@ class TestFrequencyProfile:
     @pytest.mark.parametrize("f_scale", [0.9, 1.0, 1.1])
     def test_one_kernel_bit_for_bit(self, device_params, t_final, f_scale):
         # the integrators' closure, scalar calls and array calls are one formula
-        traj = replace(make_trajectory(device_params, t_final), f_scale=f_scale)
+        nominal = make_trajectory(device_params, t_final)
+        traj = ControlTrajectory(nominal.spec, nominal.eta, f_scale)
         w = traj.frequency_sq_fn()
         t = np.linspace(0.0, t_final, 4001)
         vector = traj.omega_eff_sq(t)
@@ -358,7 +358,8 @@ class TestValidationOracle:
     @pytest.mark.parametrize("t_final", [0.1, 0.3, 0.334, 0.335, 0.5, 2.0, 8.0])
     @pytest.mark.parametrize("f_scale", [0.9, 1.0, 1.1, 2.0])
     def test_device_ramps(self, device_params, t_final, f_scale):
-        traj = replace(make_trajectory(device_params, t_final), f_scale=f_scale)
+        nominal = make_trajectory(device_params, t_final)
+        traj = ControlTrajectory(nominal.spec, nominal.eta, f_scale)
         for n in VALIDATION_SAMPLES:
             assert_contains_scan(traj, n)
 
@@ -438,7 +439,8 @@ class TestProperties:
     @settings(derandomize=True, database=None, deadline=None)
     @given(st.floats(0.05, 10.0), st.floats(-3.0, 3.0), st.integers(2, 3000))
     def test_validation_is_the_numpy_oracle(self, device_params, t_final, f_scale, n):
-        traj = replace(make_trajectory(device_params, t_final), f_scale=f_scale)
+        nominal = make_trajectory(device_params, t_final)
+        traj = ControlTrajectory(nominal.spec, nominal.eta, f_scale)
         assert_contains_scan(traj, n)
 
 

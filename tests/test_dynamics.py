@@ -1,7 +1,6 @@
 import itertools
 import math
 import time
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -29,6 +28,7 @@ from biascool.dynamics import (
     thermal_state,
     transfer_series,
 )
+from biascool.records import astuple
 from biascool.robustness import perturb_trajectory
 from biascool.thermometry import occupation_from_state, thermal_occupation
 
@@ -259,13 +259,14 @@ class TestTransferPropagation:
             propagate_transfer(lambda t: 1.0 + 0.5 * math.sin(3.0 * t), squeezed_state(), 0.0, 60.0, tol=1e-10)
         assert "budget" in str(excinfo.value) and 0.0 < excinfo.value.time < 60.0
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan])
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
     def test_unusable_tolerance_refused_before_marching(self, device_params, tol):
         traj = make_trajectory(device_params, 1.0)
         state0 = thermal_state(device_params, traj.spec.omega0_sq, device_params.bath_temperature)
         for march in (
             lambda: propagate_transfer(traj, state0, 0.0, 1.0, tol=tol),
             lambda: transfer_series(traj, state0, [0.0, 0.5, 1.0], tol=tol),
+            lambda: propagate_row([traj], 0.0, 1.0, tol),
         ):
             start = time.perf_counter()
             with pytest.raises(ValueError, match="tol"):

@@ -1,5 +1,4 @@
 import math
-from dataclasses import fields
 
 import mpmath as mp
 import numpy as np
@@ -209,4 +208,4 @@ class TestUnits:
             parse_quantity("wingspan", "1 m")
 
     def test_units_cover_exactly_the_schema_fields(self):
-        assert set(FIELD_UNITS) == {f.name for f in fields(PhysicalParams)}
+        assert set(FIELD_UNITS) == set(PhysicalParams._fields)

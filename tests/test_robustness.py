@@ -9,7 +9,7 @@ from biascool import cli, integrate, robustness
 from biascool.config import load_config
 from biascool.constants import BOLTZMANN, HBAR
 from biascool.design import control_function, linspace, make_trajectory
-from biascool.dynamics import propagate_transfer, thermal_state
+from biascool.dynamics import propagate_row, propagate_transfer, thermal_state
 from biascool.robustness import (
     REFERENCE_TARGETS,
     SweepOptions,
@@ -230,6 +230,15 @@ class TestSweep:
             SweepOptions(initial_state="midway")
         with pytest.raises(ValueError):
             SweepOptions(tolerance=0.0)
+
+    @pytest.mark.parametrize("tolerance", [math.inf, math.nan])
+    def test_non_finite_tolerance_is_refused(self, device_params, tolerance):
+        # an infinite tolerance accepted every step: the t_f 0.5, eps 0 cell read n_bar 0.5419, status ok
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            SweepOptions(tolerance=tolerance)
+        ramp = make_trajectory(device_params, 0.5)
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            propagate_row([ramp], 0.0, 0.5, tolerance)
 
 
 class TestOverflow:
