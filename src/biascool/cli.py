@@ -22,10 +22,10 @@ import math
 import os
 import sys
 import threading
+from collections.abc import Callable, Iterator, Sequence
 from functools import partial
 from itertools import chain, islice
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
 
 from . import __version__, thermometry
 from .config import RunConfig, load_config
@@ -68,7 +68,7 @@ CHECK_SWEEP_GROUND = (1.0, 0.0, "upper")
 CHECK_MARCH_VS_INVARIANT = (1e-3, 0.0, "upper")
 
 
-class CoolingReport(Record, frozen=False):
+class CoolingReport(Record):
     """Everything the protocol predicts or measures for one configuration."""
 
     t_final: tuple[float, ...]
@@ -164,7 +164,9 @@ def _run_tasks(fn: Callable, items: Sequence, costs: Sequence[float]) -> Iterato
     one-CPU run does and its output is the same bytes.  With one CPU or
     one task, without ``os.fork``, or with a second Python thread alive,
     the tasks run here, lazily, one by one.  Every command but ``params``
-    calls it once, through ``_one_round``.
+    calls it once, through ``_one_round``: ``design`` and ``simulate`` with
+    one ``_ramp_stage``, ``sweep`` with ``_sweep_stage``, ``reproduce`` with
+    all three.
     """
     workers = min(len(items), _usable_cpus())
     if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
@@ -175,9 +177,10 @@ def _run_tasks(fn: Callable, items: Sequence, costs: Sequence[float]) -> Iterato
 def _one_round(*stages: tuple[list, list[float], Callable]) -> Iterator:
     """Run every stage's tasks in one ``_run_tasks`` call; yield each stage's writer's return, in order.
 
-    A stage is a ``_*_stage`` builder's (zero-argument tasks, costs, writer of its results): in
-    ``reproduce`` the sweep rows (cost t_final > 0) start first, and the design ramps and simulate
-    ranges (cost 0) fill the other workers.  A writer not reached raises none of its tasks' errors.
+    A stage is ``_ramp_stage``'s or ``_sweep_stage``'s (zero-argument tasks, costs, writer of its
+    results): in ``reproduce`` the sweep rows (cost t_final > 0) start first, and the design ramps (one
+    range each) and simulate ranges (cost 0) fill the other workers.  A writer not reached raises none
+    of its tasks' errors.
     """
     tasks, costs, writers = zip(*stages)
     results = _run_tasks(lambda task: task(), list(chain(*tasks)), list(chain(*costs)))
@@ -279,38 +282,6 @@ def _report_failures(failure: IntegrationError | None, results: list[SweepResult
     return 2 if errors else 0
 
 
-def _design_blocks(cfg: RunConfig, t_final: float) -> list[str]:
-    """A ramp's f, omega_eff and b tables as one block each."""
-    traj = make_trajectory(cfg.physical, t_final)
-    t = linspace(0.0, t_final, cfg.protocol.sample_count)
-    f = control_function(traj, t)
-    omega_eff = list(map(signed_sqrt, traj.omega_eff_sq(t)))
-    b, _, _ = b_polynomial([ti / t_final for ti in t], traj.spec.chi)
-    out = cfg.output
-    t_texts = format_floats(t, out.precision)  # once for the three tables
-    return [format_columns([t_texts, format_floats(y, out.precision)], out.format) for y in (f, omega_eff, b)]
-
-
-def _design_stage(cfg: RunConfig) -> tuple[list, list[float], Callable]:
-    """Design's tasks, one per ramp, cost 0, and ``_design_files``."""
-    tasks = [partial(_design_blocks, cfg, t_final) for t_final in cfg.protocol.t_final]
-    return tasks, [0.0] * len(tasks), partial(_design_files, cfg)
-
-
-def _design_files(cfg: RunConfig, ramps: Iterator[list[str]]) -> list[Path]:
-    written: list[Path] = []
-    for t_final, blocks in zip(cfg.protocol.t_final, ramps):
-        for name, block in zip(("f_t", "omega_eff_t", "b_t"), blocks):
-            written.append(_write(cfg, f"{name}_{tf_label(t_final)}", ("t_omega_m", "value"), [block]))
-    return written
-
-
-def cmd_design(cfg: RunConfig) -> int:
-    for path in next(_one_round(_design_stage(cfg))):
-        print(path)
-    return 0
-
-
 def _simulate_rows(
     cfg: RunConfig, t_final: float, times: list[float]
 ) -> tuple[list[tuple], IntegrationError | None]:
@@ -346,12 +317,28 @@ def _simulate_rows(
     return rows, None
 
 
-# each simulate table: file stem, header and its columns of a _simulate_rows row
+# each ramp table: file stem, header and its columns of a ramp's rows, which are (t, f, omega_eff, b) in
+# design and _simulate_rows' rows in simulate
+_DESIGN_TABLES = (
+    ("f_t", ("t_omega_m", "value"), (0, 1)),
+    ("omega_eff_t", ("t_omega_m", "value"), (0, 2)),
+    ("b_t", ("t_omega_m", "value"), (0, 3)),
+)
 _SIMULATE_TABLES = (
     ("n_bar_t", ("t_omega_m", "n_bar_ref_omega_eff", "n_bar_ref_omega_m"), (0, 1, 2)),
     ("t_eff_t", ("t_omega_m", "value"), (0, 3)),
     ("moments_t", ("t_omega_m", "xx", "pp", "xp", "purity"), (0, 4, 5, 6, 7)),
 )
+
+
+def _design_blocks(cfg: RunConfig, t_final: float, times: list[float]) -> tuple:
+    """A ramp's range of ``times`` as its blocks of the three tables (sharing t's texts), no occupation, no failure."""
+    traj = make_trajectory(cfg.physical, t_final)
+    b, _, _ = b_polynomial([ti / t_final for ti in times], traj.spec.chi)
+    columns = (times, control_function(traj, times), list(map(signed_sqrt, traj.omega_eff_sq(times))), b)
+    out = cfg.output
+    texts = [format_floats(column, out.precision) for column in columns]
+    return [format_columns([texts[k] for k in cols], out.format) for _, _, cols in _DESIGN_TABLES], None, None
 
 
 def _simulate_blocks(cfg: RunConfig, t_final: float, times: list[float]) -> tuple:
@@ -370,24 +357,29 @@ def _simulate_blocks(cfg: RunConfig, t_final: float, times: list[float]) -> tupl
     return blocks, rows[-1][2] if rows else None, failure
 
 
-def _simulate_stage(cfg: RunConfig) -> tuple[list, list[float], Callable]:
-    """Each ramp's contiguous sample ranges as tasks of cost 0, and ``_simulate_files``."""
+def _simulate_pieces(cfg: RunConfig) -> int:
+    """Simulate's ranges per ramp: four per worker, so one on a slower CPU holds up the last for less."""
+    return min(cfg.protocol.sample_count, 4 * _usable_cpus())
+
+
+def _ramp_stage(cfg: RunConfig, blocks: Callable, tables: tuple, pieces: int) -> tuple[list, list[float], Callable]:
+    """Each ramp's ``pieces`` contiguous sample ranges as tasks of cost 0, and ``_ramp_files``.
+
+    A task is ``blocks(cfg, t_final, times)`` (``_design_blocks`` or ``_simulate_blocks``) over its range.
+    """
     n = cfg.protocol.sample_count
-    pieces = min(n, 4 * _usable_cpus())  # four per worker: one on a slower CPU holds up the last for less
     cuts = [n * k // pieces for k in range(pieces + 1)]
     tasks = []
     for t_final in cfg.protocol.t_final:
         times = linspace(0.0, t_final, n)
-        tasks += [partial(_simulate_blocks, cfg, t_final, times[a:b]) for a, b in zip(cuts, cuts[1:])]
-    return tasks, [0.0] * len(tasks), partial(_simulate_files, cfg, pieces)
+        tasks += [partial(blocks, cfg, t_final, times[a:b]) for a, b in zip(cuts, cuts[1:])]
+    return tasks, [0.0] * len(tasks), partial(_ramp_files, cfg, tables, pieces)
 
 
-def _simulate_files(
-    cfg: RunConfig, pieces: int, ranges: Iterator
-) -> tuple[list[Path], dict[str, float], IntegrationError | None]:
-    """Write the series of every ramp; return each completed ramp's final bare occupation by label.
+def _ramp_files(cfg: RunConfig, tables: tuple, pieces: int, ranges: Iterator) -> tuple:
+    """Write every ramp's ``tables``; return the paths, the completed ramps' final bare occupations, the first failure.
 
-    A ramp's tables are its ``pieces`` ranges' blocks up to the first failure.
+    The occupations are by label; a ramp's tables are its ``pieces`` ranges' blocks up to the first failure.
     """
     written: list[Path] = []
     finals: dict[str, float] = {}
@@ -402,13 +394,14 @@ def _simulate_files(
         if failure is None:
             finals[tf_label(t_final)] = n_final
         note = None if failure is None else f"integration_error: {failure}"
-        for (name, header, _), table_blocks in zip(_SIMULATE_TABLES, zip(*blocks)):
+        for (name, header, _), table_blocks in zip(tables, zip(*blocks)):
             written.append(_write(cfg, f"{name}_{tf_label(t_final)}", header, table_blocks, note))
     return written, finals, first_failure
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
-    written, _, failure = next(_one_round(_simulate_stage(cfg)))
+def cmd_ramps(cfg: RunConfig, blocks: Callable, tables: tuple, pieces: int) -> int:
+    """``design`` and ``simulate``: write each ramp's tables, print their paths, report a failure."""
+    written, _, failure = next(_one_round(_ramp_stage(cfg, blocks, tables, pieces)))
     for path in written:
         print(path)
     return _report_failures(failure, [])
@@ -492,8 +485,12 @@ def cmd_reproduce(cfg: RunConfig) -> int:
     out_dir = Path(cfg.output.directory)
     report = build_report(cfg)
 
-    stages = _one_round(_design_stage(cfg), _simulate_stage(cfg), _sweep_stage(cfg))
-    written = next(stages)
+    stages = _one_round(
+        _ramp_stage(cfg, _design_blocks, _DESIGN_TABLES, 1),
+        _ramp_stage(cfg, _simulate_blocks, _SIMULATE_TABLES, _simulate_pieces(cfg)),
+        _sweep_stage(cfg),
+    )
+    written = next(stages)[0]
     sim_written, finals, failure = next(stages)
     written.extend(sim_written)
     if failure is not None:
@@ -554,8 +551,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 _COMMANDS = {
     "params": cmd_params,
-    "design": cmd_design,
-    "simulate": cmd_simulate,
+    "design": lambda cfg: cmd_ramps(cfg, _design_blocks, _DESIGN_TABLES, 1),  # one range per ramp
+    "simulate": lambda cfg: cmd_ramps(cfg, _simulate_blocks, _SIMULATE_TABLES, _simulate_pieces(cfg)),
     "sweep": cmd_sweep,
     "reproduce": cmd_reproduce,
 }

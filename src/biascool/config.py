@@ -138,7 +138,10 @@ def parse_config(
         if key not in FIELD_UNITS and key not in _KEYS:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
         entries[key] = f"{source}:{lineno}", value
-    entries.update((key, ("command line", value.strip())) for key, value in (overrides or {}).items())
+    for key, value in (overrides or {}).items():
+        if key not in FIELD_UNITS and key not in _KEYS:
+            raise ConfigError(f"command line: unknown key {key!r}")
+        entries[key] = "command line", value.strip()
     physical_kwargs: dict[str, float] = {}
     sections: dict[str, dict] = {name: {} for name in _SECTIONS}
     for key, (where, value) in entries.items():

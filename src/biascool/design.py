@@ -20,8 +20,8 @@ Everything here is closed form; all quantities are in reduced units
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterator
 from functools import lru_cache
-from typing import Callable, Iterator
 
 from .physical import PhysicalParams
 from .records import Record

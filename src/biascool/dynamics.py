@@ -30,16 +30,13 @@ DOP853) live with the tests, in ``tests/oracles.py``.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from . import thermometry
 from .design import ControlTrajectory, _drive
 from .integrate import IntegrationError, RKResult, solve_rk
 from .physical import PhysicalParams
 from .records import Record
-
-if TYPE_CHECKING:
-    import numpy as np
 
 FrequencyProfile = Callable[[float], float]
 

@@ -10,12 +10,9 @@ the linear covariance propagation uses other schemes (see dynamics).
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from .records import Record
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class IntegrationError(RuntimeError):
@@ -50,7 +47,7 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 
 
-class RKResult(Record, frozen=False):
+class RKResult(Record):
     """Sampled solution; ``t[0]`` is the start and ``t[-1]`` the end point."""
 
     t: np.ndarray

@@ -10,20 +10,12 @@ same config produce byte-identical files, which the manifest check relies on.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Sequence
 from pathlib import Path
-from typing import Iterable, Sequence
 
 
 def format_float(value: float, precision: int) -> str:
     return f"{value:.{precision}g}"
-
-
-def _cell_formats(types: tuple[type, ...], precision: int) -> tuple[str, ...]:
-    """%-format of each cell: %g for floats, empty for None, str() for the rest."""
-    return tuple(
-        f"%.{precision}g" if issubclass(t, float) else "%.0s" if t is type(None) else "%s"
-        for t in types
-    )
 
 
 def _csv_field(text: str) -> str:
@@ -38,7 +30,7 @@ _json_str = json.encoder.encode_basestring_ascii
 
 
 def _row_template(cells: Sequence[str], fmt: str) -> str:
-    """A row's %-template: its separator, then its cells, joined by commas (CSV) or quoted (JSON)."""
+    """A row's text (or %-template): its separator, then its cells, joined by commas (CSV) or quoted (JSON)."""
     if fmt == "csv":
         return "\n" + ",".join(cells)
     return ",\n    " + _json_array([f'"{c}"' for c in cells], "    ")
@@ -68,29 +60,18 @@ def format_rows(rows: Iterable[Sequence], precision: int, fmt: str) -> str:
     """A block of table rows: each row's text after the separator the document puts before it.
 
     So blocks of consecutive rows concatenate to the rows of one document,
-    and no rows give an empty block.  Each row is rendered with a
-    %-template built from its cell types, together with the positions of
-    its %s cells, whose text may need CSV quoting or JSON escapes -- so
-    rows of floats pay nothing for it; the template is kept while the
-    cell types repeat the previous row's and rebuilt when they change.
+    and no rows give an empty block.  A float cell is ``format_floats``'
+    text, None is empty, and any other cell is its ``str()``, quoted for
+    CSV or escaped for JSON.
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown table format {fmt!r}")
-    quote = _csv_field if fmt == "csv" else lambda text: _json_str(text)[1:-1]  # the template quotes it
-    formatted = []
-    last_types = None
-    for row in rows:
-        row = tuple(row)
-        types = tuple(map(type, row))
-        if types != last_types:  # most rows repeat the previous row's cell types
-            last_types = types
-            cells = _cell_formats(types, precision)
-            quoted = tuple(i for i, c in enumerate(cells) if c == "%s")
-            template = _row_template(cells, fmt)
-        if quoted:
-            row = tuple(quote(str(c)) if i in quoted else c for i, c in enumerate(row))
-        formatted.append(template % row)
-    return "".join(formatted)
+    quote = _csv_field if fmt == "csv" else lambda text: _json_str(text)[1:-1]  # _row_template quotes it
+    number = f"%.{precision}g"
+    return "".join(
+        _row_template([number % c if isinstance(c, float) else "" if c is None else quote(str(c)) for c in row], fmt)
+        for row in rows
+    )
 
 
 def format_floats(values: Sequence[float], precision: int) -> list[str]:

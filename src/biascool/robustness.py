@@ -24,7 +24,7 @@ the march that ``reproduce`` checks against the invariant's closed form.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from collections.abc import Sequence
 
 from . import thermometry
 from .design import ControlTrajectory, make_trajectory, signed_sqrt

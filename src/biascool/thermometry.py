@@ -16,12 +16,8 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from typing import TYPE_CHECKING
 
 from .constants import BOLTZMANN, HBAR
-
-if TYPE_CHECKING:  # avoids a circular import; only needed for annotations
-    from .dynamics import GaussianState
 
 
 class ThermometryError(ValueError):

@@ -653,10 +653,11 @@ def test_cli_import_leaves_numpy_unloaded():
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # start-up budget: the package's records share one small base class, so no command pays for
-    # dataclasses' code generation or for the inspect, ast and dis it imports; -S keeps site hooks out
+    # dataclasses' code generation or for the inspect, ast and dis it imports; nor for typing, as the
+    # annotations are never evaluated and collections.abc has the rest.  -S keeps site hooks out
     src = str(Path(biascool.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    code = "import sys, biascool.cli; print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+    code = "import sys, biascool.cli; print(sorted(m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules))"
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
 

@@ -120,6 +120,14 @@ def test_error_carries_line_number():
         parse_config(text)
 
 
+@pytest.mark.parametrize("load", [lambda o: parse_config(DEFAULT_CONFIG, overrides=o), lambda o: load_config(None, o)])
+def test_unknown_override_key_rejected(load):
+    # an override is checked as a config line is: a ConfigError, not a KeyError
+    with pytest.raises(ConfigError, match="^command line: unknown key 'bogus'$"):
+        load({"bogus": "1"})
+    assert load({"sample_count": "41"}).protocol.sample_count == 41
+
+
 def test_duplicate_key_rejected():
     with pytest.raises(ConfigError, match="duplicate"):
         parse_config(DEFAULT_CONFIG + "\nmass = 41 pg\n")

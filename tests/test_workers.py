@@ -18,7 +18,7 @@ import pytest
 
 from biascool import cli
 from biascool.config import DEFAULT_CONFIG, ConfigError, load_config
-from biascool.design import DesignError, linspace
+from biascool.design import DesignError, b_polynomial, control_function, linspace, make_trajectory, signed_sqrt
 from biascool.dynamics import StateError
 from biascool.integrate import IntegrationError
 from biascool.outputs import tf_label, write_table
@@ -229,6 +229,37 @@ def test_simulate_files_are_write_table_of_the_rows(tmp_path, monkeypatch, capsy
         rc, out, err, files, forks = run(monkeypatch, capsys, tmp_path / f"many{workers}", argv, workers)
         assert files == expected
         assert (rc, forks) == (0 if ramps == "inverted" else 2, workers - 1)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("precision", [6, 17])
+def test_design_files_are_write_table_of_the_rows(tmp_path, monkeypatch, capsys, fmt, precision):
+    # design formats each number once and shares t's texts between its tables, yet every
+    # file is write_table's over the closed forms' rows; t_f 0.1 is inverted part way, so
+    # its omega_eff column goes negative
+    cfg_path = config(tmp_path, **{
+        "t_final = 0.5, 1.0, 2.0": "t_final = 0.1, 1.0",
+        "sample_count = 201": "sample_count = 41",
+        "format = csv": f"format = {fmt}",
+        "precision = 12": f"precision = {precision}",
+    })
+    cfg = load_config(cfg_path)
+    expected = {}
+    for t_final in cfg.protocol.t_final:
+        traj = make_trajectory(cfg.physical, t_final)
+        t = linspace(0.0, t_final, 41)
+        omega_eff = [signed_sqrt(w) for w in traj.omega_eff_sq(t)]
+        assert (min(omega_eff) < 0.0) == (t_final == 0.1)
+        b, _, _ = b_polynomial([ti / t_final for ti in t], traj.spec.chi)
+        for name, values in (("f_t", control_function(traj, t)), ("omega_eff_t", omega_eff), ("b_t", b)):
+            path = tmp_path / "expected" / f"{name}_{tf_label(t_final)}.{fmt}"
+            write_table(path, ("t_omega_m", "value"), zip(t, values), precision, fmt)
+            expected[f"out/{path.name}"] = path.read_bytes()
+    for workers in (1, 2):
+        argv = ["design", "--config", cfg_path, "--out", "out"]
+        rc, out, err, files, forks = run(monkeypatch, capsys, tmp_path / f"many{workers}", argv, workers)
+        assert files == expected
+        assert (rc, out, err, forks) == (0, "".join(f"{name}\n" for name in expected), "", workers - 1)
 
 
 def test_a_raising_ramp_stops_the_files_there(tmp_path, monkeypatch, capsys):
