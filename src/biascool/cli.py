@@ -18,10 +18,10 @@ pure functions of the configuration: two runs write byte-identical files.
 from __future__ import annotations
 
 import argparse
+import marshal
 import math
 import os
 import sys
-import threading
 from collections.abc import Callable, Iterator, Sequence
 from functools import partial
 from itertools import chain, islice
@@ -159,17 +159,19 @@ def _run_tasks(fn: Callable, items: Sequence, costs: Sequence[float]) -> Iterato
     on up to one worker per usable CPU, this process and forked children,
     which take the next task from one shared queue, costliest first,
     whenever they finish one; so a worker on a slower CPU takes fewer.
-    Each child sends its results and exceptions back pickled.  A task's
-    exception is raised when its turn comes, so the caller does what a
-    one-CPU run does and its output is the same bytes.  With one CPU or
-    one task, without ``os.fork``, or with a second Python thread alive,
-    the tasks run here, lazily, one by one.  Every command but ``params``
-    calls it once, through ``_one_round``: ``design`` and ``simulate`` with
-    one ``_ramp_stage``, ``sweep`` with ``_sweep_stage``, ``reproduce`` with
+    Each child sends its results back marshalled, and pickled only when
+    one holds an exception (``_forked_outcomes``).  A task's exception is
+    raised when its turn comes, so the caller does what a one-CPU run does
+    and its output is the same bytes.  With one CPU or one task, without
+    ``os.fork``, or with a second Python thread alive, the tasks run here,
+    lazily, one by one.  Every command but ``params`` calls it once,
+    through ``_one_round``: ``design`` and ``simulate`` with one
+    ``_ramp_stage``, ``sweep`` with ``_sweep_stage``, ``reproduce`` with
     all three.
     """
     workers = min(len(items), _usable_cpus())
-    if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+    threading = sys.modules.get("threading")  # never imported: no threading.Thread was started
+    if workers < 2 or not hasattr(os, "fork") or (threading and threading.active_count() > 1):
         return map(fn, items)
     return _raise_in_order(_forked_outcomes(fn, items, costs, workers))
 
@@ -202,11 +204,11 @@ def _forked_outcomes(fn: Callable, items: Sequence, costs: Sequence[float], work
     the next task; a worker takes that task by reading the record and writing the next place
     back, so claims wait for each other (a worker killed between the two would stall the rest).
     Children always leave through ``os._exit`` and are reaped before this returns, killed first
-    on an exception (Ctrl-C included).  A task whose child ended without sending its outcomes
-    fails with an OSError.
+    on an exception (Ctrl-C included).  A child sends its ``(index, outcome)`` list marshalled
+    (``marshal`` is built in and loaded), or pickled when marshal cannot write it, as when an
+    outcome holds an exception; a leading tag byte says which, so only then does the parent import
+    ``pickle``.  A task whose child ended without sending all its outcomes fails with an OSError.
     """
-    import pickle  # only a forking run pays for this import
-
     order = sorted(range(len(items)), key=lambda i: -costs[i])
     outcomes = [(OSError("a worker process ended without sending its results"), None)] * len(items)
     queue_read, queue_write = os.pipe()
@@ -231,7 +233,7 @@ def _forked_outcomes(fn: Callable, items: Sequence, costs: Sequence[float], work
                         os.close(fd)
                     sent = [(i, _outcome(fn, items[i])) for i in taken()]
                     with open(write, "wb") as pipe:
-                        pickle.dump(sent, pipe)
+                        pipe.write(_tagged(sent))
                 finally:
                     os._exit(0)
             os.close(write)
@@ -239,12 +241,9 @@ def _forked_outcomes(fn: Callable, items: Sequence, costs: Sequence[float], work
         for i in taken():
             outcomes[i] = _outcome(fn, items[i])
         for _, read in children:
-            try:
-                with open(read, "rb", closefd=False) as pipe:
-                    for i, outcome in pickle.load(pipe):
-                        outcomes[i] = outcome
-            except (EOFError, pickle.UnpicklingError):  # empty or cut short: the child died first
-                pass
+            with open(read, "rb", closefd=False) as pipe:
+                for i, outcome in _sent_outcomes(pipe.read()):
+                    outcomes[i] = outcome
     except BaseException:
         from signal import SIGKILL  # here only: importing signal takes ~1 ms
         for pid, _ in children:
@@ -257,6 +256,33 @@ def _forked_outcomes(fn: Callable, items: Sequence, costs: Sequence[float], work
             os.close(read)
             os.waitpid(pid, 0)
     return outcomes
+
+
+_MARSHALLED, _PICKLED = b"m", b"p"  # the tag byte before a child's outcomes
+
+
+def _tagged(sent: list) -> bytes:
+    """A child's ``(index, outcome)`` list as its tag byte and its marshal, or its pickle if marshal cannot write it."""
+    try:
+        return _MARSHALLED + marshal.dumps(sent)
+    except ValueError:  # an exception object, or another type marshal cannot write
+        import pickle
+
+        return _PICKLED + pickle.dumps(sent)
+
+
+def _sent_outcomes(data: bytes) -> list:
+    """``_tagged``'s list back from its bytes; none if they are empty or cut short, as when the child died."""
+    if data[:1] != _PICKLED:
+        loads, cut_short = marshal.loads, (EOFError, ValueError)
+    else:
+        import pickle
+
+        loads, cut_short = pickle.loads, (EOFError, pickle.UnpicklingError)
+    try:
+        return loads(data[1:])
+    except cut_short:
+        return []
 
 
 def _raise_in_order(outcomes: list) -> Iterator:
@@ -420,27 +446,32 @@ _SWEEP_HEADER = (
 )
 
 
-def _sweep_row(result: SweepResult) -> tuple:
-    # SweepResult's fields are the table's leading columns, in order
+def _sweep_row(fields: tuple) -> tuple:
+    """A table row: a ``SweepResult``'s fields, the table's leading columns in order, then its targets."""
     target = next(
-        (v for eps, v in REFERENCE_TARGETS.items() if math.isclose(result.epsilon, eps, abs_tol=1e-12)),
+        (v for eps, v in REFERENCE_TARGETS.items() if math.isclose(fields[0], eps, abs_tol=1e-12)),
         (None, None),
     )
-    return (*astuple(result), *target)
+    return (*fields, *target)
+
+
+def _sweep_cells(*args) -> list[tuple]:
+    """``sweep_row(*args)``'s cells as ``astuple`` rows: plain data, which a worker sends back marshalled."""
+    return [astuple(result) for result in sweep_row(*args)]
 
 
 def _sweep_stage(cfg: RunConfig) -> tuple[list, list[float], Callable]:
     """A task per sweep row (its cells march together) at cost t_final > 0, and ``_sweep_file``."""
     options = SweepOptions(tolerance=cfg.protocol.tolerance, initial_state=cfg.sweep.initial_state)
-    tasks = [partial(sweep_row, cfg.physical, t, cfg.sweep.epsilon, options) for t in cfg.protocol.t_final]
+    tasks = [partial(_sweep_cells, cfg.physical, t, cfg.sweep.epsilon, options) for t in cfg.protocol.t_final]
     return tasks, list(cfg.protocol.t_final), partial(_sweep_file, cfg)
 
 
-def _sweep_file(cfg: RunConfig, cells: Iterator[list[SweepResult]]) -> tuple[Path, list[SweepResult]]:
-    """Write the sweep table from its rows' cells."""
-    results = list(chain.from_iterable(islice(cells, len(cfg.protocol.t_final))))
-    rows = format_rows(map(_sweep_row, results), cfg.output.precision, cfg.output.format)
-    return _write(cfg, "sweep", _SWEEP_HEADER, [rows]), results
+def _sweep_file(cfg: RunConfig, rows: Iterator[list[tuple]]) -> tuple[Path, list[SweepResult]]:
+    """Write the sweep table from its rows' cells; return its path and the cells as ``SweepResult``s."""
+    cells = list(chain.from_iterable(islice(rows, len(cfg.protocol.t_final))))
+    text = format_rows(map(_sweep_row, cells), cfg.output.precision, cfg.output.format)
+    return _write(cfg, "sweep", _SWEEP_HEADER, [text]), [SweepResult(*fields) for fields in cells]
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
@@ -537,7 +568,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="biascool",
         description=__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
+        # a fixed width while the arguments go in: add_argument builds a formatter each time, and the
+        # default one imports shutil (with zlib, bz2 and lzma) to read the terminal's width
+        formatter_class=partial(argparse.RawDescriptionHelpFormatter, width=80),
         argument_default=argparse.SUPPRESS,
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
@@ -546,6 +579,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", dest="output_dir", metavar="DIR")
     parser.add_argument("--tol", dest="tolerance", metavar="X")
     parser.add_argument("--samples", dest="sample_count", metavar="N")
+    parser.formatter_class = argparse.RawDescriptionHelpFormatter  # help and usage at the terminal's width
     return parser
 
 

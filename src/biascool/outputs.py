@@ -10,6 +10,7 @@ same config produce byte-identical files, which the manifest check relies on.
 from __future__ import annotations
 
 import json
+import sys
 from collections.abc import Iterable, Sequence
 from pathlib import Path
 
@@ -122,11 +123,18 @@ def write_json(path: Path, payload) -> None:
 
 
 def hash_manifest(out_dir: Path, files: Iterable[Path]) -> dict[str, str]:
-    """Relative path -> SHA-256 content hash, sorted by path."""
-    import hashlib  # here only: it loads OpenSSL, which no command but reproduce needs
+    """Relative path -> SHA-256 content hash, sorted by path.
+
+    The hash is CPython's built-in one, ``_sha2`` from 3.12 and ``_sha256`` before: ``hashlib``
+    would load OpenSSL, several ms for a few files.  Without it, ``hashlib``'s stands in.
+    """
+    try:
+        sha256 = __import__("_sha2" if sys.version_info >= (3, 12) else "_sha256").sha256
+    except ImportError:
+        from hashlib import sha256
 
     entries = {
-        path.relative_to(out_dir).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        path.relative_to(out_dir).as_posix(): sha256(path.read_bytes()).hexdigest()
         for path in files
     }
     return dict(sorted(entries.items()))

@@ -612,6 +612,17 @@ class TestExitCodes:
         assert main(argv) == 0
         assert "biascool" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("columns, lines", [(60, 3), (200, 1)])
+    def test_usage_is_wrapped_at_the_terminal_width(self, capsys, monkeypatch, columns, lines):
+        # the parser is built at a fixed width, so that no shutil is imported; help and usage
+        # errors are formatted at the terminal's width, which COLUMNS sets
+        monkeypatch.setenv("COLUMNS", str(columns))
+        assert main(["--help"]) == 0 and main(["bogus"]) == 1
+        captured = capsys.readouterr()
+        for text in (captured.out, captured.err):
+            usage = [line for line in text.split("\n\n")[0].splitlines() if not line.startswith("biascool: error")]
+            assert len(usage) == lines and max(map(len, usage)) <= columns - 2
+
     def test_unknown_command_exits_1_in_a_fresh_process(self):
         src = str(Path(biascool.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -654,18 +665,22 @@ def test_cli_import_leaves_numpy_unloaded():
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # start-up budget: the package's records share one small base class, so no command pays for
     # dataclasses' code generation or for the inspect, ast and dis it imports; nor for typing, as the
-    # annotations are never evaluated and collections.abc has the rest.  -S keeps site hooks out
+    # annotations are never evaluated and collections.abc has the rest; nor for shutil (with zlib,
+    # bz2 and lzma), which argparse's default help formatter imports for the terminal width; nor for
+    # threading, which _run_tasks looks up only once something else imported it.  -S keeps site hooks out
     src = str(Path(biascool.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    code = "import sys, biascool.cli; print(sorted(m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules))"
+    modules = ("dataclasses", "inspect", "typing", "shutil", "threading")
+    code = f"import sys, biascool.cli; print(sorted(m for m in {modules!r} if m in sys.modules))"
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
 
 
 def test_every_command_runs_with_numpy_blocked(tmp_path):
     # a minimal install: importing numpy fails, and each command still exits 0 with its files;
-    # only reproduce, which hashes its manifest, loads hashlib (and so OpenSSL), and no command
-    # loads dataclasses.  -S keeps site hooks from preloading either.
+    # no command loads hashlib or OpenSSL's _hashlib (reproduce hashes its manifest with the
+    # built-in SHA-256), pickle (workers send plain results marshalled) or dataclasses.
+    # -S keeps site hooks from preloading any of them.
     src = str(Path(biascool.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     cfg = fast_config(tmp_path)
@@ -673,10 +688,11 @@ def test_every_command_runs_with_numpy_blocked(tmp_path):
         "import sys\n"
         "sys.modules['numpy'] = None\n"
         "from biascool.cli import main\n"
-        "print('imported', 0, 'hashlib' in sys.modules, 'dataclasses' in sys.modules)\n"
+        "loaded = lambda: sorted(m for m in ('hashlib', '_hashlib', 'pickle', 'dataclasses') if m in sys.modules)\n"
+        "print('imported', 0, *loaded())\n"
         "for command in sys.argv[2:]:\n"
         "    code = main([command, '--config', sys.argv[1], '--out', command])\n"
-        "    print(command, code, 'hashlib' in sys.modules, 'dataclasses' in sys.modules)\n"
+        "    print(command, code, *loaded())\n"
     )
     commands = ["params", "design", "simulate", "sweep", "reproduce"]
     run = subprocess.run(
@@ -689,7 +705,7 @@ def test_every_command_runs_with_numpy_blocked(tmp_path):
         for words in map(str.split, run.stdout.splitlines())
         if words and words[0] in ("imported", *commands)
     }
-    assert states == {name: ("0", str(name == "reproduce"), "False") for name in ("imported", *commands)}
+    assert states == {name: ("0",) for name in ("imported", *commands)}
     assert "coupling eta" in run.stdout
     written = {command: sorted(p.name for p in (tmp_path / command).iterdir()) for command in commands[1:]}
     assert written["design"] == ["b_t_tf1.csv", "f_t_tf1.csv", "omega_eff_t_tf1.csv"]

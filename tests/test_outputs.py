@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -144,6 +145,24 @@ def test_hash_manifest_is_sha256_of_the_file_bytes(tmp_path):
     manifest = hash_manifest(tmp_path, [tmp_path / "sub/large.bin", tmp_path / "empty.csv"])
     assert list(manifest) == ["empty.csv", "sub/large.bin"]
     assert manifest == {name: hashlib.sha256(data).hexdigest() for name, data in files.items()}
+
+
+def test_hash_manifest_falls_back_to_hashlib(tmp_path, monkeypatch):
+    # the manifest hashes with CPython's built-in _sha2 (3.12+) or _sha256 (3.10, 3.11); blocked,
+    # hashlib's sha256 stands in and gives the same map
+    files = {"a.csv": b"t,value\n0,1\n", "sub/b.json": b"{}\n"}
+    for name, data in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_bytes(data)
+    paths = [tmp_path / name for name in files]
+    sha256, calls = hashlib.sha256, []
+    monkeypatch.setattr(hashlib, "sha256", lambda data: calls.append(data) or sha256(data))
+    built_in = hash_manifest(tmp_path, paths)
+    assert calls == []
+    monkeypatch.setitem(sys.modules, "_sha2", None)
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    assert hash_manifest(tmp_path, paths) == built_in == {name: sha256(data).hexdigest() for name, data in files.items()}
+    assert calls == list(files.values())
 
 
 @pytest.mark.parametrize(

@@ -8,9 +8,12 @@ written.
 
 import itertools
 import json
+import math
 import os
 import pickle
 import select
+import subprocess
+import sys
 import threading
 import time
 
@@ -401,3 +404,141 @@ def test_errors_survive_pickling(error):
     assert type(copy) is type(error)
     assert str(copy) == str(error)
     assert getattr(copy, "time", None) == getattr(error, "time", None)
+
+
+@pytest.mark.parametrize(
+    "error, code, kind",
+    [
+        (ConfigError("line 3: bad value"), 1, "config error"),
+        (ParameterError("mass must be positive"), 1, "config error"),
+        (DesignError("eta = 0"), 1, "config error"),
+        (StateError("moments must be positive"), 1, "config error"),
+        (ThermometryError("occupation overflows"), 1, "config error"),
+        (IntegrationError("transfer matrix overflowed", 0.25), 2, "numeric error"),
+        (OSError("disk full"), 2, "i/o error"),
+    ],
+    ids=lambda value: type(value).__name__ if isinstance(value, Exception) else None,
+)
+def test_an_error_raised_in_a_child_reaches_main(tmp_path, monkeypatch, capsys, error, code, kind):
+    # only the child raises, from every range it takes, and this process's first range waits
+    # until it has taken one; main maps the error as if it had been raised here
+    parent = os.getpid()
+    rows = cli._simulate_rows
+    taken_read, taken_write = os.pipe()
+    waited = []
+
+    def raising(cfg, t_final, times):
+        if os.getpid() != parent:
+            os.write(taken_write, b"x")
+            raise error
+        if not waited:
+            waited.append(select.select([taken_read], [], [], 30.0)[0])
+        return rows(cfg, t_final, times)
+
+    monkeypatch.setattr(cli, "_simulate_rows", raising)
+    cfg = config(tmp_path, **{"sample_count = 201": "sample_count = 41"})
+    try:
+        rc, out, err, files, forks = run(monkeypatch, capsys, tmp_path / "many", ["simulate", "--config", cfg], 2)
+    finally:
+        os.close(taken_read)
+        os.close(taken_write)
+    assert waited in ([], [[taken_read]])
+    assert (rc, out, err, forks) == (code, "", f"{kind}: {error}\n", 1)
+
+
+@pytest.mark.parametrize(
+    "outcome, tag",
+    [
+        ((None, (["\n0,1.5", "\n0,-2"], -0.0, None)), b"m"),
+        ((None, ([], math.nan, IntegrationError("occupation overflowed", 0.25))), b"p"),
+        ((ValueError("ramp refused"), None), b"p"),
+    ],
+    ids=["plain", "error in result", "raised"],
+)
+def test_a_child_sends_marshal_unless_an_outcome_holds_an_exception(outcome, tag):
+    # the tag byte says which; every proper prefix of the bytes, the empty one included, reads
+    # as no outcomes, so their tasks fail with the OSError of a worker that died
+    sent = [(3, outcome), (0, (None, [(1.0, "ok")]))]
+    data = cli._tagged(sent)
+    assert data[:1] == tag
+    assert repr(cli._sent_outcomes(data)) == repr(sent)
+    for cut in range(len(data)):
+        assert cli._sent_outcomes(data[:cut]) == []
+
+
+# The worker rounds of test_results_cross_the_pipe_as_plain_data, in a fresh ``python -S`` process so
+# that only the package can load pickle.  Each round's two tasks run on 2 workers, and the first task
+# this process takes waits until the child has taken one; each round prints its name, whether it
+# waited (if it took a task), whether its results' repr equals a one-process run's, whether pickle is
+# loaded and whether the results hold ``marker``.
+WORKER_ROUNDS = r"""
+import os, select, sys
+from biascool import cli
+from biascool.config import load_config
+
+cli._usable_cpus = lambda: 2
+parent = os.getpid()
+
+
+def forked(tasks, costs):
+    taken_read, taken_write = os.pipe()
+    waited = []
+
+    def call(task):
+        if os.getpid() != parent:
+            os.write(taken_write, b"x")
+        elif not waited:
+            waited.append(select.select([taken_read], [], [], 30.0)[0] == [taken_read])
+        return task()
+
+    try:
+        return list(cli._run_tasks(call, tasks, costs)), waited
+    finally:
+        os.close(taken_read)
+        os.close(taken_write)
+
+
+design, rows, hot = map(load_config, sys.argv[1:])
+rounds = [
+    ("design", cli._ramp_stage(design, cli._design_blocks, cli._DESIGN_TABLES, 1), ",-"),
+    ("sweep", cli._sweep_stage(rows), "nan"),
+    ("simulate", cli._ramp_stage(hot, cli._simulate_blocks, cli._SIMULATE_TABLES, 1), "IntegrationError("),
+]
+print("imported", "pickle" in sys.modules)
+for name, (tasks, costs, _), marker in rounds:
+    results, waited = forked(tasks, costs)
+    one = repr([task() for task in tasks])
+    print(name, waited in ([], [True]), repr(results) == one, "pickle" in sys.modules, marker in one)
+"""
+
+
+def test_results_cross_the_pipe_as_plain_data(tmp_path):
+    # each stage's results on 2 workers equal a one-process run's: design's blocks (t_f 0.1 is
+    # inverted part way, so omega_eff goes negative); the sweep's rows, whose failed cells are nan;
+    # the hot-bath ramps, each of whose results carries an IntegrationError.  The child sends plain
+    # results marshalled, so pickle is loaded only by the simulate round, whose outcomes hold an
+    # exception
+    paths = []
+    for name, replacements in (
+        ("design", {"t_final = 0.5, 1.0, 2.0": "t_final = 0.1, 1.0", "sample_count = 201": "sample_count = 41"}),
+        ("rows", {"t_final = 0.5, 1.0, 2.0": "t_final = 2.0, 8.0", "epsilon = -0.1, 0.0, 0.1": "epsilon = -1.2, -1.25, -2.0, 0.0"}),
+        ("hot", {
+            "t_final = 0.5, 1.0, 2.0": "t_final = 1e-80, 2e-80",
+            "sample_count = 201": "sample_count = 41",
+            "bath_temperature = 20 mK": "bath_temperature = 1e150",
+        }),
+    ):
+        (tmp_path / name).mkdir()
+        paths.append(config(tmp_path / name, **replacements))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", WORKER_ROUNDS, *paths],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == [
+        "imported False",
+        "design True True False True",
+        "sweep True True False True",
+        "simulate True True True True",
+    ]
