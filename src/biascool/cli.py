@@ -159,15 +159,15 @@ def _run_tasks(fn: Callable, items: Sequence, costs: Sequence[float]) -> Iterato
     on up to one worker per usable CPU, this process and forked children,
     which take the next task from one shared queue, costliest first,
     whenever they finish one; so a worker on a slower CPU takes fewer.
-    Each child sends its results back marshalled, and pickled only when
-    one holds an exception (``_forked_outcomes``).  A task's exception is
-    raised when its turn comes, so the caller does what a one-CPU run does
-    and its output is the same bytes.  With one CPU or one task, without
-    ``os.fork``, or with a second Python thread alive, the tasks run here,
-    lazily, one by one.  Every command but ``params`` calls it once,
-    through ``_one_round``: ``design`` and ``simulate`` with one
-    ``_ramp_stage``, ``sweep`` with ``_sweep_stage``, ``reproduce`` with
-    all three.
+    Each child sends its results back marshalled, so they must be plain
+    data.  A task's exception comes back as its class's module and name
+    and its args (``_outcome``), and is rebuilt and raised when its turn
+    comes, so the caller does what a one-CPU run does and its output is
+    the same bytes.  With one CPU or one task, without ``os.fork``, or
+    with a second Python thread alive, the tasks run here, lazily, one by
+    one.  Every command but ``params`` calls it once, through
+    ``_one_round``: ``design`` and ``simulate`` with one ``_ramp_stage``,
+    ``sweep`` with ``_sweep_stage``, ``reproduce`` with all three.
     """
     workers = min(len(items), _usable_cpus())
     threading = sys.modules.get("threading")  # never imported: no threading.Thread was started
@@ -190,11 +190,16 @@ def _one_round(*stages: tuple[list, list[float], Callable]) -> Iterator:
 
 
 def _outcome(fn: Callable, item) -> tuple:
-    """(exception, None) if ``fn(item)`` raised, else (None, its result)."""
+    """(None, the result) of ``fn(item)``, or ((module, class name, args), None) of the exception it raised.
+
+    ``_raise_in_order`` rebuilds the exception as unpickling would: its class called with its args.  So
+    the class must be a module attribute and its args plain data that rebuild it, as they are for the
+    built-in errors and the package's.
+    """
     try:
         return None, fn(item)
     except Exception as exc:
-        return exc, None
+        return (type(exc).__module__, type(exc).__qualname__, exc.args), None
 
 
 def _forked_outcomes(fn: Callable, items: Sequence, costs: Sequence[float], workers: int) -> list:
@@ -205,12 +210,12 @@ def _forked_outcomes(fn: Callable, items: Sequence, costs: Sequence[float], work
     back, so claims wait for each other (a worker killed between the two would stall the rest).
     Children always leave through ``os._exit`` and are reaped before this returns, killed first
     on an exception (Ctrl-C included).  A child sends its ``(index, outcome)`` list marshalled
-    (``marshal`` is built in and loaded), or pickled when marshal cannot write it, as when an
-    outcome holds an exception; a leading tag byte says which, so only then does the parent import
-    ``pickle``.  A task whose child ended without sending all its outcomes fails with an OSError.
+    (``marshal`` is built in and loaded).  A task whose child ended without sending all its
+    outcomes fails with an OSError.
     """
     order = sorted(range(len(items)), key=lambda i: -costs[i])
-    outcomes = [(OSError("a worker process ended without sending its results"), None)] * len(items)
+    died = ("builtins", "OSError", ("a worker process ended without sending its results",))
+    outcomes = [(died, None)] * len(items)
     queue_read, queue_write = os.pipe()
     os.write(queue_write, bytes(8))
 
@@ -233,7 +238,7 @@ def _forked_outcomes(fn: Callable, items: Sequence, costs: Sequence[float], work
                         os.close(fd)
                     sent = [(i, _outcome(fn, items[i])) for i in taken()]
                     with open(write, "wb") as pipe:
-                        pipe.write(_tagged(sent))
+                        pipe.write(marshal.dumps(sent))
                 finally:
                     os._exit(0)
             os.close(write)
@@ -242,8 +247,12 @@ def _forked_outcomes(fn: Callable, items: Sequence, costs: Sequence[float], work
             outcomes[i] = _outcome(fn, items[i])
         for _, read in children:
             with open(read, "rb", closefd=False) as pipe:
-                for i, outcome in _sent_outcomes(pipe.read()):
-                    outcomes[i] = outcome
+                try:
+                    sent = marshal.loads(pipe.read())
+                except (EOFError, ValueError):  # empty or cut short: the child died
+                    sent = []
+            for i, outcome in sent:
+                outcomes[i] = outcome
     except BaseException:
         from signal import SIGKILL  # here only: importing signal takes ~1 ms
         for pid, _ in children:
@@ -258,37 +267,11 @@ def _forked_outcomes(fn: Callable, items: Sequence, costs: Sequence[float], work
     return outcomes
 
 
-_MARSHALLED, _PICKLED = b"m", b"p"  # the tag byte before a child's outcomes
-
-
-def _tagged(sent: list) -> bytes:
-    """A child's ``(index, outcome)`` list as its tag byte and its marshal, or its pickle if marshal cannot write it."""
-    try:
-        return _MARSHALLED + marshal.dumps(sent)
-    except ValueError:  # an exception object, or another type marshal cannot write
-        import pickle
-
-        return _PICKLED + pickle.dumps(sent)
-
-
-def _sent_outcomes(data: bytes) -> list:
-    """``_tagged``'s list back from its bytes; none if they are empty or cut short, as when the child died."""
-    if data[:1] != _PICKLED:
-        loads, cut_short = marshal.loads, (EOFError, ValueError)
-    else:
-        import pickle
-
-        loads, cut_short = pickle.loads, (EOFError, pickle.UnpicklingError)
-    try:
-        return loads(data[1:])
-    except cut_short:
-        return []
-
-
 def _raise_in_order(outcomes: list) -> Iterator:
     for error, result in outcomes:
         if error is not None:
-            raise error
+            module, name, args = error
+            raise getattr(sys.modules[module], name)(*args)
         yield result
 
 
@@ -299,9 +282,9 @@ def _write(cfg: RunConfig, stem: str, header: tuple[str, ...], blocks, note: str
     return path
 
 
-def _report_failures(failure: IntegrationError | None, results: list[SweepResult]) -> int:
+def _report_failures(failure: str | None, results: list[SweepResult]) -> int:
     """Print the simulate failure and the failed sweep cells; 2 if any, else 0."""
-    errors = [str(failure)] if failure is not None else []
+    errors = [failure] if failure is not None else []
     errors += [f"eps={r.epsilon} t_final={r.t_final}: {r.status}" for r in results if r.failed]
     for error in errors:
         print(f"error: {error}", file=sys.stderr)
@@ -310,14 +293,15 @@ def _report_failures(failure: IntegrationError | None, results: list[SweepResult
 
 def _simulate_rows(
     cfg: RunConfig, t_final: float, times: list[float]
-) -> tuple[list[tuple], IntegrationError | None]:
+) -> tuple[list[tuple], str | None]:
     """Rows (t, n_bar_ref_omega_eff, n_bar_ref_omega_m, t_eff, xx, pp, xp, purity) of a ramp at ``times``.
 
     The moments are exact, from the invariant (``invariant_moments``);
     nothing is marched.  The purity is the invariant covariance's
     determinant, (nbar + 1/2)^2 of the thermal start.  A purity or an
     occupation that overflowed fails the ramp: the rows before the failure
-    are returned together with the error so callers can write partial output.
+    are returned together with the error's text (an ``IntegrationError``'s)
+    so callers can write partial output.
     """
     params = cfg.physical
     traj = make_trajectory(params, t_final)
@@ -326,7 +310,7 @@ def _simulate_rows(
     e = thermometry.thermal_occupation(math.sqrt(omega0_sq) * params.bare_frequency, bath) + 0.5
     purity = e * e
     if purity == math.inf:
-        return [], IntegrationError("purity (n_bar + 1/2)^2 overflowed", 0.0)
+        return [], str(IntegrationError("purity (n_bar + 1/2)^2 overflowed", 0.0))
     # the reference is the instantaneous nominal drive frequency; in an
     # inverted-potential window no occupation/temperature is defined
     w_refs = traj.omega_eff_sq(times)
@@ -337,7 +321,7 @@ def _simulate_rows(
         n_inst = occupation(xx, pp, w_ref) if w_ref > 0.0 else nan
         n_bare = occupation(xx, pp, 1.0)
         if n_inst == inf or n_bare == inf:  # moments or an energy that overflowed
-            return rows, IntegrationError("occupation overflowed", t)
+            return rows, str(IntegrationError("occupation overflowed", t))
         t_eff = temperature(math.sqrt(w_ref) * omega_m, n_inst) if w_ref > 0.0 else nan
         rows.append((t, n_inst, n_bare, t_eff, xx, pp, xp, purity))
     return rows, None
@@ -409,7 +393,7 @@ def _ramp_files(cfg: RunConfig, tables: tuple, pieces: int, ranges: Iterator) ->
     """
     written: list[Path] = []
     finals: dict[str, float] = {}
-    first_failure: IntegrationError | None = None
+    first_failure: str | None = None
     for t_final in cfg.protocol.t_final:
         blocks, failure = [], None
         for range_blocks, n_final, range_failure in islice(ranges, pieces):

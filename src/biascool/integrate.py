@@ -19,7 +19,8 @@ class IntegrationError(RuntimeError):
     """Integration could not continue; ``time`` is how far it got."""
 
     def __init__(self, message: str, time: float):
-        # args are __init__'s own arguments, so the error survives pickling
+        # args are __init__'s own arguments, so the error is rebuilt from its args
+        # (as a forked worker's error is, and as unpickling does)
         super().__init__(message, time)
         self.time = time
 

@@ -142,12 +142,13 @@ class TestOccupationFromState:
             assert occupation_from_state(state, 1.0) == 0.0
 
     def test_warning_points_at_the_caller(self):
-        # occupation_from_state wraps the scalar formula; its warning still names this file
+        # occupation_from_state wraps the scalar formula; its warning still names this file, as
+        # compiled: a copied __pycache__ keeps the original path in co_filename, not __file__
         for call in (lambda: occupation_from_state(GaussianState(0.4, 0.4), 1.0),
                      lambda: occupation(0.4, 0.4, 1.0)):
             with pytest.warns(UserWarning, match="clamping") as record:
                 call()
-            assert record[0].filename == __file__
+            assert record[0].filename == self.test_warning_points_at_the_caller.__code__.co_filename
 
     def test_reference_frequency_minimizes_at_state_frequency(self):
         state = GaussianState(xx=1.3, pp=3.25)  # zero correlation

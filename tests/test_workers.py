@@ -8,14 +8,15 @@ written.
 
 import itertools
 import json
+import marshal
 import math
 import os
-import pickle
 import select
 import subprocess
 import sys
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -396,12 +397,22 @@ def test_an_interrupt_kills_the_workers(monkeypatch):
         StateError("moments must be positive"),
         ThermometryError("occupation overflows"),
         IntegrationError("transfer matrix overflowed", 0.25),
+        OSError("disk full"),
     ],
     ids=lambda error: type(error).__name__,
 )
-def test_errors_survive_pickling(error):
-    copy = pickle.loads(pickle.dumps(error))
-    assert type(copy) is type(error)
+def test_errors_are_rebuilt_from_their_class_and_args(error):
+    # a raised error's outcome is plain data, (module, class name, args), and what a child sends
+    # of it rebuilds an error of the same type, message and time
+    def raising(item):
+        raise error
+
+    outcome = cli._outcome(raising, None)
+    assert outcome == ((type(error).__module__, type(error).__name__, error.args), None)
+    with pytest.raises(type(error)) as raised:
+        next(cli._raise_in_order([marshal.loads(marshal.dumps(outcome))]))
+    copy = raised.value
+    assert copy is not error and type(copy) is type(error)
     assert str(copy) == str(error)
     assert getattr(copy, "time", None) == getattr(error, "time", None)
 
@@ -447,30 +458,77 @@ def test_an_error_raised_in_a_child_reaches_main(tmp_path, monkeypatch, capsys, 
 
 
 @pytest.mark.parametrize(
-    "outcome, tag",
+    "result",
     [
-        ((None, (["\n0,1.5", "\n0,-2"], -0.0, None)), b"m"),
-        ((None, ([], math.nan, IntegrationError("occupation overflowed", 0.25))), b"p"),
-        ((ValueError("ramp refused"), None), b"p"),
+        (["\n0,1.5", "\n0,-2"], -0.0, None),
+        ([], math.nan, "occupation overflowed (at t = 0.25)"),
+        ValueError("ramp refused"),
+        IntegrationError("transfer matrix overflowed", 0.25),
     ],
-    ids=["plain", "error in result", "raised"],
+    ids=["plain", "failure text", "raised", "raised IntegrationError"],
 )
-def test_a_child_sends_marshal_unless_an_outcome_holds_an_exception(outcome, tag):
-    # the tag byte says which; every proper prefix of the bytes, the empty one included, reads
-    # as no outcomes, so their tasks fail with the OSError of a worker that died
-    sent = [(3, outcome), (0, (None, [(1.0, "ok")]))]
-    data = cli._tagged(sent)
-    assert data[:1] == tag
-    assert repr(cli._sent_outcomes(data)) == repr(sent)
+def test_a_child_sends_marshal(tmp_path, monkeypatch, result):
+    # a child's bytes are marshal's of its (index, outcome) list: a result, a failure's text and a
+    # raised error's (module, class name, args) alike.  Every proper prefix of them, the empty one
+    # included, is one marshal cannot read, and a child that sends one fails its task with the
+    # OSError of a worker that died
+    parent = os.getpid()
+    sent = tmp_path / "sent"
+    if isinstance(result, Exception):
+        expected = ((type(result).__module__, type(result).__name__, result.args), None)
+    else:
+        expected = (None, result)
+
+    def forked(cut):
+        """A round of two tasks on 2 workers, the child's bytes cut at ``cut``: the outcomes, the
+        child's whole bytes and the task it took.  This process's task waits until the child has
+        taken one."""
+        taken_read, taken_write = os.pipe()
+
+        def task(item):
+            if os.getpid() != parent:
+                os.write(taken_write, b"x")
+            else:
+                select.select([taken_read], [], [], 30.0)
+            if isinstance(result, Exception):
+                raise result
+            return result
+
+        def dumps(value):
+            data = marshal.dumps(value)
+            sent.write_bytes(data)
+            return data[:cut]
+
+        monkeypatch.setattr(cli, "marshal", SimpleNamespace(dumps=dumps, loads=marshal.loads))
+        try:
+            outcomes = cli._forked_outcomes(task, [0, 1], [1.0, 1.0], 2)
+        finally:
+            os.close(taken_read)
+            os.close(taken_write)
+        data = sent.read_bytes()
+        (taken, outcome), = marshal.loads(data)
+        assert repr(outcome) == repr(expected)
+        return outcomes, data, taken
+
+    outcomes, data, _ = forked(None)
+    assert repr(outcomes) == repr([expected] * 2)
     for cut in range(len(data)):
-        assert cli._sent_outcomes(data[:cut]) == []
+        with pytest.raises((EOFError, ValueError)):
+            marshal.loads(data[:cut])
+    for cut in (0, len(data) // 2, len(data) - 1):
+        outcomes, _, taken = forked(cut)
+        assert repr(outcomes[1 - taken]) == repr(expected)
+        with pytest.raises(OSError, match="^a worker process ended without sending its results$"):
+            next(cli._raise_in_order([outcomes[taken]]))
+    with pytest.raises(ChildProcessError):  # every worker was reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 # The worker rounds of test_results_cross_the_pipe_as_plain_data, in a fresh ``python -S`` process so
-# that only the package can load pickle.  Each round's two tasks run on 2 workers, and the first task
+# that only the package can load pickle.  Each round's tasks run on 2 workers, and the first task
 # this process takes waits until the child has taken one; each round prints its name, whether it
-# waited (if it took a task), whether its results' repr equals a one-process run's, whether pickle is
-# loaded and whether the results hold ``marker``.
+# waited (if it took a task), whether what it gave (its results' repr, or the error it raised)
+# equals a one-process run's, whether pickle is loaded and whether that holds ``marker``.
 WORKER_ROUNDS = r"""
 import os, select, sys
 from biascool import cli
@@ -478,6 +536,13 @@ from biascool.config import load_config
 
 cli._usable_cpus = lambda: 2
 parent = os.getpid()
+
+
+def given(run):
+    try:
+        return repr(run())
+    except Exception as exc:
+        return f"{type(exc).__module__}.{type(exc).__qualname__}: {exc}"
 
 
 def forked(tasks, costs):
@@ -492,32 +557,33 @@ def forked(tasks, costs):
         return task()
 
     try:
-        return list(cli._run_tasks(call, tasks, costs)), waited
+        return given(lambda: list(cli._run_tasks(call, tasks, costs))), waited
     finally:
         os.close(taken_read)
         os.close(taken_write)
 
 
-design, rows, hot = map(load_config, sys.argv[1:])
+design, rows, hot, tiny = map(load_config, sys.argv[1:])
 rounds = [
     ("design", cli._ramp_stage(design, cli._design_blocks, cli._DESIGN_TABLES, 1), ",-"),
     ("sweep", cli._sweep_stage(rows), "nan"),
-    ("simulate", cli._ramp_stage(hot, cli._simulate_blocks, cli._SIMULATE_TABLES, 1), "IntegrationError("),
+    ("simulate", cli._ramp_stage(hot, cli._simulate_blocks, cli._SIMULATE_TABLES, 1), "occupation overflowed"),
+    ("raised", cli._ramp_stage(tiny, cli._simulate_blocks, cli._SIMULATE_TABLES, 1), "ParameterError: eta"),
 ]
 print("imported", "pickle" in sys.modules)
 for name, (tasks, costs, _), marker in rounds:
     results, waited = forked(tasks, costs)
-    one = repr([task() for task in tasks])
-    print(name, waited in ([], [True]), repr(results) == one, "pickle" in sys.modules, marker in one)
+    one = given(lambda: [task() for task in tasks])
+    print(name, waited in ([], [True]), results == one, "pickle" in sys.modules, marker in one)
 """
 
 
 def test_results_cross_the_pipe_as_plain_data(tmp_path):
     # each stage's results on 2 workers equal a one-process run's: design's blocks (t_f 0.1 is
     # inverted part way, so omega_eff goes negative); the sweep's rows, whose failed cells are nan;
-    # the hot-bath ramps, each of whose results carries an IntegrationError.  The child sends plain
-    # results marshalled, so pickle is loaded only by the simulate round, whose outcomes hold an
-    # exception
+    # the hot-bath ramps, each of whose results carries an overflow's text.  A bare frequency of
+    # 1e-200 takes eta out of the float range, so every simulate task raises, and the child's error
+    # is raised as this process's would be.  Results and errors cross marshalled: pickle is never loaded
     paths = []
     for name, replacements in (
         ("design", {"t_final = 0.5, 1.0, 2.0": "t_final = 0.1, 1.0", "sample_count = 201": "sample_count = 41"}),
@@ -527,6 +593,7 @@ def test_results_cross_the_pipe_as_plain_data(tmp_path):
             "sample_count = 201": "sample_count = 41",
             "bath_temperature = 20 mK": "bath_temperature = 1e150",
         }),
+        ("tiny", {"bare_frequency = 134 kHz": "bare_frequency = 1e-200", "sample_count = 201": "sample_count = 41"}),
     ):
         (tmp_path / name).mkdir()
         paths.append(config(tmp_path / name, **replacements))
@@ -540,5 +607,6 @@ def test_results_cross_the_pipe_as_plain_data(tmp_path):
         "imported False",
         "design True True False True",
         "sweep True True False True",
-        "simulate True True True True",
+        "simulate True True False True",
+        "raised True True False True",
     ]
