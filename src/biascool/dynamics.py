@@ -10,13 +10,15 @@ squared frequencies in omega_m^2 (so hbar = m = omega_m = 1 here).
 Two code paths live here:
 
 * ``propagate_transfer`` -- the propagator.  Builds the classical 2x2
-  fundamental matrix with an adaptive 6th-order Magnus scheme (three
-  Gauss nodes per step) whose elementary step is a closed-form
-  exponential of a traceless matrix, so each step is unimodular to
-  rounding and the symplectic invariants are conserved structurally,
-  not by luck of the tolerance.  ``transfer_series`` samples it as
-  GaussianStates; ``propagate_row`` marches ramps differing only in the
-  drive's gain as the lanes of one march, one per t_final in the sweep.
+  fundamental matrix with an adaptive, Richardson-extrapolated Magnus
+  scheme: each step combines 6th-order Magnus exponentials (closed-form
+  exponentials of traceless matrices on three Gauss nodes) over 1, 2 and
+  3 equal sub-steps into an 8th-order update, and normalises it to unit
+  determinant, so each step is unimodular to rounding and the symplectic
+  invariants are conserved structurally, not by luck of the tolerance.
+  ``transfer_series`` samples it as GaussianStates; ``propagate_row``
+  marches ramps differing only in the drive's gain as the lanes of one
+  march, one per t_final in the sweep.
   No CLI command samples it: ``simulate`` writes the nominal ramp's
   exact moments (``design.invariant_moments``).
 * ``solve_ermakov_forward`` -- oracle for the auxiliary nonlinear
@@ -165,10 +167,12 @@ _PHASE_PROBES = 32
 
 #: Accepted steps between two checks that the matrix is still finite.  The
 #: step controller looks at each step's error, not at M, so without them a
-#: march whose M overflowed runs on to t1: an epsilon = -2 ramp at
-#: t_final = 8 stops at t = 0.23 after 9,256 profile evaluations instead
-#: of at t = 8 after 53,374.  A check costs less than one evaluation.
-_OVERFLOW_CHECK_STEPS = 256
+#: march whose M overflowed runs on to t1: an epsilon = -2 ramp stops at
+#: t = 0.39 after 13,147 profile evaluations instead of at t = 2 after
+#: 14,082 (t_final = 2), and at t = 0.21 after 9,091 instead of at t = 8
+#: after 48,123 (t_final = 8).  A check costs less than one of a step's 17
+#: evaluations.
+_OVERFLOW_CHECK_STEPS = 64
 
 
 def _magnus6_exp(h: float, w1: float, w2: float, w3: float) -> tuple[float, float, float, float]:
@@ -193,8 +197,11 @@ def _magnus6_exp(h: float, w1: float, w2: float, w3: float) -> tuple[float, floa
     delta = a * a + b * c
     if delta > 1e-12:
         rt = _sqrt(delta)
-        ch = _cosh(rt)
-        sh = _sinh(rt) / rt
+        try:
+            ch = _cosh(rt)
+            sh = _sinh(rt) / rt
+        except OverflowError:  # a step far past the phase limit: its matrix is not finite
+            ch = sh = math.inf
     elif delta < -1e-12:
         rt = _sqrt(-delta)
         ch = _cos(rt)
@@ -203,11 +210,6 @@ def _magnus6_exp(h: float, w1: float, w2: float, w3: float) -> tuple[float, floa
         ch = 1.0 + 0.5 * delta * (1.0 + delta / 12.0)
         sh = 1.0 + delta / 6.0 * (1.0 + delta / 20.0)
     return (ch + sh * a, sh * b, sh * c, ch - sh * a)
-
-
-def _magnus6_step(w: FrequencyProfile, t: float, h: float) -> tuple[float, float, float, float]:
-    """``_magnus6_exp`` over [t, t + h] on the profile w."""
-    return _magnus6_exp(h, w(t + _GAUSS_LO * h), w(t + 0.5 * h), w(t + _GAUSS_HI * h))
 
 
 def _mmul(A, B):
@@ -219,6 +221,65 @@ def _mmul(A, B):
         a21 * b11 + a22 * b21,
         a21 * b12 + a22 * b22,
     )
+
+
+#: The Gauss nodes of one step, of its two halves and of its three thirds,
+#: as fractions of the step, but for the midpoint: it is the middle node of
+#: the step and of its second third.
+_NODES = (
+    _GAUSS_LO, _GAUSS_HI,
+    *(k / 2.0 + c / 2.0 for k in (0.0, 1.0) for c in (_GAUSS_LO, 0.5, _GAUSS_HI)),
+    *(k / 3.0 + c / 3.0 for k in (0.0, 1.0, 2.0) for c in (_GAUSS_LO, 0.5, _GAUSS_HI) if (k, c) != (1.0, 0.5)),
+)
+
+
+def _extrapolated_step(
+    q: FrequencyProfile, lanes: Sequence[tuple[float, float]], wscales: Sequence[float],
+    t: float, h: float, qmid: float,
+) -> tuple[float, list[tuple[float, float, float, float]]]:
+    """The largest lane error estimate and each lane's update over [t, t + h].
+
+    Per lane, C, F and G are the Magnus-6 products of 1, 2 and 3 equal
+    sub-steps; the symmetric step's error expands in even powers of the
+    sub-step, so X = F + (F - C)/63 and Y = G + (G - F) 64/665 are both
+    8th order (Richardson extrapolation, Hairer, Norsett & Wanner, Solving
+    ODEs I, II.9).  The update is Y / sqrt(det Y), unimodular to rounding;
+    its error estimate is the max-norm of (Y - X)/20, off-diagonal entries
+    weighted by the lane's wscale.  Asymptotically Y's error is |Y - X|/56,
+    but with that divisor the sweep rows at t_f 1e-2 and below ended up to
+    27 times further from a tol-1e-13 reference than with 20.  A det Y
+    that is not positive and finite makes the estimate NaN.  qmid is
+    q(t + h/2), shared by C and G.
+    """
+    step, mmul, sqrt = _magnus6_exp, _mmul, _sqrt
+    q1, q3, q21, q22, q23, q24, q25, q26, q31, q32, q33, q34, q36, q37, q38, q39 = [q(t + c * h) for c in _NODES]
+    half, third = 0.5 * h, h / 3.0
+    err, updates = 0.0, []
+    for (o, g), ws in zip(lanes, wscales):
+        c11, c12, c21, c22 = step(h, o + g * q1, o + g * qmid, o + g * q3)
+        f11, f12, f21, f22 = mmul(
+            step(half, o + g * q24, o + g * q25, o + g * q26), step(half, o + g * q21, o + g * q22, o + g * q23)
+        )
+        g11, g12, g21, g22 = mmul(
+            step(third, o + g * q37, o + g * q38, o + g * q39),
+            mmul(step(third, o + g * q34, o + g * qmid, o + g * q36), step(third, o + g * q31, o + g * q32, o + g * q33)),
+        )
+        x11, x12 = f11 + (f11 - c11) / 63.0, f12 + (f12 - c12) / 63.0
+        x21, x22 = f21 + (f21 - c21) / 63.0, f22 + (f22 - c22) / 63.0
+        y11, y12 = g11 + (g11 - f11) * (64.0 / 665.0), g12 + (g12 - f12) * (64.0 / 665.0)
+        y21, y22 = g21 + (g21 - f21) * (64.0 / 665.0), g22 + (g22 - f22) * (64.0 / 665.0)
+        det = y11 * y22 - y12 * y21
+        if 0.0 < det < math.inf:
+            e = max(abs(y11 - x11), abs(y22 - x22), abs(y12 - x12) * ws, abs(y21 - x21) / ws) / 20.0
+            r = sqrt(det)
+            s = (1.0 - det) / (r * (1.0 + r))  # 1/r - 1 without rounding 1/r near 1
+            updates.append((y11 + y11 * s, y12 + y12 * s, y21 + y21 * s, y22 + y22 * s))
+        else:
+            e = math.nan
+            updates.append((math.nan,) * 4)
+        if e > err or e != e:  # a NaN estimate is the largest, whatever the order
+            err = e
+    return err, updates
 
 
 def _integrate_transfer(
@@ -238,20 +299,25 @@ def _integrate_transfer(
     following the largest.  So a lane's last digits depend on the other
     lanes, but not on their order, and a one-lane march is its own.
 
-    Each step is the 6th-order Magnus exponential on three Gauss nodes.
-    Step-doubling Richardson control: the accepted update is the pair of
-    half steps (each an exact unit-det exponential); the coarse full step
-    only feeds the error estimate, (fine - coarse) / 63 for a 6th-order
-    method.  Off-diagonal errors are weighted by the lane's local frequency
-    so the estimate is balanced for large omega.  The kernel probe at the
-    step midpoint doubles as the coarse step's middle node whenever the
-    step is not clipped to the phase limit.
+    Each step is ``_extrapolated_step``: the Magnus-6 products of 1, 2 and
+    3 equal sub-steps, Richardson-extrapolated to 8th order twice; the
+    accepted update is the better value Y normalised to unit determinant,
+    and the controller keeps the max-norm of (Y - X)/20, the difference of
+    the two extrapolations scaled to the error of Y, within tol, with the
+    step-size exponent 1/9: tol bounds each accepted update's estimate.
+    Off-diagonal errors are weighted by the lane's local frequency so the
+    estimate is balanced for large omega.  The kernel probe at the step
+    midpoint doubles as the middle node of the whole step and of its
+    second third whenever the step is not clipped to the phase limit, so
+    an attempt costs 17 evaluations (18 if clipped).  A step whose Y has a
+    non-positive or non-finite determinant is rejected, as one with a NaN
+    estimate is.
 
     The lanes' matrices at each sample time are appended to ``emitted`` as
     soon as the march passes it, so a caller that catches IntegrationError
     keeps the samples reached before the failure.  An interior sample is
-    a sub-step off the last accepted point, so sampling never alters the
-    step sequence or the final matrices.
+    the same update over the sub-step from the last accepted point, so
+    sampling never alters the step sequence or the final matrices.
 
     Raises IntegrationError, with the time reached, on step-size
     underflow or once ``_MAX_STEPS`` steps have been attempted; a march
@@ -286,7 +352,7 @@ def _integrate_transfer(
 
     if emitted is None:
         emitted = []
-    step, mmul, sqrt, isfinite = _magnus6_exp, _mmul, _sqrt, math.isfinite
+    update, mmul, sqrt, isfinite = _extrapolated_step, _mmul, _sqrt, math.isfinite
     n_targets = len(targets)
     t = t0
     Ms = [(1.0, 0.0, 0.0, 1.0)] * len(lanes)
@@ -309,36 +375,24 @@ def _integrate_transfer(
             h_try = max_phase / wscale
             qmid = q(t + 0.5 * h_try)  # the midpoint of the clipped step
         clipped = h_try < h
-
-        half = 0.5 * h_try
-        q1, q3 = q(t + _GAUSS_LO * h_try), q(t + _GAUSS_HI * h_try)
-        q4, q5, q6 = q(t + half + _GAUSS_LO * half), q(t + half + 0.5 * half), q(t + half + _GAUSS_HI * half)
-        q7, q8, q9 = q(t + _GAUSS_LO * half), q(t + 0.5 * half), q(t + _GAUSS_HI * half)
-        err, fine = 0.0, []  # the largest lane error estimate, each lane's fine update
-        for (o, g), ws in zip(lanes, wscales):
-            c11, c12, c21, c22 = step(h_try, o + g * q1, o + g * qmid, o + g * q3)
-            a = step(half, o + g * q4, o + g * q5, o + g * q6)
-            f = mmul(a, step(half, o + g * q7, o + g * q8, o + g * q9))
-            f11, f12, f21, f22 = f
-            e = max(abs(f11 - c11), abs(f22 - c22), abs(f12 - c12) * ws, abs(f21 - c21) / ws) / 63.0
-            if e > err or e != e:  # a NaN estimate is the largest, whatever the order
-                err = e
-            fine.append(f)
+        err, updates = update(q, lanes, wscales, t, h_try, qmid)
 
         accepted = err <= tol  # NaN error estimates reject
         if accepted:
             t_new = t + h_try
-            Ms_new = list(map(mmul, fine, Ms))
+            Ms_new = list(map(mmul, updates, Ms))
             if next_target < n_targets:
                 hi, lo = t_new * (1 + 1e-15), t_new * (1 - 1e-15)
                 if t_new < 0.0:  # the relative slack flips with the sign
                     hi, lo = lo, hi
                 while next_target < n_targets and targets[next_target] <= hi:
                     target = targets[next_target]
-                    emitted.append(Ms_new if target >= lo else [
-                        mmul(_magnus6_step(lambda x: o + g * q(x), t, target - t), M)
-                        for (o, g), M in zip(lanes, Ms)
-                    ])
+                    if target >= lo:
+                        emitted.append(Ms_new)
+                    else:
+                        sub = target - t
+                        _, partial = update(q, lanes, wscales, t, sub, q(t + 0.5 * sub))
+                        emitted.append(list(map(mmul, partial, Ms)))
                     next_target += 1
             t = t_new
             Ms = Ms_new
@@ -348,7 +402,7 @@ def _integrate_transfer(
         if not isfinite(err):
             factor = 0.2
         elif err > 0.0:
-            factor = 0.9 * (tol / err) ** (1.0 / 7.0)
+            factor = 0.9 * (tol / err) ** (1.0 / 9.0)
         else:
             factor = 5.0
         h_new = h_try * min(5.0, max(0.2, factor))

@@ -16,9 +16,10 @@ Proc. AMS 1 (1950) 681; Lewis & Riesenfeld, J. Math. Phys. 10 (1969)
 row's ramps differ only in the drive's gain, so one march gives all
 their matrices, end point only (``propagate_row``): a cell's last digits
 depend on the other epsilons of its row, not on their order.  At the
-default tolerance the 6th-order Magnus march keeps b within 1e-9
-relative of an extended-precision reference; the epsilon = 0 cell is
-the march that ``reproduce`` checks against the invariant's closed form.
+default tolerance the extrapolated Magnus march keeps n and b within
+1e-10 relative of an extended-precision reference; the epsilon = 0 cell
+is the march that ``reproduce`` checks against the invariant's closed
+form.
 """
 
 from __future__ import annotations

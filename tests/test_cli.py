@@ -308,9 +308,25 @@ class TestSweep:
         assert all("integration failed" in line and "overflowed" in line for line in err)
         lines = (out / "sweep.csv").read_text(encoding="utf-8").splitlines()
         assert lines[1] == (
-            "-1.2,2,1.89319056819e+284,1.21750814986e+279,0.46552577115,1.06415548963e+144,ok,,"
+            "-1.2,2,1.89319057125e+284,1.21750815183e+279,0.465525771204,1.06415549047e+144,ok,,"
         )
         assert lines[4].split(",")[6] == "ok"
+
+
+    def test_a_kernel_that_turns_nan_fails_its_row_with_the_time_reached(self, tmp_path, capsys, monkeypatch):
+        # every step past t = 0.5 has a NaN estimate and is rejected until the step
+        # underflows: exit 2, one error line per cell, no traceback
+        drive = dynamics._drive
+        monkeypatch.setattr(dynamics, "_drive", lambda *args: (lambda t, f=drive(*args): f(t) if t < 0.5 else math.nan))
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        cfg = fast_config(tmp_path)
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        lines = err.splitlines()
+        assert len(lines) == 3 and "Traceback" not in err
+        for line in lines:
+            reached = float(re.fullmatch(r"error: eps=\S+ t_final=1\.0: integration failed: .* \(at t = (\S+)\)", line)[1])
+            assert 0.49 < reached < 0.51
 
 
 class TestReproduce:
@@ -375,9 +391,9 @@ class TestReproduce:
         monkeypatch.setattr(dynamics, "_integrate_transfer", counted_march)
         assert main(["reproduce", "--out", str(tmp_path / "out")]) == 0
         assert before_sweep == [0] and marches == [3, 3, 3]
-        # 91,767 when each cell marched alone and 31,864 as rows (5,360, 9,502 and
-        # 17,002), the phase preflight's probes included
-        assert evaluations <= 32_180
+        # 91,767 when each cell marched alone and 27,047 as rows (4,475, 7,989 and
+        # 14,583), the phase preflight's probes included
+        assert evaluations <= 27_300
 
     @pytest.mark.parametrize("initial_state", ["nominal", "perturbed"])
     def test_only_nominal_drive_cells_reuse_a_march(self, tmp_path, initial_state):

@@ -1,6 +1,8 @@
 import itertools
+import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -252,9 +254,9 @@ class TestOverflow:
             assert all(math.isnan(v) for v in (row.n_bar_final, row.t_eff_final, row.ermakov_b_final))
         # the largest drive error that still fits in a double keeps its bits
         assert repr(rows[0]) == (
-            "SweepResult(epsilon=-1.2, t_final=2.0, n_bar_final=1.8931905681869443e+284, "
-            "t_eff_final=1.217508149859092e+279, state_omega_final=0.4655257711500947, "
-            "ermakov_b_final=1.0641554896299314e+144, status='ok')"
+            "SweepResult(epsilon=-1.2, t_final=2.0, n_bar_final=1.893190571245079e+284, "
+            "t_eff_final=1.217508151825774e+279, state_omega_final=0.4655257712037499, "
+            "ermakov_b_final=1.0641554904675688e+144, status='ok')"
         )
 
     def test_failed_row_marches_cell_by_cell(self, device_params):
@@ -290,6 +292,29 @@ class TestOverflow:
         assert final.xx < math.inf and final.xx + final.pp == math.inf
         (cell,) = sweep_row(params, 2.0, [-1.2], SweepOptions())
         assert cell.status == "integration failed: occupation overflowed (at t = 2)"
+
+
+class TestReference:
+    def test_rows_meet_the_extended_precision_reference(self):
+        # reproduce's rows at the default tolerance against the mpmath end points that
+        # perfbench/make_reference.py wrote: at worst 3.0e-11 (n) and 4.6e-11 (b)
+        params = load_config(None).physical
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+        cells = json.loads(path.read_text(encoding="utf-8"))["cells"]
+        epsilons = [-0.1, 0.0, 0.1]
+        for t_final in sorted({cell["t_final"] for cell in cells}):
+            nominal = make_trajectory(params, t_final)
+            ramps = [perturb_trajectory(nominal, epsilon) for epsilon in epsilons]
+            assert all(abs(m.det - 1.0) <= 1e-13 for m in propagate_row(ramps, 0.0, t_final))
+            row = dict(zip(epsilons, sweep_row(params, t_final, epsilons)))
+            state0 = thermal_state(params, nominal.spec.omega0_sq, params.bath_temperature)
+            for cell in (c for c in cells if c["t_final"] == t_final):
+                ramp = perturb_trajectory(nominal, cell["epsilon"])
+                inputs = (nominal.spec.chi, nominal.spec.omega0_sq, ramp.f_scale, state0.xx, state0.pp)
+                assert inputs == tuple(cell[k] for k in ("chi", "omega0_sq", "f_scale", "xx0", "pp0"))
+                result = row[cell["epsilon"]]
+                assert result.n_bar_final == pytest.approx(float(cell["n_bar_final"]), rel=1e-10, abs=0.0)
+                assert result.ermakov_b_final == pytest.approx(float(cell["b_final"]), rel=1e-10, abs=0.0)
 
 
 def test_reference_targets_cover_study_points():
