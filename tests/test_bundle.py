@@ -59,6 +59,15 @@ CASES = {
     "simulate-4001-json": (["simulate", "--samples", "4001"], JSON),
     # eta out of the float range, raised inside every simulate task: one line, exit 1
     "tiny-frequency-simulate": (["simulate"], {"bare_frequency = 134 kHz": "bare_frequency = 1e-200"}),
+    # the benchmark's simulate-dense config; t_f 0.1 has inverted windows (nan cells)
+    "simulate-dense-csv": (["simulate"], {
+        "t_final = 0.5, 1.0, 2.0": "t_final = 0.1, 1.0, 8.0",
+        "sample_count = 201": "sample_count = 4001",
+    }),
+    "design-4001-p6-json": (["design", "--samples", "4001"], {**JSON, "precision = 12": "precision = 6"}),
+    "simulate-p17-json": (["simulate"], {**JSON, "precision = 12": "precision = 17"}),
+    # a 1 nK bath: the occupations are rounding-level
+    "cold-simulate": (["simulate"], {"bath_temperature = 20 mK": "bath_temperature = 1e-9 K"}),
 }
 
 
