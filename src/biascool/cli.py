@@ -29,24 +29,21 @@ from pathlib import Path
 
 from . import __version__, thermometry
 from .config import RunConfig, load_config
+from .constants import BOLTZMANN, HBAR
 from .design import (
     TrajectoryValidation,
-    b_polynomial,
-    control_function,
-    invariant_moments,
+    _drive_terms,
     linspace,
     make_spec,
     make_trajectory,
     shortest_ramp,
-    signed_sqrt,
     validate_trajectory,
 )
 from .dynamics import IntegrationError, thermal_state
 from .outputs import (
     check_entry,
-    format_columns,
+    format_blocks,
     format_float,
-    format_floats,
     format_rows,
     hash_manifest,
     render_table,
@@ -166,8 +163,10 @@ def _run_tasks(fn: Callable, items: Sequence, costs: Sequence[float]) -> Iterato
     the same bytes.  With one CPU or one task, without ``os.fork``, or
     with a second Python thread alive, the tasks run here, lazily, one by
     one.  Every command but ``params`` calls it once, through
-    ``_one_round``: ``design`` and ``simulate`` with one ``_ramp_stage``,
-    ``sweep`` with ``_sweep_stage``, ``reproduce`` with all three.
+    ``_one_round``: ``design`` and ``simulate`` with one ``_ramp_stage``
+    (a task per sample range, each one ``_ramp_blocks`` pass that returns
+    its tables' text), ``sweep`` with ``_sweep_stage``, ``reproduce`` with
+    all three.
     """
     workers = min(len(items), _usable_cpus())
     threading = sys.modules.get("threading")  # never imported: no threading.Thread was started
@@ -291,44 +290,8 @@ def _report_failures(failure: str | None, results: list[SweepResult]) -> int:
     return 2 if errors else 0
 
 
-def _simulate_rows(
-    cfg: RunConfig, t_final: float, times: list[float]
-) -> tuple[list[tuple], str | None]:
-    """Rows (t, n_bar_ref_omega_eff, n_bar_ref_omega_m, t_eff, xx, pp, xp, purity) of a ramp at ``times``.
-
-    The moments are exact, from the invariant (``invariant_moments``);
-    nothing is marched.  The purity is the invariant covariance's
-    determinant, (nbar + 1/2)^2 of the thermal start.  A purity or an
-    occupation that overflowed fails the ramp: the rows before the failure
-    are returned together with the error's text (an ``IntegrationError``'s)
-    so callers can write partial output.
-    """
-    params = cfg.physical
-    traj = make_trajectory(params, t_final)
-    omega0_sq, bath = traj.spec.omega0_sq, params.bath_temperature
-    thermal_state(params, omega0_sq, bath)  # a config error past the float range
-    e = thermometry.thermal_occupation(math.sqrt(omega0_sq) * params.bare_frequency, bath) + 0.5
-    purity = e * e
-    if purity == math.inf:
-        return [], str(IntegrationError("purity (n_bar + 1/2)^2 overflowed", 0.0))
-    # the reference is the instantaneous nominal drive frequency; in an
-    # inverted-potential window no occupation/temperature is defined
-    w_refs = traj.omega_eff_sq(times)
-    occupation, temperature = thermometry.occupation, thermometry.effective_temperature
-    omega_m, nan, inf = params.bare_frequency, math.nan, math.inf
-    rows = []
-    for (t, xx, pp, xp), w_ref in zip(invariant_moments(traj.spec, times, e), w_refs):
-        n_inst = occupation(xx, pp, w_ref) if w_ref > 0.0 else nan
-        n_bare = occupation(xx, pp, 1.0)
-        if n_inst == inf or n_bare == inf:  # moments or an energy that overflowed
-            return rows, str(IntegrationError("occupation overflowed", t))
-        t_eff = temperature(math.sqrt(w_ref) * omega_m, n_inst) if w_ref > 0.0 else nan
-        rows.append((t, n_inst, n_bare, t_eff, xx, pp, xp, purity))
-    return rows, None
-
-
 # each ramp table: file stem, header and its columns of a ramp's rows, which are (t, f, omega_eff, b) in
-# design and _simulate_rows' rows in simulate
+# design and (t, n_bar_ref_omega_eff, n_bar_ref_omega_m, t_eff, xx, pp, xp) in simulate; column 7 is the purity
 _DESIGN_TABLES = (
     ("f_t", ("t_omega_m", "value"), (0, 1)),
     ("omega_eff_t", ("t_omega_m", "value"), (0, 2)),
@@ -341,30 +304,56 @@ _SIMULATE_TABLES = (
 )
 
 
-def _design_blocks(cfg: RunConfig, t_final: float, times: list[float]) -> tuple:
-    """A ramp's range of ``times`` as its blocks of the three tables (sharing t's texts), no occupation, no failure."""
-    traj = make_trajectory(cfg.physical, t_final)
-    b, _, _ = b_polynomial([ti / t_final for ti in times], traj.spec.chi)
-    columns = (times, control_function(traj, times), list(map(signed_sqrt, traj.omega_eff_sq(times))), b)
-    out = cfg.output
-    texts = [format_floats(column, out.precision) for column in columns]
-    return [format_columns([texts[k] for k in cols], out.format) for _, _, cols in _DESIGN_TABLES], None, None
+def _ramp_blocks(cfg: RunConfig, tables: tuple, t_final: float, times: list[float]) -> tuple:
+    """A ramp's range of ``times`` as its blocks of ``tables``, design's or simulate's; last bare occupation, failure.
 
-
-def _simulate_blocks(cfg: RunConfig, t_final: float, times: list[float]) -> tuple:
-    """A ramp's range of ``times`` as its blocks of the three tables, last bare occupation, failure.
-
-    Each number is formatted once, the purity once per range, and the three tables share t's texts.
+    One pass, each formula in its source's operations, so with its bits: per sample the quintic b and the
+    drive f0 (``design._drive``), omega_eff^2 = 1 + eta f_scale f0, and design's f = 0 + f_scale f0 and
+    omega_eff (``signed_sqrt``), or simulate's exact moments from the invariant (``invariant_moments``),
+    both occupations and T_eff (``thermometry``, whose ``occupation`` clamps a negative one; nan where
+    omega_eff^2 <= 0).  The purity is (nbar + 1/2)^2 of the thermal start.  A purity or an occupation
+    that overflowed fails the ramp: the blocks hold the rows before it; the failure is the error's text.
     """
-    rows, failure = _simulate_rows(cfg, t_final, times)
-    out = cfg.output
-    numbers = list(chain.from_iterable(rows))
-    del numbers[7::8]  # the purity column
-    texts = format_floats(numbers, out.precision)
-    purity = format_floats([row[7] for row in rows[:1]], out.precision)
-    columns = [texts[k::7] for k in range(7)] + [purity * len(rows)]
-    blocks = [format_columns([columns[k] for k in cols], out.format) for _, _, cols in _SIMULATE_TABLES]
-    return blocks, rows[-1][2] if rows else None, failure
+    params, out, simulate = cfg.physical, cfg.output, tables is _SIMULATE_TABLES
+    traj = make_trajectory(params, t_final)
+    bath, omega_m, e = params.bath_temperature, params.bare_frequency, 0.5
+    if simulate:
+        thermal_state(params, traj.spec.omega0_sq, bath)  # a config error past the float range
+        e = thermometry.thermal_occupation(math.sqrt(traj.spec.omega0_sq) * omega_m, bath) + 0.5
+        if e * e == math.inf:
+            return ["", "", ""], None, str(IntegrationError("purity (n_bar + 1/2)^2 overflowed", 0.0))
+    eta, om0sq, t_f, tf_sq, c6, c15, c10, c60 = _drive_terms(traj)
+    c30, scale, f_scale, gain = 30.0 * (traj.spec.chi - 1.0), e / math.sqrt(om0sq), traj.f_scale, eta * traj.f_scale
+    sqrt, log1p, nan, inf, tiny = math.sqrt, math.log1p, math.nan, math.inf, sys.float_info.min
+    occupation, temperature = thermometry.occupation, thermometry.effective_temperature
+    rows, failure = [], None
+    for t in times:
+        s = t / t_f
+        u = s - 1.0
+        b = ((c6 * s - c15) * s + c10) * s * s * s + 1.0
+        b2 = b * b
+        b4 = b2 * b2
+        f0 = (om0sq - b2 * b * (c60 * s * (2.0 * s - 1.0) * u / tf_sq) - b4) / (eta * b4)
+        w = 1.0 + gain * f0
+        if not simulate:
+            rows.append((t, 0.0 + f_scale * f0, math.copysign(sqrt(abs(w)), w) if w else 0.0, b))
+            continue
+        b_dot = c30 * (s * s) * (u * u) / t_f
+        sb = scale * b
+        xx, pp, xp = sb * b, scale * (b_dot * b_dot + om0sq / b2), sb * b_dot
+        n_inst, n_bare = 0.5 * (pp + w * xx) / sqrt(w) - 0.5 if w > 0.0 else nan, 0.5 * (pp + xx) - 0.5
+        if n_inst < 0.0 or n_bare < 0.0:
+            n_inst, n_bare = occupation(xx, pp, w) if w > 0.0 else nan, occupation(xx, pp, 1.0)
+        if n_inst == inf or n_bare == inf:  # moments or an energy that overflowed
+            failure = str(IntegrationError("occupation overflowed", t))
+            break
+        t_eff = nan
+        if w > 0.0:  # hbar omega / (k_B ln(1 + 1/n)) at omega = omega_eff
+            omega, k_ln = sqrt(w) * omega_m, BOLTZMANN * log1p(1.0 / n_inst) if n_inst else 0.0
+            t_eff = HBAR * omega / k_ln if k_ln >= tiny and omega > 0.0 else temperature(omega, n_inst)
+        rows.append((t, n_inst, n_bare, t_eff, xx, pp, xp))
+    blocks = format_blocks(rows, [cols for *_, cols in tables], out.precision, out.format, e * e)
+    return blocks, rows[-1][2] if simulate and rows else None, failure
 
 
 def _simulate_pieces(cfg: RunConfig) -> int:
@@ -372,17 +361,18 @@ def _simulate_pieces(cfg: RunConfig) -> int:
     return min(cfg.protocol.sample_count, 4 * _usable_cpus())
 
 
-def _ramp_stage(cfg: RunConfig, blocks: Callable, tables: tuple, pieces: int) -> tuple[list, list[float], Callable]:
+def _ramp_stage(cfg: RunConfig, tables: tuple, pieces: int) -> tuple[list, list[float], Callable]:
     """Each ramp's ``pieces`` contiguous sample ranges as tasks of cost 0, and ``_ramp_files``.
 
-    A task is ``blocks(cfg, t_final, times)`` (``_design_blocks`` or ``_simulate_blocks``) over its range.
+    A task is ``_ramp_blocks(cfg, tables, t_final, times)`` over its range: the blocks of ``tables``
+    (``_DESIGN_TABLES`` or ``_SIMULATE_TABLES``) as text, from one pass over its samples.
     """
     n = cfg.protocol.sample_count
     cuts = [n * k // pieces for k in range(pieces + 1)]
     tasks = []
     for t_final in cfg.protocol.t_final:
         times = linspace(0.0, t_final, n)
-        tasks += [partial(blocks, cfg, t_final, times[a:b]) for a, b in zip(cuts, cuts[1:])]
+        tasks += [partial(_ramp_blocks, cfg, tables, t_final, times[a:b]) for a, b in zip(cuts, cuts[1:])]
     return tasks, [0.0] * len(tasks), partial(_ramp_files, cfg, tables, pieces)
 
 
@@ -409,9 +399,9 @@ def _ramp_files(cfg: RunConfig, tables: tuple, pieces: int, ranges: Iterator) ->
     return written, finals, first_failure
 
 
-def cmd_ramps(cfg: RunConfig, blocks: Callable, tables: tuple, pieces: int) -> int:
+def cmd_ramps(cfg: RunConfig, tables: tuple, pieces: int) -> int:
     """``design`` and ``simulate``: write each ramp's tables, print their paths, report a failure."""
-    written, _, failure = next(_one_round(_ramp_stage(cfg, blocks, tables, pieces)))
+    written, _, failure = next(_one_round(_ramp_stage(cfg, tables, pieces)))
     for path in written:
         print(path)
     return _report_failures(failure, [])
@@ -501,8 +491,8 @@ def cmd_reproduce(cfg: RunConfig) -> int:
     report = build_report(cfg)
 
     stages = _one_round(
-        _ramp_stage(cfg, _design_blocks, _DESIGN_TABLES, 1),
-        _ramp_stage(cfg, _simulate_blocks, _SIMULATE_TABLES, _simulate_pieces(cfg)),
+        _ramp_stage(cfg, _DESIGN_TABLES, 1),
+        _ramp_stage(cfg, _SIMULATE_TABLES, _simulate_pieces(cfg)),
         _sweep_stage(cfg),
     )
     written = next(stages)[0]
@@ -569,8 +559,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 _COMMANDS = {
     "params": cmd_params,
-    "design": lambda cfg: cmd_ramps(cfg, _design_blocks, _DESIGN_TABLES, 1),  # one range per ramp
-    "simulate": lambda cfg: cmd_ramps(cfg, _simulate_blocks, _SIMULATE_TABLES, _simulate_pieces(cfg)),
+    "design": lambda cfg: cmd_ramps(cfg, _DESIGN_TABLES, 1),  # one range per ramp
+    "simulate": lambda cfg: cmd_ramps(cfg, _SIMULATE_TABLES, _simulate_pieces(cfg)),
     "sweep": cmd_sweep,
     "reproduce": cmd_reproduce,
 }

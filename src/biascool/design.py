@@ -196,11 +196,7 @@ def _drive(traj: ControlTrajectory, gain: float, offset: float):
     arithmetic, so a numpy array of times works too and gives, element by
     element, the scalar calls' bits.
     """
-    eta = traj.eta
-    if eta == 0.0:
-        raise DesignError("eta = 0: the gate drive has no effect, inverse design undefined")
-    c, t_f, om0sq = traj.spec.chi - 1.0, traj.spec.t_final, traj.spec.omega0_sq
-    tf_sq, c6, c15, c10, c60 = t_f * t_f, 6.0 * c, 15.0 * c, 10.0 * c, 60.0 * c
+    eta, om0sq, t_f, tf_sq, c6, c15, c10, c60 = _drive_terms(traj)
 
     def drive(t):
         s = t / t_f
@@ -211,6 +207,14 @@ def _drive(traj: ControlTrajectory, gain: float, offset: float):
         return offset + gain * ((om0sq - b2 * b * d2 - b4) / (eta * b4))
 
     return drive
+
+
+def _drive_terms(traj: ControlTrajectory) -> tuple[float, ...]:
+    """``_drive``'s constants (eta, omega_0^2, t_f, t_f^2, 6c, 15c, 10c, 60c), c = chi - 1."""
+    eta, c, t_f = traj.eta, traj.spec.chi - 1.0, traj.spec.t_final
+    if eta == 0.0:
+        raise DesignError("eta = 0: the gate drive has no effect, inverse design undefined")
+    return eta, traj.spec.omega0_sq, t_f, t_f * t_f, 6.0 * c, 15.0 * c, 10.0 * c, 60.0 * c
 
 
 def _elementwise(fn, x):

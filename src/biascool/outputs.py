@@ -1,10 +1,11 @@
 """Deterministic CSV/JSON emission and the reproduction manifest.
 
 Float cells are ``%.{precision}g``, the digits of :func:`format_float`, in
-rows of mixed cells from :func:`format_rows` or of numbers formatted once
-(:func:`format_floats`, :func:`format_columns`), framed alike; files end
-with a newline and use LF endings, and JSON is sorted -- two runs of the
-same config produce byte-identical files, which the manifest check relies on.
+blocks of rows of mixed cells from :func:`format_rows` or of floats from
+:func:`format_blocks` (one %-operation on a row template per block),
+framed alike by :func:`render_table`; files end with a newline and use LF
+endings, and JSON is sorted -- two runs of the same config produce
+byte-identical files, which the manifest check relies on.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import json
 import sys
 from collections.abc import Iterable, Sequence
+from itertools import chain
 from pathlib import Path
 
 
@@ -61,9 +63,9 @@ def format_rows(rows: Iterable[Sequence], precision: int, fmt: str) -> str:
     """A block of table rows: each row's text after the separator the document puts before it.
 
     So blocks of consecutive rows concatenate to the rows of one document,
-    and no rows give an empty block.  A float cell is ``format_floats``'
-    text, None is empty, and any other cell is its ``str()``, quoted for
-    CSV or escaped for JSON.
+    and no rows give an empty block.  A float cell is ``%.{precision}g``,
+    None is empty, and any other cell is its ``str()``, quoted for CSV or
+    escaped for JSON.
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown table format {fmt!r}")
@@ -75,21 +77,24 @@ def format_rows(rows: Iterable[Sequence], precision: int, fmt: str) -> str:
     )
 
 
-def format_floats(values: Sequence[float], precision: int) -> list[str]:
-    """Each value as ``format_rows`` writes a float cell, all from one %-operation."""
-    return (f"%.{precision}g\n" * len(values) % tuple(values)).split("\n")[:-1]
+def format_blocks(rows: Sequence[tuple], columns: Iterable[Sequence[int]], precision: int, fmt: str,
+                  constant: float = 0.0) -> list[str]:
+    """``format_rows``' block of each selection of the float ``rows``' columns, from one %-operation each.
 
-
-def format_columns(columns: Sequence[Sequence[str]], fmt: str) -> str:
-    """``format_rows``' block of the rows whose cells are ``columns``' texts, from one %-operation.
-
-    The texts go in as they are, so they must need no CSV quoting or JSON escapes, as numbers do.
+    Column 0 is formatted once for every block; a column past the rows' end is ``constant``.
     """
-    width, count = len(columns), len(columns[0])
-    cells = [""] * (width * count)
-    for k, column in enumerate(columns):
-        cells[k::width] = column
-    return _row_template(("%s",) * width, fmt) * count % tuple(cells)
+    number, width = f"%.{precision}g", len(rows[0]) if rows else 1
+    cells = list(chain.from_iterable(rows))
+    texts = [list(map(number.__mod__, cells[::width]))] + [cells[k::width] for k in range(1, width)]
+    blocks = []
+    for cols in columns:
+        used = [texts[k] for k in cols if k < width]
+        table = [None] * (len(used) * len(rows))
+        for i, column in enumerate(used):
+            table[i :: len(used)] = column
+        specs = ["%s" if k == 0 else number if k < width else number % constant for k in cols]
+        blocks.append(_row_template(specs, fmt) * len(rows) % tuple(table))
+    return blocks
 
 
 def render_table(header: Sequence[str], blocks: Iterable[str], fmt: str, note: str | None) -> str:

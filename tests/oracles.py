@@ -5,17 +5,20 @@ covariance ODE, the forward Ermakov equation, a sampled numpy scan of
 the trajectory validation, the two-electrode Coulomb model behind eta,
 and the Lewis-Riesenfeld invariant.  They are the only users of numpy
 and scipy, which is why they live with the tests: importing biascool
-loads neither.
+loads neither.  ``simulate_rows`` builds simulate's rows from the
+library's functions, one call per formula and sample, as the command
+did before its single pass inlined them.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from biascool import dynamics
+from biascool import dynamics, thermometry
 from biascool.config import _KEYS, RunConfig
 from biascool.design import (
     ControlTrajectory,
@@ -23,8 +26,10 @@ from biascool.design import (
     TrajectoryValidation,
     control_function,
     effective_frequency_profile,
+    invariant_moments,
+    make_trajectory,
 )
-from biascool.dynamics import FrequencyProfile, GaussianState, IntegrationError, TransferMatrix
+from biascool.dynamics import FrequencyProfile, GaussianState, IntegrationError, TransferMatrix, thermal_state
 from biascool.physical import ParameterError, PhysicalParams
 
 
@@ -191,3 +196,35 @@ def propagate_covariance_ode(
         states.append(GaussianState(xx=y[0], pp=y[2], xp=y[1], time=t))
         t_prev = t
     return states
+
+
+def simulate_rows(cfg: RunConfig, t_final: float, times: Sequence[float]) -> tuple[list[tuple], str | None]:
+    """Rows (t, n_bar_ref_omega_eff, n_bar_ref_omega_m, t_eff, xx, pp, xp, purity) of a ramp at ``times``.
+
+    The moments come from ``invariant_moments``, the reference frequency
+    from ``omega_eff_sq`` and the occupations and T_eff from ``thermometry``,
+    one call each per sample; no occupation or temperature in an
+    inverted-potential window (nan).  The purity is (nbar + 1/2)^2 of the
+    thermal start.  A purity or an occupation that overflowed ends the
+    rows: those before it come back with the ``IntegrationError``'s text.
+    """
+    params = cfg.physical
+    traj = make_trajectory(params, t_final)
+    omega0_sq, bath = traj.spec.omega0_sq, params.bath_temperature
+    thermal_state(params, omega0_sq, bath)  # a config error past the float range
+    e = thermometry.thermal_occupation(math.sqrt(omega0_sq) * params.bare_frequency, bath) + 0.5
+    purity = e * e
+    if purity == math.inf:
+        return [], str(IntegrationError("purity (n_bar + 1/2)^2 overflowed", 0.0))
+    w_refs = traj.omega_eff_sq(list(times))
+    rows = []
+    for (t, xx, pp, xp), w_ref in zip(invariant_moments(traj.spec, times, e), w_refs):
+        n_inst = thermometry.occupation(xx, pp, w_ref) if w_ref > 0.0 else math.nan
+        n_bare = thermometry.occupation(xx, pp, 1.0)
+        if n_inst == math.inf or n_bare == math.inf:
+            return rows, str(IntegrationError("occupation overflowed", t))
+        t_eff = math.nan
+        if w_ref > 0.0:
+            t_eff = thermometry.effective_temperature(math.sqrt(w_ref) * params.bare_frequency, n_inst)
+        rows.append((t, n_inst, n_bare, t_eff, xx, pp, xp, purity))
+    return rows, None

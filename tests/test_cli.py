@@ -1,4 +1,5 @@
 import ast
+import importlib
 import json
 import math
 import os
@@ -7,21 +8,31 @@ import subprocess
 import sys
 import time
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import biascool
-from biascool import cli, dynamics
+from biascool import cli, dynamics, thermometry
 from biascool.cli import main
 from biascool.config import DEFAULT_CONFIG, load_config
-from biascool.design import ControlTrajectory, linspace, make_trajectory
+from biascool.design import (
+    ControlTrajectory,
+    b_polynomial,
+    control_function,
+    linspace,
+    make_trajectory,
+    signed_sqrt,
+)
 from biascool.dynamics import TransferMatrix, thermal_state
+from biascool.outputs import format_rows
 from biascool.physical import FIELD_UNITS
 
 from conftest import CHI_DEFAULT, NBAR_COLD, OMEGA0_DEFAULT, TEFF_FINAL
-from oracles import propagate_covariance_ode
+import oracles
+from oracles import propagate_covariance_ode, simulate_rows
 
 # one ramp and a coarse grid keep the CLI tests quick
 FAST_LINES = {
@@ -174,8 +185,9 @@ class TestSimulate:
     def test_rows_equal_the_covariance_ode(self, tmp_path, t_final):
         # the closed-form rows against an independent DOP853 march; t_f 0.1 has inverted
         # windows.  At tol 1e-12 the worst row is 1.5e-11 off (pp at t_f 0.1)
+        # (the oracle's rows: test_simulate_blocks_are_the_oracle_rows pins simulate's to them)
         cfg = load_config(fast_config(tmp_path))
-        rows, failure = cli._simulate_rows(cfg, t_final, linspace(0.0, t_final, cfg.protocol.sample_count))
+        rows, failure = simulate_rows(cfg, t_final, linspace(0.0, t_final, cfg.protocol.sample_count))
         assert failure is None and len(rows) == 41
         params = cfg.physical
         traj = make_trajectory(params, t_final)
@@ -189,7 +201,7 @@ class TestSimulate:
             assert purity == rows[0][-1] == pytest.approx(state0.xx * state0.pp, rel=1e-15)
 
     def test_one_ramp_builds_no_object_per_sample(self, tmp_path, monkeypatch):
-        # the moment rows go straight into the tables: the count of states
+        # the moments go straight into the tables: the count of states
         # and matrices a ramp builds does not grow with its samples
         built = {dynamics.GaussianState: 0, TransferMatrix: 0}
         for cls, method in ((dynamics.GaussianState, "__post_init__"), (TransferMatrix, "__init__")):
@@ -202,8 +214,8 @@ class TestSimulate:
         for samples in (41, 4001):
             cfg = load_config(fast_config(tmp_path, **{"sample_count = 201": f"sample_count = {samples}"}))
             built.update(dict.fromkeys(built, 0))
-            rows, failure = cli._simulate_rows(cfg, 1.0, linspace(0.0, 1.0, samples))
-            assert failure is None and len(rows) == samples
+            blocks, _, failure = cli._ramp_blocks(cfg, cli._SIMULATE_TABLES, 1.0, linspace(0.0, 1.0, samples))
+            assert failure is None and [block.count("\n") for block in blocks] == [samples] * 3
             counts.append(dict(built))
         assert counts[0] == counts[1] == {dynamics.GaussianState: 1, TransferMatrix: 0}  # the start state
 
@@ -253,6 +265,109 @@ class TestSimulate:
         for stem in ("n_bar_t", "t_eff_t", "moments_t"):
             lines = (out / f"{stem}_tf1.csv").read_text(encoding="utf-8").splitlines()
             assert lines[1:] == [f"# integration_error: {err.strip().removeprefix('error: ')}"]
+
+
+def oracle_blocks(cfg, t_final, times):
+    """``_ramp_blocks``' return for simulate's tables from the oracle's rows, rendered by ``format_rows``."""
+    rows, failure = simulate_rows(cfg, t_final, times)
+    blocks = [format_rows([[row[k] for k in cols] for row in rows], cfg.output.precision, cfg.output.format)
+              for _, _, cols in cli._SIMULATE_TABLES]
+    return blocks, rows[-1][2] if rows else None, failure
+
+
+def outcome(fn, *args):
+    """What ``fn(*args)`` gives, or its error's class and text."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def ranges(times):
+    """Every range of ``times`` cut into 1 to 8 pieces, as ``_ramp_stage`` cuts, and each sample alone."""
+    n = len(times)
+    for pieces in (*range(1, 9), n):
+        cuts = [n * k // pieces for k in range(pieces + 1)]
+        yield from (times[lo:hi] for lo, hi in zip(cuts, cuts[1:]))
+
+
+class TestRampBlocks:
+    """Each range's blocks, bit for bit, against ``format_rows`` over rows built call by call.
+
+    At precision 17 every finite cell reads back as its float, so these
+    pin each formula the single pass inlines to its source function.
+    """
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("precision", [6, 17])
+    @pytest.mark.parametrize("bath", ["20 mK", "1e-9 K", "1e150"])
+    def test_simulate_blocks_are_the_oracle_rows(self, tmp_path, fmt, precision, bath):
+        # t_f 0.1 has inverted windows (nan cells) and a 1 nK bath rounding-level occupations;
+        # on the 1e150 K bath the t_f 1e-78 ramp overflows at sample 22 of 41, and each range
+        # holding it has the rows before it and the message
+        cfg = load_config(fast_config(tmp_path, **{
+            "t_final = 0.5, 1.0, 2.0": "t_final = 1e-78, 0.5" if bath == "1e150" else "t_final = 0.1, 1.0, 8.0",
+            "bath_temperature = 20 mK": f"bath_temperature = {bath}",
+            "format = csv": f"format = {fmt}",
+            "precision = 12": f"precision = {precision}",
+        }))
+        failures = set()
+        for t_final in cfg.protocol.t_final:
+            for times in ranges(linspace(0.0, t_final, 41)):
+                blocks = cli._ramp_blocks(cfg, cli._SIMULATE_TABLES, t_final, times)
+                assert blocks == oracle_blocks(cfg, t_final, times)
+                failures.add(blocks[2])
+        assert ("occupation overflowed (at t = 5.5e-79)" in failures) == (bath == "1e150")
+
+    @pytest.mark.parametrize("edit", [
+        {"bath_temperature = 20 mK": "bath_temperature = 1e160"},  # the purity overflows
+        {"voltage_amplitude = 7.00 V": "voltage_amplitude = 0 V"},  # eta = 0: no drive
+        {"bare_frequency = 134 kHz": "bare_frequency = 1e-200"},  # eta beyond the float range
+    ])
+    def test_simulate_failures_are_the_oracles(self, tmp_path, edit):
+        cfg = load_config(fast_config(tmp_path, **edit))
+        times = linspace(0.0, 1.0, 41)
+        expected = outcome(oracle_blocks, cfg, 1.0, times)
+        assert outcome(cli._ramp_blocks, cfg, cli._SIMULATE_TABLES, 1.0, times) == expected
+        assert not isinstance(expected[0], list) or expected[2] is not None
+
+    def test_a_negative_occupation_is_clamped_by_thermometry(self, tmp_path, monkeypatch):
+        # a start of half the ground state's energy (n_bar = -1/4, past the start state's
+        # check) gives occupations below the rounding budget: thermometry.occupation clamps
+        # each to 0, with its warning
+        cfg = load_config(fast_config(tmp_path))
+        times = linspace(0.0, 1.0, 41)
+        monkeypatch.setattr(thermometry, "thermal_occupation", lambda omega, temperature: -0.25)
+        for module in (cli, oracles):
+            monkeypatch.setattr(module, "thermal_state", lambda *args: None)
+        given = {}
+        for name, fn in (("simulate", partial(cli._ramp_blocks, cfg, cli._SIMULATE_TABLES)), ("oracle", partial(oracle_blocks, cfg))):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                blocks = fn(1.0, times)
+            given[name] = blocks, [str(w.message) for w in caught]
+        assert given["simulate"] == given["oracle"]
+        blocks, caught = given["simulate"]
+        assert blocks[1] == 0.0 and caught and all(text.endswith("; clamping to 0") for text in caught)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("precision", [6, 17])
+    def test_design_blocks_are_the_library_rows(self, tmp_path, fmt, precision):
+        # f, omega_eff and b from control_function, omega_eff_sq with signed_sqrt and
+        # b_polynomial; t_f 0.1 is inverted part way, so omega_eff goes negative
+        cfg = load_config(fast_config(tmp_path, **{
+            "t_final = 0.5, 1.0, 2.0": "t_final = 0.1, 1.0, 8.0",
+            "format = csv": f"format = {fmt}",
+            "precision = 12": f"precision = {precision}",
+        }))
+        for t_final in cfg.protocol.t_final:
+            traj = make_trajectory(cfg.physical, t_final)
+            for times in ranges(linspace(0.0, t_final, 41)):
+                b, _, _ = b_polynomial([t / t_final for t in times], traj.spec.chi)
+                omega_eff = [signed_sqrt(w) for w in traj.omega_eff_sq(times)]
+                expected = [format_rows(zip(times, column), precision, fmt)
+                            for column in (control_function(traj, times), omega_eff, b)]
+                assert cli._ramp_blocks(cfg, cli._DESIGN_TABLES, t_final, times) == (expected, None, None)
 
 
 class TestSweep:
@@ -658,6 +773,22 @@ def test_commands_are_declared_once_and_documented():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("## Command line\n\n```sh\n", 1)[1].split("```", 1)[0]
     assert [line.split()[1] for line in block.splitlines()] == list(cli._COMMANDS)
+
+
+def test_every_traced_layer_call_exists():
+    # the benchmark's traced run wraps each LAYER_CALLS function of perfbench/tracing.py, and
+    # fails on a name its layer no longer has; tracing.py imports numpy, so its table is read
+    # from the source
+    source = (Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py").read_text(encoding="utf-8")
+    (table,) = [
+        node.value for node in ast.parse(source).body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["LAYER_CALLS"]
+    ]
+    layer_calls = ast.literal_eval(table)
+    assert layer_calls and all(names for names in layer_calls.values())
+    for layer, names in layer_calls.items():
+        module = importlib.import_module(f"biascool.{layer}")
+        assert [name for name in names if not callable(getattr(module, name, None))] == [], layer
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 
 from biascool.outputs import (
     check_entry,
-    format_columns,
-    format_floats,
+    format_blocks,
     format_rows,
     hash_manifest,
     render_table,
@@ -110,30 +109,26 @@ def test_row_blocks_join_into_one_table(tmp_path, fmt):
 @given(
     st.integers(1, 5).flatmap(
         lambda width: st.lists(
-            st.lists(
-                st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7e308]) | st.floats(),
-                min_size=width,
-                max_size=width,
-            ),
+            st.tuples(*[st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7e308]) | st.floats()] * width),
             max_size=12,
         ).map(lambda rows: (width, rows))
     ),
+    st.floats(),
     st.sampled_from([6, 12, 17]),
     st.sampled_from(["csv", "json"]),
 )
-def test_columns_of_formatted_floats_are_format_rows(table, precision, fmt):
-    # numbers formatted once, column by column, give format_rows' bytes, and
-    # blocks cut at any row still frame into the one-block table
+def test_blocks_of_float_columns_are_format_rows(table, constant, precision, fmt):
+    # any of a row's columns, in any order, and the constant past its end give format_rows'
+    # bytes, and blocks cut at any row still frame into the one-block table
     width, rows = table
-
-    def block(part):
-        return format_columns([format_floats([row[k] for row in part], precision) for k in range(width)], fmt)
-
-    assert block(rows) == format_rows(rows, precision, fmt)
-    header = tuple("abcde"[:width])
-    whole = render_table(header, [format_rows(rows, precision, fmt)], fmt, "stopped")
+    columns = [(0, *range(1, width)), (0, *range(width, 0, -1)), (width - 1, width, 0)]
+    expected = [format_rows([[(*row, constant)[k] for k in cols] for row in rows], precision, fmt) for cols in columns]
+    assert format_blocks(rows, columns, precision, fmt, constant) == expected
     for cut in range(len(rows) + 1):
-        assert render_table(header, [block(rows[:cut]), block(rows[cut:])], fmt, "stopped") == whole
+        head, tail = (format_blocks(part, columns, precision, fmt, constant) for part in (rows[:cut], rows[cut:]))
+        assert [render_table("abc", pair, fmt, "stopped") for pair in zip(head, tail)] == [
+            render_table("abc", [block], fmt, "stopped") for block in expected
+        ]
 
 
 def test_hash_manifest_is_sha256_of_the_file_bytes(tmp_path):

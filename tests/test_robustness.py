@@ -181,10 +181,10 @@ class TestSweep:
     def test_unperturbed_cell_agrees_with_simulate(self):
         # the cell marches; simulate writes the invariant's closed form
         cfg = load_config(None)
-        rows, failure = cli._simulate_rows(cfg, 0.5, linspace(0.0, 0.5, cfg.protocol.sample_count))
+        _, n_final, failure = cli._ramp_blocks(cfg, cli._SIMULATE_TABLES, 0.5, linspace(0.0, 0.5, cfg.protocol.sample_count))
         assert failure is None
         cell, = run_sweep(cfg.physical, [0.5], [0.0], SweepOptions(tolerance=cfg.protocol.tolerance))
-        assert cell.n_bar_final == pytest.approx(rows[-1][2], rel=1e-12)
+        assert cell.n_bar_final == pytest.approx(n_final, rel=1e-12)
 
     def test_small_error_envelope(self, device_params):
         # occupation deviation grows monotonically with the drive error

@@ -29,6 +29,8 @@ from biascool.outputs import tf_label, write_table
 from biascool.physical import ParameterError
 from biascool.thermometry import ThermometryError
 
+from oracles import simulate_rows
+
 
 def config(tmp_path, **replacements):
     text = DEFAULT_CONFIG
@@ -188,7 +190,7 @@ def test_reproduce_stops_at_a_failed_simulate(tmp_path, monkeypatch, capsys):
     assert both_paths(monkeypatch, capsys, tmp_path / "refused", ["reproduce", "--config", cfg]) == (rc, out, err, files)
 
 
-# each simulate table's header and its columns of a _simulate_rows row
+# each simulate table's header and its columns of an oracle row (oracles.simulate_rows)
 SIMULATE_TABLES = {
     "n_bar_t": (("t_omega_m", "n_bar_ref_omega_eff", "n_bar_ref_omega_m"), (0, 1, 2)),
     "t_eff_t": (("t_omega_m", "value"), (0, 3)),
@@ -200,8 +202,8 @@ SIMULATE_TABLES = {
 @pytest.mark.parametrize("precision", [6, 17])
 @pytest.mark.parametrize("ramps", ["inverted", "hot bath"])
 def test_simulate_files_are_write_table_of_the_rows(tmp_path, monkeypatch, capsys, fmt, precision, ramps):
-    # simulate formats each number once and shares the texts between its tables,
-    # yet every file is write_table's over _simulate_rows' rows: t_f 0.1 has nan
+    # simulate formats t once and shares its texts between its tables, yet every
+    # file is write_table's over the oracle's rows: t_f 0.1 has nan
     # cells, and the hot bath (as in test_a_failure_inside_a_middle_range) stops
     # the t_f 1e-78 tables part way, with the note
     replacements = {
@@ -218,7 +220,7 @@ def test_simulate_files_are_write_table_of_the_rows(tmp_path, monkeypatch, capsy
     cfg = load_config(cfg_path)
     expected = {}
     for t_final in cfg.protocol.t_final:
-        rows, failure = cli._simulate_rows(cfg, t_final, linspace(0.0, t_final, 41))
+        rows, failure = simulate_rows(cfg, t_final, linspace(0.0, t_final, 41))
         note = None if failure is None else f"integration_error: {failure}"
         for name, (header, cols) in SIMULATE_TABLES.items():
             path = tmp_path / "expected" / f"{name}_{tf_label(t_final)}.{fmt}"
@@ -268,15 +270,15 @@ def test_design_files_are_write_table_of_the_rows(tmp_path, monkeypatch, capsys,
 
 def test_a_raising_ramp_stops_the_files_there(tmp_path, monkeypatch, capsys):
     # only the range that holds sample 22 of the t_f 1 ramp raises
-    rows = cli._simulate_rows
+    blocks = cli._ramp_blocks
     refused = linspace(0.0, 1.0, 41)[22]
 
-    def raising(cfg, t_final, times):
+    def raising(cfg, tables, t_final, times):
         if t_final == 1.0 and refused in times:
             raise ValueError("ramp refused")
-        return rows(cfg, t_final, times)
+        return blocks(cfg, tables, t_final, times)
 
-    monkeypatch.setattr(cli, "_simulate_rows", raising)
+    monkeypatch.setattr(cli, "_ramp_blocks", raising)
     cfg = config(tmp_path, **{"sample_count = 201": "sample_count = 41"})
     rc, out, err, files = both_paths(monkeypatch, capsys, tmp_path, ["simulate", "--config", cfg], (2, 3))
     assert rc == 1 and out == "" and err == "config error: ramp refused\n"
@@ -287,19 +289,19 @@ def test_a_worker_that_dies_is_an_io_error(tmp_path, monkeypatch, capsys):
     # the parent's first task waits until the child has taken one, so the child
     # dies with a task whatever the scheduling
     parent = os.getpid()
-    rows = cli._simulate_rows
+    blocks = cli._ramp_blocks
     taken_read, taken_write = os.pipe()
     waited = []
 
-    def dying(cfg, t_final, times):
+    def dying(cfg, tables, t_final, times):
         if os.getpid() != parent:
             os.write(taken_write, b"x")
             os._exit(1)
         if not waited:
             waited.append(select.select([taken_read], [], [], 30.0)[0])
-        return rows(cfg, t_final, times)
+        return blocks(cfg, tables, t_final, times)
 
-    monkeypatch.setattr(cli, "_simulate_rows", dying)
+    monkeypatch.setattr(cli, "_ramp_blocks", dying)
     cfg = config(tmp_path, **{"sample_count = 201": "sample_count = 41"})
     try:
         rc, out, err, files, forks = run(monkeypatch, capsys, tmp_path / "many", ["simulate", "--config", cfg], 2)
@@ -434,19 +436,19 @@ def test_an_error_raised_in_a_child_reaches_main(tmp_path, monkeypatch, capsys, 
     # only the child raises, from every range it takes, and this process's first range waits
     # until it has taken one; main maps the error as if it had been raised here
     parent = os.getpid()
-    rows = cli._simulate_rows
+    blocks = cli._ramp_blocks
     taken_read, taken_write = os.pipe()
     waited = []
 
-    def raising(cfg, t_final, times):
+    def raising(cfg, tables, t_final, times):
         if os.getpid() != parent:
             os.write(taken_write, b"x")
             raise error
         if not waited:
             waited.append(select.select([taken_read], [], [], 30.0)[0])
-        return rows(cfg, t_final, times)
+        return blocks(cfg, tables, t_final, times)
 
-    monkeypatch.setattr(cli, "_simulate_rows", raising)
+    monkeypatch.setattr(cli, "_ramp_blocks", raising)
     cfg = config(tmp_path, **{"sample_count = 201": "sample_count = 41"})
     try:
         rc, out, err, files, forks = run(monkeypatch, capsys, tmp_path / "many", ["simulate", "--config", cfg], 2)
@@ -481,14 +483,17 @@ def test_a_child_sends_marshal(tmp_path, monkeypatch, result):
 
     def forked(cut):
         """A round of two tasks on 2 workers, the child's bytes cut at ``cut``: the outcomes, the
-        child's whole bytes and the task it took.  This process's task waits until the child has
-        taken one."""
+        child's whole bytes and the task it took.  Each worker's task waits until the other worker
+        has taken one, so neither takes both."""
         taken_read, taken_write = os.pipe()
+        parent_read, parent_write = os.pipe()
 
         def task(item):
             if os.getpid() != parent:
+                select.select([parent_read], [], [], 30.0)
                 os.write(taken_write, b"x")
             else:
+                os.write(parent_write, b"x")
                 select.select([taken_read], [], [], 30.0)
             if isinstance(result, Exception):
                 raise result
@@ -503,8 +508,8 @@ def test_a_child_sends_marshal(tmp_path, monkeypatch, result):
         try:
             outcomes = cli._forked_outcomes(task, [0, 1], [1.0, 1.0], 2)
         finally:
-            os.close(taken_read)
-            os.close(taken_write)
+            for fd in (taken_read, taken_write, parent_read, parent_write):
+                os.close(fd)
         data = sent.read_bytes()
         (taken, outcome), = marshal.loads(data)
         assert repr(outcome) == repr(expected)
@@ -565,10 +570,10 @@ def forked(tasks, costs):
 
 design, rows, hot, tiny = map(load_config, sys.argv[1:])
 rounds = [
-    ("design", cli._ramp_stage(design, cli._design_blocks, cli._DESIGN_TABLES, 1), ",-"),
+    ("design", cli._ramp_stage(design, cli._DESIGN_TABLES, 1), ",-"),
     ("sweep", cli._sweep_stage(rows), "nan"),
-    ("simulate", cli._ramp_stage(hot, cli._simulate_blocks, cli._SIMULATE_TABLES, 1), "occupation overflowed"),
-    ("raised", cli._ramp_stage(tiny, cli._simulate_blocks, cli._SIMULATE_TABLES, 1), "ParameterError: eta"),
+    ("simulate", cli._ramp_stage(hot, cli._SIMULATE_TABLES, 1), "occupation overflowed"),
+    ("raised", cli._ramp_stage(tiny, cli._SIMULATE_TABLES, 1), "ParameterError: eta"),
 ]
 print("imported", "pickle" in sys.modules)
 for name, (tasks, costs, _), marker in rounds:
