@@ -53,6 +53,12 @@ CASES = {
         "t_final = 0.5, 1.0, 2.0": "t_final = 2.0, 8.0",
         "epsilon = -0.1, 0.0, 0.1": "epsilon = -1.2, -1.25, -2.0, 0.0",
     }),
+    # thermal at each lane's own start frequency: at eps -1.2 that is omega^2 = -2.5e6, so those
+    # cells carry a status and nan, and exit 2
+    "perturbed-sweep": (["sweep"], {
+        "initial_state = nominal": "initial_state = perturbed",
+        "epsilon = -0.1, 0.0, 0.1": "epsilon = -1.2, -0.1, 0.0, 0.1",
+    }),
     "design-4001-csv": (["design", "--samples", "4001"], {}),
     "design-4001-json": (["design", "--samples", "4001"], JSON),
     "simulate-4001-csv": (["simulate", "--samples", "4001"], {}),
