@@ -52,7 +52,7 @@ from .outputs import (
     write_text,
 )
 from .records import Record, asdict, astuple
-from .robustness import REFERENCE_TARGETS, SweepOptions, SweepResult, sweep_row
+from .robustness import SweepOptions, SweepResult, sweep_row
 
 # Hard-check targets and tolerances for the reproduction run.
 CHECK_ETA = (1.25e7, 0.01, "rel")
@@ -97,7 +97,7 @@ class CoolingReport(Record):
         ]
         for label, val in self.validation.items():
             lines.append(
-                f"ramp {label}: max|f| interior = {val.max_abs_f_interior:.6g}, "
+                f"ramp {label}: max|f| interior = {val.max_abs_f:.6g}, "
                 f"boundary residuals = ({val.boundary_residual_start:.2e}, "
                 f"{val.boundary_residual_end:.2e}), "
                 f"imaginary-frequency windows = {len(val.negative_omega_sq_windows)}"
@@ -149,59 +149,51 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _run_tasks(fn: Callable, items: Sequence, costs: Sequence[float]) -> Iterator:
-    """``fn(item)`` for each item, yielded in item order.
-
-    The tasks must be independent, do no I/O and print nothing.  They run
-    on up to one worker per usable CPU, this process and forked children,
-    which take the next task from one shared queue, costliest first,
-    whenever they finish one; so a worker on a slower CPU takes fewer.
-    Each child sends its results back marshalled, so they must be plain
-    data.  A task's exception comes back as its class's module and name
-    and its args (``_outcome``), and is rebuilt and raised when its turn
-    comes, so the caller does what a one-CPU run does and its output is
-    the same bytes.  With one CPU or one task, without ``os.fork``, or
-    with a second Python thread alive, the tasks run here, lazily, one by
-    one.  Every command but ``params`` calls it once, through
-    ``_one_round``: ``design`` and ``simulate`` with one ``_ramp_stage``
-    (a task per sample range, each one ``_ramp_blocks`` pass that returns
-    its tables' text), ``sweep`` with ``_sweep_stage``, ``reproduce`` with
-    all three.
-    """
-    workers = min(len(items), _usable_cpus())
-    threading = sys.modules.get("threading")  # never imported: no threading.Thread was started
-    if workers < 2 or not hasattr(os, "fork") or (threading and threading.active_count() > 1):
-        return map(fn, items)
-    return _raise_in_order(_forked_outcomes(fn, items, costs, workers))
-
-
 def _one_round(*stages: tuple[list, list[float], Callable]) -> Iterator:
-    """Run every stage's tasks in one ``_run_tasks`` call; yield each stage's writer's return, in order.
+    """Run every stage's tasks in one round; yield each stage's writer's return, in order.
 
-    A stage is ``_ramp_stage``'s or ``_sweep_stage``'s (zero-argument tasks, costs, writer of its
-    results): in ``reproduce`` the sweep rows (cost t_final > 0) start first, and the design ramps (one
-    range each) and simulate ranges (cost 0) fill the other workers.  A writer not reached raises none
-    of its tasks' errors.
+    A stage is ``_ramp_stage``'s or ``_sweep_stage``'s: zero-argument tasks, their costs, and the
+    writer of their results, which it takes as an iterator over every stage's results in task order.
+    Every command but ``params`` runs one round: ``design`` and ``simulate`` with one ``_ramp_stage``
+    (a task per sample range, each one ``_ramp_blocks`` pass that returns its tables' text), ``sweep``
+    with ``_sweep_stage``, ``reproduce`` with all three.  A writer not reached raises none of its
+    tasks' errors.
+
+    The tasks must be independent, do no I/O and print nothing.  They run on up to one worker per
+    usable CPU, this process and forked children, which take the next task from one shared queue,
+    costliest first, whenever they finish one; so a worker on a slower CPU takes fewer.  In
+    ``reproduce`` the sweep rows (cost t_final > 0) start first, and the design ramps (one range each)
+    and simulate ranges (cost 0) fill the other workers.  Each child sends its results back
+    marshalled, so they must be plain data.  A task's exception comes back as its class's module and
+    name and its args (``_outcome``), and is rebuilt and raised when its turn comes, so the caller
+    does what a one-CPU run does and its output is the same bytes.  With one CPU or one task, without
+    ``os.fork``, or with a second Python thread alive, the tasks run here, lazily, one by one.
     """
     tasks, costs, writers = zip(*stages)
-    results = _run_tasks(lambda task: task(), list(chain(*tasks)), list(chain(*costs)))
+    tasks, costs = list(chain(*tasks)), list(chain(*costs))
+    workers = min(len(tasks), _usable_cpus())
+    threading = sys.modules.get("threading")  # never imported: no threading.Thread was started
+    if workers < 2 or not hasattr(os, "fork") or (threading and threading.active_count() > 1):
+        results = (task() for task in tasks)
+    else:
+        results = _raise_in_order(_forked_outcomes(tasks, costs, workers))
     return (write(results) for write in writers)
 
 
-def _outcome(fn: Callable, item) -> tuple:
-    """(None, the result) of ``fn(item)``, or ((module, class name, args), None) of the exception it raised.
+def _outcome(task: Callable) -> tuple:
+    """(None, the result) of ``task()``, or ((module, class name, args), None) of the exception it raised.
 
     ``_raise_in_order`` rebuilds the exception as unpickling would: its class called with its args.  So
     the class must be a module attribute and its args plain data that rebuild it, as they are for the
     built-in errors and the package's.
     """
     try:
-        return None, fn(item)
+        return None, task()
     except Exception as exc:
         return (type(exc).__module__, type(exc).__qualname__, exc.args), None
 
 
-def _forked_outcomes(fn: Callable, items: Sequence, costs: Sequence[float], workers: int) -> list:
+def _forked_outcomes(tasks: Sequence[Callable], costs: Sequence[float], workers: int) -> list:
     """The outcome of each task, run here and in ``workers - 1`` forked children.
 
     The queue is a pipe holding one 8-byte record, the place in the costliest-first order of
@@ -212,13 +204,13 @@ def _forked_outcomes(fn: Callable, items: Sequence, costs: Sequence[float], work
     (``marshal`` is built in and loaded).  A task whose child ended without sending all its
     outcomes fails with an OSError.
     """
-    order = sorted(range(len(items)), key=lambda i: -costs[i])
+    order = sorted(range(len(tasks)), key=lambda i: -costs[i])
     died = ("builtins", "OSError", ("a worker process ended without sending its results",))
-    outcomes = [(died, None)] * len(items)
+    outcomes = [(died, None)] * len(tasks)
     queue_read, queue_write = os.pipe()
     os.write(queue_write, bytes(8))
 
-    def taken() -> Iterator[int]:  # the items this worker takes, as it takes them
+    def taken() -> Iterator[int]:  # the tasks this worker takes, as it takes them
         while True:
             place = int.from_bytes(os.read(queue_read, 8), "little")
             os.write(queue_write, (place + 1).to_bytes(8, "little"))
@@ -235,7 +227,7 @@ def _forked_outcomes(fn: Callable, items: Sequence, costs: Sequence[float], work
                 try:
                     for fd in (read, *(r for _, r in children)):  # only the parent reads
                         os.close(fd)
-                    sent = [(i, _outcome(fn, items[i])) for i in taken()]
+                    sent = [(i, _outcome(tasks[i])) for i in taken()]
                     with open(write, "wb") as pipe:
                         pipe.write(marshal.dumps(sent))
                 finally:
@@ -243,7 +235,7 @@ def _forked_outcomes(fn: Callable, items: Sequence, costs: Sequence[float], work
             os.close(write)
             children.append((pid, read))
         for i in taken():
-            outcomes[i] = _outcome(fn, items[i])
+            outcomes[i] = _outcome(tasks[i])
         for _, read in children:
             with open(read, "rb", closefd=False) as pipe:
                 try:
@@ -415,18 +407,7 @@ _SWEEP_HEADER = (
     "state_omega_final",
     "ermakov_b_final",
     "status",
-    "target_t_eff_K",
-    "target_state_omega",
 )
-
-
-def _sweep_row(fields: tuple) -> tuple:
-    """A table row: a ``SweepResult``'s fields, the table's leading columns in order, then its targets."""
-    target = next(
-        (v for eps, v in REFERENCE_TARGETS.items() if math.isclose(fields[0], eps, abs_tol=1e-12)),
-        (None, None),
-    )
-    return (*fields, *target)
 
 
 def _sweep_cells(*args) -> list[tuple]:
@@ -442,9 +423,9 @@ def _sweep_stage(cfg: RunConfig) -> tuple[list, list[float], Callable]:
 
 
 def _sweep_file(cfg: RunConfig, rows: Iterator[list[tuple]]) -> tuple[Path, list[SweepResult]]:
-    """Write the sweep table from its rows' cells; return its path and the cells as ``SweepResult``s."""
+    """Write the sweep table, a row per cell of its fields; return its path and the cells as ``SweepResult``s."""
     cells = list(chain.from_iterable(islice(rows, len(cfg.protocol.t_final))))
-    text = format_rows(map(_sweep_row, cells), cfg.output.precision, cfg.output.format)
+    text = format_rows(cells, cfg.output.precision, cfg.output.format)
     return _write(cfg, "sweep", _SWEEP_HEADER, [text]), [SweepResult(*fields) for fields in cells]
 
 

@@ -251,7 +251,6 @@ class TrajectoryValidation(Record):
     """Exact amplitude and sign report for one trajectory."""
 
     max_abs_f: float  # sup of |f| over [0, t_f]
-    max_abs_f_interior: float  # sup over (0, t_f): the same, as f is continuous
     f_within_unit: bool  # |f| <= 1 throughout
     negative_omega_sq_windows: tuple[tuple[float, float], ...]  # (start, end) times
     boundary_residual_start: float  # |f(0) - f_scale|
@@ -285,7 +284,7 @@ def validate_trajectory(traj: ControlTrajectory, n_samples: object = None) -> Tr
     f_start, f_end = f(0.0), f(t_f)
     peak = _nan_max([abs(f_start), abs(f_end), *(abs(f(s * t_f)) for s in turns)])
     windows = tuple(zip(edges[::2], edges[1::2]))
-    return TrajectoryValidation(peak, peak, peak <= 1.0, windows, abs(f_start - g), abs(f_end))
+    return TrajectoryValidation(peak, peak <= 1.0, windows, abs(f_start - g), abs(f_end))
 
 
 def _drive_turns(spec: TrajectorySpec) -> list[float]:

@@ -6,7 +6,9 @@ amplitude.  ``sweep_row``, the one code path of the (t_final, epsilon)
 cells of one t_final, designs the nominal ramp, scales it per epsilon,
 maps each initial thermal state through its perturbed ramp's transfer
 matrix and records the end-point diagnostics or the failure;
-``run_sweep`` runs a grid, row by row.
+``run_sweep`` runs a grid, row by row.  A ``SweepResult``'s fields, in
+order, are one row of the ``sweep`` table, which holds computed values
+only.
 
 The Ermakov scale factor at t_f is not integrated: with b(0) = 1 and
 b'(0) = 0 the Pinney solution is b^2 = m11^2 + omega_0^2 m12^2, where
@@ -32,18 +34,6 @@ from .design import ControlTrajectory, make_trajectory, signed_sqrt
 from .dynamics import GaussianState, IntegrationError, TransferMatrix, propagate_row, thermal_state
 from .physical import PhysicalParams
 from .records import Record
-
-#: Published end-point reference values for the +-10% drive-error study
-#: (effective temperature in K, state-referenced frequency in omega_m),
-#: emitted alongside computed values for comparison.  Never asserted:
-#: the reference's frequency convention for the perturbed case is
-#: ambiguous.
-REFERENCE_TARGETS: dict[float, tuple[float, float]] = {
-    -0.1: (5e-6, 0.84),
-    0.0: (6e-6, 1.0),
-    0.1: (7e-6, 1.23),
-}
-
 
 class SweepOptions(Record):
     tolerance: float = 1e-10

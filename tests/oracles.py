@@ -116,7 +116,6 @@ def validate_trajectory_numpy(traj: ControlTrajectory, n_samples: int = 2001) ->
     interior = slice(1, -1)
     return TrajectoryValidation(
         max_abs_f=float(np.max(np.abs(f))),
-        max_abs_f_interior=float(np.max(np.abs(f[interior]))) if n_samples > 2 else 0.0,
         f_within_unit=bool(np.all(np.abs(f[interior]) <= 1.0)) if n_samples > 2 else True,
         negative_omega_sq_windows=windows,
         boundary_residual_start=float(abs(f[0] - traj.f_scale)),

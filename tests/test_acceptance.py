@@ -23,7 +23,7 @@ from biascool.dynamics import (
     thermal_state,
     transfer_series,
 )
-from biascool.robustness import REFERENCE_TARGETS, SweepOptions, run_sweep
+from biascool.robustness import SweepOptions, run_sweep
 from biascool.thermometry import effective_temperature, occupation_from_state, thermal_occupation
 
 from conftest import make_params
@@ -221,19 +221,17 @@ def test_criterion_7_robustness(params, sweep_rows):
     hard_ok = all(r.status == "ok" and r.n_bar_final < 1.0 for r in sweep_rows)
     lines = []
     for r in sweep_rows:
-        t_target, omega_target = REFERENCE_TARGETS[round(r.epsilon, 3)]
         adiabatic_omega = math.sqrt(1.0 + params.eta) / r.ermakov_b_final**2
         lines.append(
             f"    eps={r.epsilon:+.1f} t_f={r.t_final}: n={r.n_bar_final:.3f}, "
-            f"T_eff={r.t_eff_final*1e6:.2f}uK (reported target {t_target*1e6:.0f}uK), "
-            f"state omega={r.state_omega_final:.3f}, adiabatic omega={adiabatic_omega:.3f} "
-            f"(reported target {omega_target})"
+            f"T_eff={r.t_eff_final*1e6:.2f}uK, "
+            f"state omega={r.state_omega_final:.3f}, adiabatic omega={adiabatic_omega:.3f}"
         )
     report(
         "criterion 7 (ten-percent drive error)",
         hard_ok,
         f"max n_final = {max(r.n_bar_final for r in sweep_rows):.4f} (< 1, hard); "
-        "frequency/temperature comparison is reported, not asserted",
+        "T_eff and the state frequency are reported, not asserted",
     )
     for line in lines:
         print(line)

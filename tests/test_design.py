@@ -254,7 +254,7 @@ class TestValidation:
         spec = TrajectorySpec(4.0, 4.0, 1.0)
         traj = ControlTrajectory(spec, eta=5.0)
         report = validate_trajectory(traj, 101)
-        assert report.max_abs_f_interior == pytest.approx(0.6, rel=1e-12)  # (4-1)/5
+        assert report.max_abs_f == pytest.approx(0.6, rel=1e-12)  # (4-1)/5
         assert report.negative_omega_sq_windows == ()
         f = control_function(traj, 0.37)
         assert f == pytest.approx(0.6, rel=1e-12)
@@ -329,7 +329,6 @@ def assert_contains_scan(traj, n):
         assert math.isnan(exact.max_abs_f)
     else:
         assert exact.max_abs_f >= sampled.max_abs_f
-    assert exact.max_abs_f_interior == exact.max_abs_f or math.isnan(exact.max_abs_f)
     assert exact.f_within_unit == (exact.max_abs_f <= 1.0)
     assert exact.boundary_residual_start == sampled.boundary_residual_start or math.isnan(sampled.boundary_residual_start)
     assert exact.boundary_residual_end == sampled.boundary_residual_end or math.isnan(sampled.boundary_residual_end)

@@ -13,7 +13,6 @@ from biascool.constants import BOLTZMANN, HBAR
 from biascool.design import control_function, linspace, make_trajectory
 from biascool.dynamics import propagate_row, propagate_transfer, thermal_state
 from biascool.robustness import (
-    REFERENCE_TARGETS,
     SweepOptions,
     SweepResult,
     perturb_trajectory,
@@ -315,12 +314,6 @@ class TestReference:
                 result = row[cell["epsilon"]]
                 assert result.n_bar_final == pytest.approx(float(cell["n_bar_final"]), rel=1e-10, abs=0.0)
                 assert result.ermakov_b_final == pytest.approx(float(cell["b_final"]), rel=1e-10, abs=0.0)
-
-
-def test_reference_targets_cover_study_points():
-    assert set(REFERENCE_TARGETS) == {-0.1, 0.0, 0.1}
-    assert REFERENCE_TARGETS[0.1] == (7e-6, 1.23)
-    assert REFERENCE_TARGETS[-0.1] == (5e-6, 0.84)
 
 
 def test_sweep_result_failed_property():

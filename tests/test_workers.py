@@ -16,6 +16,7 @@ import subprocess
 import sys
 import threading
 import time
+from functools import partial
 from types import SimpleNamespace
 
 import pytest
@@ -27,6 +28,8 @@ from biascool.dynamics import StateError
 from biascool.integrate import IntegrationError
 from biascool.outputs import tf_label, write_table
 from biascool.physical import ParameterError
+from biascool.records import astuple
+from biascool.robustness import SweepOptions, run_sweep
 from biascool.thermometry import ThermometryError
 
 from oracles import simulate_rows
@@ -40,6 +43,11 @@ def config(tmp_path, **replacements):
     path = tmp_path / "run.cfg"
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def round_of(fn, costs):
+    """``fn(i)`` for each task i, one per cost, from one ``cli._one_round`` whose writer lists its results."""
+    return next(cli._one_round(([partial(fn, i) for i in range(len(costs))], costs, list)))
 
 
 def run(monkeypatch, capsys, workdir, argv, workers):
@@ -268,6 +276,32 @@ def test_design_files_are_write_table_of_the_rows(tmp_path, monkeypatch, capsys,
         assert (rc, out, err, forks) == (0, "".join(f"{name}\n" for name in expected), "", workers - 1)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("precision", [6, 17])
+@pytest.mark.parametrize("start", ["nominal", "perturbed"])
+def test_sweep_files_are_write_table_of_the_cells(tmp_path, monkeypatch, capsys, fmt, precision, start):
+    # the sweep table is its cells' fields and nothing else; the perturbed start has no thermal
+    # state at eps -1.2 (omega^2 < 0), so those cells hold nan and a status, and the run exits 2
+    replacements = {"format = csv": f"format = {fmt}", "precision = 12": f"precision = {precision}"}
+    if start == "perturbed":
+        replacements["initial_state = nominal"] = "initial_state = perturbed"
+        replacements["epsilon = -0.1, 0.0, 0.1"] = "epsilon = -1.2, -0.1, 0.0, 0.1"
+    cfg_path = config(tmp_path, **replacements)
+    cfg = load_config(cfg_path)
+    options = SweepOptions(tolerance=cfg.protocol.tolerance, initial_state=cfg.sweep.initial_state)
+    cells = run_sweep(cfg.physical, cfg.protocol.t_final, cfg.sweep.epsilon, options)
+    assert any(cell.failed for cell in cells) == (start == "perturbed")
+    path = tmp_path / "expected" / f"sweep.{fmt}"
+    write_table(path, cli._SWEEP_HEADER, map(astuple, cells), precision, fmt)
+    expected = {f"out/{path.name}": path.read_bytes()}
+    for workers in (1, 2):
+        argv = ["sweep", "--config", cfg_path, "--out", "out"]
+        rc, out, err, files, forks = run(monkeypatch, capsys, tmp_path / f"many{workers}", argv, workers)
+        assert files == expected
+        assert (rc, out, forks) == (2 if start == "perturbed" else 0, f"out/{path.name}\n", workers - 1)
+        assert err.count("perturbed start frequency squared") == len(err.splitlines()) == 3 * (start == "perturbed")
+
+
 def test_a_raising_ramp_stops_the_files_there(tmp_path, monkeypatch, capsys):
     # only the range that holds sample 22 of the t_f 1 ramp raises
     blocks = cli._ramp_blocks
@@ -345,7 +379,7 @@ def test_each_worker_takes_the_costliest_task_left(monkeypatch):
     def task(i):
         return os.getpid(), next(runs), i
 
-    results = list(cli._run_tasks(task, range(len(costs)), costs))
+    results = round_of(task, costs)
     assert [i for _, _, i in results] == list(range(len(costs)))
     by_worker = {}
     for pid, run_number, i in sorted(results):
@@ -366,7 +400,7 @@ def test_any_number_of_tasks(monkeypatch):
 
     monkeypatch.setattr(os, "fork", counted_fork)
     n = 20_000
-    assert list(cli._run_tasks(lambda i: -i, range(n), [1.0] * n)) == [-i for i in range(n)]
+    assert round_of(lambda i: -i, [1.0] * n) == [-i for i in range(n)]
     assert len(forks) == 1
     with pytest.raises(ChildProcessError):  # the worker was reaped
         os.waitpid(-1, os.WNOHANG)
@@ -384,7 +418,7 @@ def test_an_interrupt_kills_the_workers(monkeypatch):
 
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
-        list(cli._run_tasks(task, range(2), [1.0, 1.0]))
+        round_of(task, [1.0, 1.0])
     assert time.monotonic() - start < 30
     with pytest.raises(ChildProcessError):  # the worker was reaped
         os.waitpid(-1, os.WNOHANG)
@@ -406,10 +440,10 @@ def test_an_interrupt_kills_the_workers(monkeypatch):
 def test_errors_are_rebuilt_from_their_class_and_args(error):
     # a raised error's outcome is plain data, (module, class name, args), and what a child sends
     # of it rebuilds an error of the same type, message and time
-    def raising(item):
+    def raising():
         raise error
 
-    outcome = cli._outcome(raising, None)
+    outcome = cli._outcome(raising)
     assert outcome == ((type(error).__module__, type(error).__name__, error.args), None)
     with pytest.raises(type(error)) as raised:
         next(cli._raise_in_order([marshal.loads(marshal.dumps(outcome))]))
@@ -488,7 +522,7 @@ def test_a_child_sends_marshal(tmp_path, monkeypatch, result):
         taken_read, taken_write = os.pipe()
         parent_read, parent_write = os.pipe()
 
-        def task(item):
+        def task():
             if os.getpid() != parent:
                 select.select([parent_read], [], [], 30.0)
                 os.write(taken_write, b"x")
@@ -506,7 +540,7 @@ def test_a_child_sends_marshal(tmp_path, monkeypatch, result):
 
         monkeypatch.setattr(cli, "marshal", SimpleNamespace(dumps=dumps, loads=marshal.loads))
         try:
-            outcomes = cli._forked_outcomes(task, [0, 1], [1.0, 1.0], 2)
+            outcomes = cli._forked_outcomes([task, task], [1.0, 1.0], 2)
         finally:
             for fd in (taken_read, taken_write, parent_read, parent_write):
                 os.close(fd)
@@ -536,6 +570,7 @@ def test_a_child_sends_marshal(tmp_path, monkeypatch, result):
 # equals a one-process run's, whether pickle is loaded and whether that holds ``marker``.
 WORKER_ROUNDS = r"""
 import os, select, sys
+from functools import partial
 from biascool import cli
 from biascool.config import load_config
 
@@ -562,7 +597,7 @@ def forked(tasks, costs):
         return task()
 
     try:
-        return given(lambda: list(cli._run_tasks(call, tasks, costs))), waited
+        return given(lambda: next(cli._one_round(([partial(call, task) for task in tasks], costs, list)))), waited
     finally:
         os.close(taken_read)
         os.close(taken_write)
