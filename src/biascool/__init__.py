@@ -11,7 +11,7 @@ from .config import RunConfig, load_config, parse_config
 from .design import ControlTrajectory, TrajectorySpec, make_spec, make_trajectory
 from .dynamics import GaussianState, TransferMatrix, propagate_transfer, thermal_state
 from .physical import PhysicalParams, compute_eta
-from .robustness import SweepOptions, SweepResult, run_sweep
+from .robustness import SweepOptions, SweepResult
 from .thermometry import effective_temperature, thermal_occupation
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "make_trajectory",
     "parse_config",
     "propagate_transfer",
-    "run_sweep",
     "thermal_occupation",
     "thermal_state",
 ]

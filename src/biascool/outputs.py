@@ -64,15 +64,14 @@ def format_rows(rows: Iterable[Sequence], precision: int, fmt: str) -> str:
 
     So blocks of consecutive rows concatenate to the rows of one document,
     and no rows give an empty block.  A float cell is ``%.{precision}g``,
-    None is empty, and any other cell is its ``str()``, quoted for CSV or
-    escaped for JSON.
+    and any other cell is its ``str()``, quoted for CSV or escaped for JSON.
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown table format {fmt!r}")
     quote = _csv_field if fmt == "csv" else lambda text: _json_str(text)[1:-1]  # _row_template quotes it
     number = f"%.{precision}g"
     return "".join(
-        _row_template([number % c if isinstance(c, float) else "" if c is None else quote(str(c)) for c in row], fmt)
+        _row_template([number % c if isinstance(c, float) else quote(str(c)) for c in row], fmt)
         for row in rows
     )
 

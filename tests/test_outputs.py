@@ -25,7 +25,7 @@ EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.797e308, -1.7
 def cell_text(value, precision):
     if isinstance(value, float):
         return f"{value:.{precision}g}"
-    return "" if value is None else str(value)
+    return str(value)
 
 
 @pytest.mark.parametrize("precision", [1, 6, 12, 17])
@@ -33,8 +33,8 @@ def test_cells_render_as_per_cell_format(tmp_path, precision):
     # rows of mixed cell types, so many row templates are built and reused
     rng = random.Random(precision)
     floats = EDGE_FLOATS + [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-310, 308) for _ in range(500)]
-    pool = floats + [np.float64(v) for v in floats[:60]] + [0, -7, 2**70, True, "ok", "a,b", "50%", "", None]
-    rows = [tuple(rng.choice(pool) for _ in range(4)) for _ in range(400)] + [[None, 1.5, "x", 3]]
+    pool = floats + [np.float64(v) for v in floats[:60]] + [0, -7, 2**70, True, "ok", "a,b", "50%", ""]
+    rows = [tuple(rng.choice(pool) for _ in range(4)) for _ in range(400)] + [["", 1.5, "x", 3]]
     header = ("a", "b", "c", "d")
     expected = [[cell_text(v, precision) for v in row] for row in rows]
 
@@ -51,7 +51,7 @@ def test_cells_render_as_per_cell_format(tmp_path, precision):
 
 
 def test_csv_quotes_str_cells_per_rfc4180(tmp_path):
-    rows = [(1.5, "a,b", 'say "hi"'), (2.5, "two\nlines", "ok"), (3.5, "cr\r", None)]
+    rows = [(1.5, "a,b", 'say "hi"'), (2.5, "two\nlines", "ok"), (3.5, "cr\r", "")]
     write_table(tmp_path / "t.csv", ("x", "s", "t"), rows, 12)
     with (tmp_path / "t.csv").open(newline="", encoding="utf-8") as handle:
         read = list(csv.reader(handle))
@@ -63,7 +63,7 @@ def test_csv_quotes_str_cells_per_rfc4180(tmp_path):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_runs_of_repeated_cell_types(tmp_path, fmt):
     # a row reuses the previous row's template only while its cell types repeat
-    rows = [(1.5, 2.5)] * 3 + [(1.5, "a,b")] * 2 + [(0.5, 2.5), (None, 7), (None, 8), (1.5, "c")]
+    rows = [(1.5, 2.5)] * 3 + [(1.5, "a,b")] * 2 + [(0.5, 2.5), ("", 7), ("", 8), (1.5, "c")]
     write_table(tmp_path / "t", ("x", "y"), rows, 12, fmt)
     expected = [[cell_text(v, 12) for v in row] for row in rows]
     if fmt == "csv":
@@ -80,8 +80,8 @@ def test_runs_of_repeated_cell_types(tmp_path, fmt):
         ((), [], "stopped early"),
         (("x",), [()], None),
         (("t", "s"), [(0.5, 'say "hi"'), (1.5, "back\\slash"), (2.5, "tab\tnl\ncr\r\x00\x1f\x7f")], None),
-        (("t", "s", "n"), [(0.5, "caf\u00e9 \u03c9\u2080 \U0001f600", None), (math.nan, "", 3)], 'n\u00e9 "x"\\'),
-        (("caf\u00e9", 'q"'), [(1.5, True), (-0.0, 2**70), (None, None)], "integration_error: (at t = 2)"),
+        (("t", "s", "n"), [(0.5, "caf\u00e9 \u03c9\u2080 \U0001f600", ""), (math.nan, "", 3)], 'n\u00e9 "x"\\'),
+        (("caf\u00e9", 'q"'), [(1.5, True), (-0.0, 2**70), ("", "")], "integration_error: (at t = 2)"),
     ],
 )
 def test_json_table_is_the_indented_dump_byte_for_byte(tmp_path, header, rows, note):
@@ -98,7 +98,7 @@ def test_json_table_is_the_indented_dump_byte_for_byte(tmp_path, header, rows, n
 def test_row_blocks_join_into_one_table(tmp_path, fmt):
     # blocks of consecutive rows, empty ones included, frame into the one-block
     # table's bytes; a CSV row of one empty cell is still a line of its own
-    rows = [(0.5, "a,b"), (None,), (), (1.5, 2), (None,)]
+    rows = [(0.5, "a,b"), ("",), (), (1.5, 2), ("",)]
     write_table(tmp_path / "t", ("x", "y"), rows, 12, fmt, "stopped")
     for cut in range(len(rows) + 1):
         blocks = [format_rows(rows[:cut], 12, fmt), "", format_rows(rows[cut:], 12, fmt)]

@@ -368,6 +368,32 @@ def test_runs_in_process(tmp_path, monkeypatch, capsys, reason):
     assert not thread.is_alive()
 
 
+# A process that pins itself to one CPU of its affinity mask, then runs the built-in sweep (three
+# rows, so more CPUs would fork) counting forks; it prints the CPUs it may use, the exit code and the forks.
+ONE_CPU = r"""
+import os
+from biascool import cli
+
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+forks = []
+fork = os.fork
+os.fork = lambda: forks.append(1) or fork()
+rc = cli.main(["sweep", "--out", "out"])
+print(cli._usable_cpus(), rc, len(forks))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no affinity masks on this platform")
+def test_one_cpu_in_the_affinity_mask_runs_in_process(tmp_path):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    run = subprocess.run(
+        [sys.executable, "-c", ONE_CPU],
+        env={**os.environ, "PYTHONPATH": src}, cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "1 0 0"
+
+
 def test_each_worker_takes_the_costliest_task_left(monkeypatch):
     # every worker's tasks, in the order it ran them, follow the queue's
     # costliest-first order; equal costs keep the item order
