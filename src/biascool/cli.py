@@ -154,20 +154,18 @@ def _one_round(*stages: tuple[list, list[float], Callable]) -> Iterator:
 
     A stage is ``_ramp_stage``'s or ``_sweep_stage``'s: zero-argument tasks, their costs, and the
     writer of their results, which it takes as an iterator over every stage's results in task order.
-    Every command but ``params`` runs one round: ``design`` and ``simulate`` with one ``_ramp_stage``
-    (a task per sample range, each one ``_ramp_blocks`` pass that returns its tables' text), ``sweep``
-    with ``_sweep_stage``, ``reproduce`` with all three.  A writer not reached raises none of its
-    tasks' errors.
+    ``sweep`` runs one round of ``_sweep_stage``, and ``reproduce`` one of design's and simulate's
+    ``_ramp_stage`` and ``_sweep_stage``.  A writer not reached raises none of its tasks' errors.
 
     The tasks must be independent, do no I/O and print nothing.  They run on up to one worker per
     usable CPU, this process and forked children, which take the next task from one shared queue,
     costliest first, whenever they finish one; so a worker on a slower CPU takes fewer.  In
-    ``reproduce`` the sweep rows (cost t_final > 0) start first, and the design ramps (one range each)
-    and simulate ranges (cost 0) fill the other workers.  Each child sends its results back
-    marshalled, so they must be plain data.  A task's exception comes back as its class's module and
-    name and its args (``_outcome``), and is rebuilt and raised when its turn comes, so the caller
-    does what a one-CPU run does and its output is the same bytes.  With one CPU or one task, without
-    ``os.fork``, or with a second Python thread alive, the tasks run here, lazily, one by one.
+    ``reproduce`` the sweep rows (cost t_final > 0) start first, and the design and simulate ramps
+    (cost 0) fill the other workers.  Each child sends its results back marshalled, so they must be
+    plain data.  A task's exception comes back as its class's module and name and its args
+    (``_outcome``), and is rebuilt and raised when its turn comes, so the caller does what a one-CPU
+    run does and its output is the same bytes.  With one CPU or one task, without ``os.fork``, or
+    with a second Python thread alive, the tasks run here, lazily, one by one.
     """
     tasks, costs, writers = zip(*stages)
     tasks, costs = list(chain(*tasks)), list(chain(*costs))
@@ -266,10 +264,10 @@ def _raise_in_order(outcomes: list) -> Iterator:
         yield result
 
 
-def _write(cfg: RunConfig, stem: str, header: tuple[str, ...], blocks, note: str | None = None) -> Path:
-    """Write one table, framed from its blocks of rows, into the output directory; return its path."""
+def _write(cfg: RunConfig, stem: str, header: tuple[str, ...], rows: str, note: str | None = None) -> Path:
+    """Write one table, framed from its block of rows, into the output directory; return its path."""
     path = Path(cfg.output.directory) / f"{stem}.{cfg.output.format}"
-    write_text(path, render_table(header, blocks, cfg.output.format, note))
+    write_text(path, render_table(header, rows, cfg.output.format, note))
     return path
 
 
@@ -297,11 +295,11 @@ _SIMULATE_TABLES = (
 
 
 def _ramp_blocks(cfg: RunConfig, tables: tuple, t_final: float, times: list[float]) -> tuple:
-    """A ramp's range of ``times`` as its blocks of ``tables``, design's or simulate's; last bare occupation, failure.
+    """A ramp's samples at ``times`` as its blocks of ``tables``, design's or simulate's; last bare occupation, failure.
 
     One pass, each formula in its source's operations, so with its bits: per sample the quintic b and the
     drive f0 (``design._drive``), omega_eff^2 = 1 + eta f_scale f0, and design's f = 0 + f_scale f0 and
-    omega_eff (``signed_sqrt``), or simulate's exact moments from the invariant (``invariant_moments``),
+    omega_eff (``signed_sqrt``), or simulate's exact moments from the invariant (``oracles.invariant_moments``),
     both occupations and T_eff (``thermometry``, whose ``occupation`` clamps a negative one; nan where
     omega_eff^2 <= 0).  The purity is (nbar + 1/2)^2 of the thermal start.  A purity or an occupation
     that overflowed fails the ramp: the blocks hold the rows before it; the failure is the error's text.
@@ -348,52 +346,36 @@ def _ramp_blocks(cfg: RunConfig, tables: tuple, t_final: float, times: list[floa
     return blocks, rows[-1][2] if simulate and rows else None, failure
 
 
-def _simulate_pieces(cfg: RunConfig) -> int:
-    """Simulate's ranges per ramp: four per worker, so one on a slower CPU holds up the last for less."""
-    return min(cfg.protocol.sample_count, 4 * _usable_cpus())
-
-
-def _ramp_stage(cfg: RunConfig, tables: tuple, pieces: int) -> tuple[list, list[float], Callable]:
-    """Each ramp's ``pieces`` contiguous sample ranges as tasks of cost 0, and ``_ramp_files``.
-
-    A task is ``_ramp_blocks(cfg, tables, t_final, times)`` over its range: the blocks of ``tables``
-    (``_DESIGN_TABLES`` or ``_SIMULATE_TABLES``) as text, from one pass over its samples.
-    """
+def _ramp_stage(cfg: RunConfig, tables: tuple) -> tuple[list, list[float], Callable]:
+    """Each ramp as a task of cost 0 (one ``_ramp_blocks`` pass that returns ``tables``' text), and ``_ramp_files``."""
     n = cfg.protocol.sample_count
-    cuts = [n * k // pieces for k in range(pieces + 1)]
-    tasks = []
-    for t_final in cfg.protocol.t_final:
-        times = linspace(0.0, t_final, n)
-        tasks += [partial(_ramp_blocks, cfg, tables, t_final, times[a:b]) for a, b in zip(cuts, cuts[1:])]
-    return tasks, [0.0] * len(tasks), partial(_ramp_files, cfg, tables, pieces)
+    tasks = [partial(_ramp_blocks, cfg, tables, t, linspace(0.0, t, n)) for t in cfg.protocol.t_final]
+    return tasks, [0.0] * len(tasks), partial(_ramp_files, cfg, tables)
 
 
-def _ramp_files(cfg: RunConfig, tables: tuple, pieces: int, ranges: Iterator) -> tuple:
+def _ramp_files(cfg: RunConfig, tables: tuple, ramps: Iterator) -> tuple:
     """Write every ramp's ``tables``; return the paths, the completed ramps' final bare occupations, the first failure.
 
-    The occupations are by label; a ramp's tables are its ``pieces`` ranges' blocks up to the first failure.
+    The occupations are by label; a failed ramp's tables hold its rows up to the failure and a note.
     """
     written: list[Path] = []
     finals: dict[str, float] = {}
     first_failure: str | None = None
-    for t_final in cfg.protocol.t_final:
-        blocks, failure = [], None
-        for range_blocks, n_final, range_failure in islice(ranges, pieces):
-            if failure is None:  # the ranges after a failed one are dropped
-                blocks.append(range_blocks)
-                failure = range_failure
+    # zip draws a t_final before each result, so it reads no result of the round's next stage
+    for t_final, (blocks, n_final, failure) in zip(cfg.protocol.t_final, ramps):
         first_failure = first_failure or failure
         if failure is None:
             finals[tf_label(t_final)] = n_final
         note = None if failure is None else f"integration_error: {failure}"
-        for (name, header, _), table_blocks in zip(tables, zip(*blocks)):
-            written.append(_write(cfg, f"{name}_{tf_label(t_final)}", header, table_blocks, note))
+        for (name, header, _), block in zip(tables, blocks):
+            written.append(_write(cfg, f"{name}_{tf_label(t_final)}", header, block, note))
     return written, finals, first_failure
 
 
-def cmd_ramps(cfg: RunConfig, tables: tuple, pieces: int) -> int:
-    """``design`` and ``simulate``: write each ramp's tables, print their paths, report a failure."""
-    written, _, failure = next(_one_round(_ramp_stage(cfg, tables, pieces)))
+def cmd_ramps(cfg: RunConfig, tables: tuple) -> int:
+    """``design`` and ``simulate``: run each ramp here, write its tables, print their paths, report a failure."""
+    tasks, _, write = _ramp_stage(cfg, tables)
+    written, _, failure = write(task() for task in tasks)
     for path in written:
         print(path)
     return _report_failures(failure, [])
@@ -426,7 +408,7 @@ def _sweep_file(cfg: RunConfig, rows: Iterator[list[tuple]]) -> tuple[Path, list
     """Write the sweep table, a row per cell of its fields; return its path and the cells as ``SweepResult``s."""
     cells = list(chain.from_iterable(islice(rows, len(cfg.protocol.t_final))))
     text = format_rows(cells, cfg.output.precision, cfg.output.format)
-    return _write(cfg, "sweep", _SWEEP_HEADER, [text]), [SweepResult(*fields) for fields in cells]
+    return _write(cfg, "sweep", _SWEEP_HEADER, text), [SweepResult(*fields) for fields in cells]
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
@@ -472,8 +454,8 @@ def cmd_reproduce(cfg: RunConfig) -> int:
     report = build_report(cfg)
 
     stages = _one_round(
-        _ramp_stage(cfg, _DESIGN_TABLES, 1),
-        _ramp_stage(cfg, _SIMULATE_TABLES, _simulate_pieces(cfg)),
+        _ramp_stage(cfg, _DESIGN_TABLES),
+        _ramp_stage(cfg, _SIMULATE_TABLES),
         _sweep_stage(cfg),
     )
     written = next(stages)[0]
@@ -540,8 +522,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 _COMMANDS = {
     "params": cmd_params,
-    "design": lambda cfg: cmd_ramps(cfg, _DESIGN_TABLES, 1),  # one range per ramp
-    "simulate": lambda cfg: cmd_ramps(cfg, _SIMULATE_TABLES, _simulate_pieces(cfg)),
+    "design": lambda cfg: cmd_ramps(cfg, _DESIGN_TABLES),
+    "simulate": lambda cfg: cmd_ramps(cfg, _SIMULATE_TABLES),
     "sweep": cmd_sweep,
     "reproduce": cmd_reproduce,
 }

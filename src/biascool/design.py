@@ -20,8 +20,8 @@ Everything here is closed form; all quantities are in reduced units
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator
-from functools import lru_cache
+from collections.abc import Callable
+from functools import cached_property, lru_cache
 
 from .physical import PhysicalParams
 from .records import Record
@@ -31,17 +31,12 @@ class DesignError(ValueError):
     """Trajectory request outside the designable domain."""
 
 
-class TrajectorySpec(Record, derived=("chi",)):
-    """Boundary data of one ramp, in reduced units.
-
-    chi, the end point of the scale factor b, is derived on construction
-    from the frequency ratio: chi^4 = omega0_sq / omega_final_sq.
-    """
+class TrajectorySpec(Record):
+    """Boundary data of one ramp, in reduced units."""
 
     omega0_sq: float
     omega_final_sq: float
     t_final: float
-    chi: float
 
     def __post_init__(self) -> None:
         # finite here also catches an eta that overflows from finite device inputs
@@ -50,18 +45,22 @@ class TrajectorySpec(Record, derived=("chi",)):
                 "boundary frequencies squared must be positive and finite, got "
                 f"{self.omega0_sq!r} and {self.omega_final_sq!r}"
             )
-        chi = (self.omega0_sq / self.omega_final_sq) ** 0.25
-        object.__setattr__(self, "chi", chi)
         if not self.t_final > 0.0:
             raise DesignError(f"t_final must be positive, got {self.t_final!r}")
         tf_sq = self.t_final * self.t_final
         if not math.isfinite(tf_sq):
             raise DesignError(f"t_final = {self.t_final!r} is too long: t_final^2 overflows")
         # |b^3 b''| in the drive stays below 60 |chi - 1| max(chi, 1)^3 / t_final^2
+        chi = self.chi
         b_max = max(chi, 1.0)
         b3_d2_bound = 60.0 * abs(chi - 1.0) * b_max * b_max * b_max
         if not (tf_sq > 0.0 and math.isfinite(b3_d2_bound / tf_sq)):
             raise DesignError(f"t_final = {self.t_final!r} is too short: the drive overflows")
+
+    @cached_property
+    def chi(self) -> float:
+        """The end point of the scale factor b: chi^4 = omega0_sq / omega_final_sq."""
+        return (self.omega0_sq / self.omega_final_sq) ** 0.25
 
 
 class ControlTrajectory(Record):
@@ -115,27 +114,6 @@ def _quintic(s, c: float):
     """b and b_s of the quintic at s, for c = chi - 1; float or array arithmetic alike."""
     u = s - 1.0
     return ((6.0 * c * s - 15.0 * c) * s + 10.0 * c) * s * s * s + 1.0, 30.0 * c * (s * s) * (u * u)
-
-
-def invariant_moments(spec: TrajectorySpec, times, e: float) -> Iterator[tuple[float, float, float, float]]:
-    """Exact rows (t, xx, pp, xp) of the designed ramp from a thermal start at omega_0.
-
-    The Lewis-Riesenfeld invariant fixes the state: with e = nbar + 1/2 at
-    omega_0, xx = e b^2/omega_0, xp = e b b'/omega_0 and pp = e (b'^2 +
-    omega_0^2/b^2)/omega_0, where b is the quintic and b' = b_s/t_f (Lewis &
-    Riesenfeld, J. Math. Phys. 10 (1969) 1458; Chen et al., PRL 104 (2010)
-    063002).  Only the nominal drive has this b, hence the nominal spec.
-    b and b_s have ``b_polynomial``'s bits; the times are checked once, not one by one.
-    """
-    t_f, c, omega0_sq = spec.t_final, spec.chi - 1.0, spec.omega0_sq
-    scale = e / math.sqrt(omega0_sq)
-    s_values = [t / t_f for t in times]
-    if s_values and (min(s_values) < 0.0 or max(s_values) > 1.0):
-        raise DesignError("s must lie in [0, 1]")
-    for t, s in zip(times, s_values):
-        b, b_s = _quintic(s, c)
-        b_dot = b_s / t_f
-        yield t, scale * b * b, scale * (b_dot * b_dot + omega0_sq / (b * b)), scale * b * b_dot
 
 
 def linspace(start: float, stop: float, n: int) -> list[float]:

@@ -20,7 +20,7 @@ Two code paths live here:
   marches ramps differing only in the drive's gain as the lanes of one
   march, one per t_final in the sweep.
   No CLI command samples it: ``simulate`` writes the nominal ramp's
-  exact moments (``design.invariant_moments``).
+  exact moments from the Lewis-Riesenfeld invariant (``cli._ramp_blocks``).
 * ``solve_ermakov_forward`` -- oracle for the auxiliary nonlinear
   equation, integrated forward with the RK solver in ``integrate``; it
   closes the design/simulate loop.  No CLI command runs it.

@@ -56,15 +56,15 @@ def write_table(
     note: str | None = None,
 ) -> None:
     """Write a table as CSV (default) or as a columnar JSON document."""
-    write_text(path, render_table(header, [format_rows(rows, precision, fmt)], fmt, note))
+    write_text(path, render_table(header, format_rows(rows, precision, fmt), fmt, note))
 
 
 def format_rows(rows: Iterable[Sequence], precision: int, fmt: str) -> str:
-    """A block of table rows: each row's text after the separator the document puts before it.
+    """A table's rows as one block of text, which ``render_table`` frames.
 
-    So blocks of consecutive rows concatenate to the rows of one document,
-    and no rows give an empty block.  A float cell is ``%.{precision}g``,
-    and any other cell is its ``str()``, quoted for CSV or escaped for JSON.
+    Each row's text starts with the separator the document puts before it,
+    and no rows give an empty block.  A float cell is ``%.{precision}g``, and
+    any other cell is its ``str()``, quoted for CSV or escaped for JSON.
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown table format {fmt!r}")
@@ -96,17 +96,15 @@ def format_blocks(rows: Sequence[tuple], columns: Iterable[Sequence[int]], preci
     return blocks
 
 
-def render_table(header: Sequence[str], blocks: Iterable[str], fmt: str, note: str | None) -> str:
-    """A table's file text, CSV or a columnar JSON document, from its row blocks.
+def render_table(header: Sequence[str], rows: str, fmt: str, note: str | None) -> str:
+    """A table's file text, CSV or a columnar JSON document: its block of ``rows`` (``format_rows``' text), framed.
 
-    The blocks (``format_rows``' text, in row order) are the rows; this
-    adds the frame: the header, the note and JSON's brackets.  JSON is the
-    bytes of ``json.dumps(payload, indent=2, sort_keys=True)`` with every
-    cell a string, laid out here instead, because an indented dump runs
-    json's pure-Python encoder.  ``note`` (say, why the table stops early)
-    is a trailing ``# note`` line in CSV and a ``"note"`` key in JSON.
+    The frame is the header, the note and JSON's brackets.  JSON is the bytes
+    of ``json.dumps(payload, indent=2, sort_keys=True)`` with every cell a
+    string, laid out here instead, because an indented dump runs json's
+    pure-Python encoder.  ``note`` (say, why the table stops early) is a
+    trailing ``# note`` line in CSV and a ``"note"`` key in JSON.
     """
-    rows = "".join(blocks)
     if fmt == "csv":
         return ",".join(header) + rows + ("" if note is None else f"\n# {note}") + "\n"
     text = '{\n  "columns": ' + _json_array([_json_str(h) for h in header], "  ")

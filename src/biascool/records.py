@@ -5,24 +5,23 @@ class Record:
     """Base of the package's data classes: a subclass's annotated class attributes are its fields, in order.
 
     A class-level value is the field's default (a dict default is copied per instance); ``_fields`` and
-    ``_field_defaults`` hold them.  Instances are frozen.  Class keywords: ``kw_only=True`` refuses positional
-    arguments, and ``derived`` names fields that ``__post_init__`` sets, run once the rest are bound.
-    ==, hash and repr go by the fields; unpickling sets ``__dict__`` without ``__init__``.
+    ``_field_defaults`` hold them.  Instances are frozen.  The class keyword ``kw_only=True`` refuses positional
+    arguments; ``__post_init__``, if any, runs once the fields are bound.  ==, hash and repr go by the fields;
+    unpickling sets ``__dict__`` without ``__init__``.
     """
 
-    def __init_subclass__(cls, kw_only: bool = False, derived: tuple = ()) -> None:
+    def __init_subclass__(cls, kw_only: bool = False) -> None:
         cls._fields = tuple(cls.__annotations__)  # the class's own annotations, from Python 3.10
         cls._field_defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
-        cls._init = tuple(name for name in cls._fields if name not in derived)
-        cls._positional = 0 if kw_only else len(cls._init)
+        cls._positional = 0 if kw_only else len(cls._fields)
 
     def __init__(self, *args, **kwargs) -> None:
         cls, bind = type(self), object.__setattr__  # not via __dict__, which would slow every attribute read
         if len(args) > cls._positional:
             raise TypeError(f"{cls.__name__}() takes {cls._positional} positional arguments, got {len(args)}")
-        for name, value in zip(cls._init, args):
+        for name, value in zip(cls._fields, args):
             bind(self, name, value)
-        for name in cls._init[len(args):]:
+        for name in cls._fields[len(args):]:
             if name in kwargs:
                 bind(self, name, kwargs.pop(name))
             elif name in cls._field_defaults:

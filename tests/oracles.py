@@ -13,7 +13,7 @@ did before its single pass inlined them.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -23,10 +23,11 @@ from biascool.config import _KEYS, RunConfig
 from biascool.design import (
     ControlTrajectory,
     DesignError,
+    TrajectorySpec,
     TrajectoryValidation,
+    _quintic,
     control_function,
     effective_frequency_profile,
-    invariant_moments,
     make_trajectory,
 )
 from biascool.dynamics import FrequencyProfile, GaussianState, IntegrationError, TransferMatrix, thermal_state
@@ -195,6 +196,28 @@ def propagate_covariance_ode(
         states.append(GaussianState(xx=y[0], pp=y[2], xp=y[1], time=t))
         t_prev = t
     return states
+
+
+def invariant_moments(spec: TrajectorySpec, times, e: float) -> Iterator[tuple[float, float, float, float]]:
+    """Exact rows (t, xx, pp, xp) of the designed ramp from a thermal start at omega_0.
+
+    The Lewis-Riesenfeld invariant fixes the state: with e = nbar + 1/2 at
+    omega_0, xx = e b^2/omega_0, xp = e b b'/omega_0 and pp = e (b'^2 +
+    omega_0^2/b^2)/omega_0, where b is the quintic and b' = b_s/t_f (Lewis &
+    Riesenfeld, J. Math. Phys. 10 (1969) 1458; Chen et al., PRL 104 (2010)
+    063002).  Only the nominal drive has this b, hence the nominal spec.
+    b and b_s have ``b_polynomial``'s bits; the times are checked once, not one by one.
+    ``cli._ramp_blocks`` inlines these formulas, and ``simulate_rows`` calls them.
+    """
+    t_f, c, omega0_sq = spec.t_final, spec.chi - 1.0, spec.omega0_sq
+    scale = e / math.sqrt(omega0_sq)
+    s_values = [t / t_f for t in times]
+    if s_values and (min(s_values) < 0.0 or max(s_values) > 1.0):
+        raise DesignError("s must lie in [0, 1]")
+    for t, s in zip(times, s_values):
+        b, b_s = _quintic(s, c)
+        b_dot = b_s / t_f
+        yield t, scale * b * b, scale * (b_dot * b_dot + omega0_sq / (b * b)), scale * b * b_dot
 
 
 def simulate_rows(cfg: RunConfig, t_final: float, times: Sequence[float]) -> tuple[list[tuple], str | None]:

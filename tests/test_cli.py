@@ -284,7 +284,7 @@ def outcome(fn, *args):
 
 
 def ranges(times):
-    """Every range of ``times`` cut into 1 to 8 pieces, as ``_ramp_stage`` cuts, and each sample alone."""
+    """Every contiguous range of ``times`` cut into 1 to 8 even pieces, and each sample alone."""
     n = len(times)
     for pieces in (*range(1, 9), n):
         cuts = [n * k // pieces for k in range(pieces + 1)]

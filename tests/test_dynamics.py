@@ -13,7 +13,6 @@ from biascool.design import (
     DesignError,
     TrajectorySpec,
     b_polynomial,
-    invariant_moments,
     linspace,
     make_trajectory,
 )
@@ -33,7 +32,7 @@ from biascool.robustness import perturb_trajectory
 from biascool.thermometry import occupation_from_state, thermal_occupation
 
 from conftest import NBAR_COLD
-from oracles import as_array, invariant_expectation, propagate_covariance_ode
+from oracles import as_array, invariant_expectation, invariant_moments, propagate_covariance_ode
 
 T_FINALS = (0.5, 1.0, 2.0)
 

@@ -96,13 +96,14 @@ def test_json_table_is_the_indented_dump_byte_for_byte(tmp_path, header, rows, n
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_row_blocks_join_into_one_table(tmp_path, fmt):
-    # blocks of consecutive rows, empty ones included, frame into the one-block
-    # table's bytes; a CSV row of one empty cell is still a line of its own
+    # blocks of consecutive rows, empty ones included, join into the block of all
+    # the rows, which frames into the table's bytes; a CSV row of one empty cell is
+    # still a line of its own
     rows = [(0.5, "a,b"), ("",), (), (1.5, 2), ("",)]
     write_table(tmp_path / "t", ("x", "y"), rows, 12, fmt, "stopped")
     for cut in range(len(rows) + 1):
         blocks = [format_rows(rows[:cut], 12, fmt), "", format_rows(rows[cut:], 12, fmt)]
-        assert render_table(("x", "y"), blocks, fmt, "stopped").encode() == (tmp_path / "t").read_bytes()
+        assert render_table(("x", "y"), "".join(blocks), fmt, "stopped").encode() == (tmp_path / "t").read_bytes()
 
 
 @settings(derandomize=True, database=None, max_examples=200)
@@ -119,16 +120,14 @@ def test_row_blocks_join_into_one_table(tmp_path, fmt):
 )
 def test_blocks_of_float_columns_are_format_rows(table, constant, precision, fmt):
     # any of a row's columns, in any order, and the constant past its end give format_rows'
-    # bytes, and blocks cut at any row still frame into the one-block table
+    # bytes, and blocks cut at any row join into the uncut block
     width, rows = table
     columns = [(0, *range(1, width)), (0, *range(width, 0, -1)), (width - 1, width, 0)]
     expected = [format_rows([[(*row, constant)[k] for k in cols] for row in rows], precision, fmt) for cols in columns]
     assert format_blocks(rows, columns, precision, fmt, constant) == expected
     for cut in range(len(rows) + 1):
         head, tail = (format_blocks(part, columns, precision, fmt, constant) for part in (rows[:cut], rows[cut:]))
-        assert [render_table("abc", pair, fmt, "stopped") for pair in zip(head, tail)] == [
-            render_table("abc", [block], fmt, "stopped") for block in expected
-        ]
+        assert [h + t for h, t in zip(head, tail)] == expected
 
 
 def test_hash_manifest_is_sha256_of_the_file_bytes(tmp_path):

@@ -124,7 +124,7 @@ def test_repr_is_the_dataclass_text():
         " ermakov_b_final=nan, status='integration failed: x')"
     )
     assert repr(TrajectorySpec(4.0, 1.0, 0.5)) == (
-        "TrajectorySpec(omega0_sq=4.0, omega_final_sq=1.0, t_final=0.5, chi=1.4142135623730951)"
+        "TrajectorySpec(omega0_sq=4.0, omega_final_sq=1.0, t_final=0.5)"
     )
 
 
@@ -137,7 +137,7 @@ def test_arguments_bind_as_the_signature_says():
         lambda: SweepResult(0.1, 0.5, 1.0, 2.0, 3.0, 4.0, "ok", "extra"),  # too many
         lambda: SweepResult(0.1, 0.5, 1.0, 2.0, 3.0, 4.0, epsilon=0.2),  # bound twice
         lambda: SweepOptions(tol=1e-9),  # not a field
-        lambda: TrajectorySpec(4.0, 1.0, 0.5, 1.4),  # chi is derived, not an argument
+        lambda: TrajectorySpec(4.0, 1.0, 0.5, 1.4),  # chi is a property, not an argument
         lambda: PhysicalParams(8.988e9),  # keywords only
     ):
         with pytest.raises(TypeError):

@@ -3,7 +3,8 @@
 Each case runs ``main`` with the worker count pinned to 1 and then to 2
 or more (``cli._usable_cpus`` picks it; forked children inherit the
 patch) and compares exit code, stdout, stderr and the bytes of every file
-written.
+written.  ``sweep`` and ``reproduce`` fork their workers; ``design`` and
+``simulate`` run each ramp in this process, whatever the count.
 """
 
 import itertools
@@ -73,17 +74,21 @@ def run(monkeypatch, capsys, workdir, argv, workers):
     return rc, captured.out, captured.err, files, len(forks)
 
 
+# the commands that fork, once, ``count - 1`` children for ``count`` workers; the others never fork
+FORKING = ("sweep", "reproduce")
+
+
 def both_paths(monkeypatch, capsys, tmp_path, argv, workers=(2,)):
     """Run with 1 worker and with each count in ``workers``; assert they agree; return the one-CPU run.
 
-    Every command forks once, ``count - 1`` children.
+    ``sweep`` and ``reproduce`` fork once, ``count - 1`` children; ``design`` and ``simulate`` never fork.
     """
     single = run(monkeypatch, capsys, tmp_path / "one", [*argv, "--out", "out"], 1)
     assert single[4] == 0
     for count in workers:
         forked = run(monkeypatch, capsys, tmp_path / f"many{count}", [*argv, "--out", "out"], count)
         assert forked[:4] == single[:4]
-        assert forked[4] == count - 1
+        assert forked[4] == (count - 1 if argv[0] in FORKING else 0)
     return single[:4]
 
 
@@ -102,7 +107,7 @@ def test_more_workers_than_cpus(tmp_path, monkeypatch, capsys):
 
 
 def test_simulate_dense(tmp_path, monkeypatch, capsys):
-    # 4001 samples in 4 ranges per worker: 8 and 12 ranges, neither divides it
+    # the benchmark's 4001-sample ramps, one task each: no fork on 2 or 3 CPUs, the one-worker bytes
     for fmt in ("csv", "json"):
         (tmp_path / fmt).mkdir()
         cfg = config(tmp_path / fmt, **{
@@ -116,7 +121,10 @@ def test_simulate_dense(tmp_path, monkeypatch, capsys):
 
 
 def test_design(tmp_path, monkeypatch, capsys):
-    rc, out, err, files = both_paths(monkeypatch, capsys, tmp_path, ["design", "--config", config(tmp_path)])
+    # a ramp is one task, called here: with 2 or 3 usable CPUs, os.fork is called zero times
+    # (both_paths counts) and the files, output and exit code are the one-worker run's
+    argv = ["design", "--config", config(tmp_path)]
+    rc, out, err, files = both_paths(monkeypatch, capsys, tmp_path, argv, (2, 3))
     assert rc == 0 and err == "" and len(files) == 9
 
 
@@ -156,9 +164,8 @@ def test_failed_ramps_write_partial_rows(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_a_failure_inside_a_middle_range(tmp_path, monkeypatch, capsys, fmt):
-    # t_f 1e-78 on a 1e150 K bath overflows at sample 22 of 41, inside the range
-    # 20-30 of one CPU, 20-25 of two and 20-23 of three; some later samples do
-    # not overflow, and their ranges are dropped
+    # t_f 1e-78 on a 1e150 K bath overflows at sample 22 of 41, in the middle of
+    # the ramp; some later samples do not overflow, and their rows are dropped all the same
     cfg = config(tmp_path, **{
         "t_final = 0.5, 1.0, 2.0": "t_final = 1e-78, 0.5",
         "sample_count = 201": "sample_count = 41",
@@ -179,8 +186,9 @@ def test_a_failure_inside_a_middle_range(tmp_path, monkeypatch, capsys, fmt):
 
 def test_reproduce_stops_at_a_failed_simulate(tmp_path, monkeypatch, capsys):
     # the hot-bath ramps of test_a_failure_inside_a_middle_range: reproduce writes the
-    # design and simulate tables, then exits 2 with simulate's one line.  Forked workers
-    # have run the sweep rows by then, but a row's error is never raised
+    # design and simulate tables, the failed ramp's up to its failure, then exits 2 with
+    # simulate's one line.  Forked workers have run the sweep rows by then, but a row's
+    # error is never raised
     cfg = config(tmp_path, **{
         "t_final = 0.5, 1.0, 2.0": "t_final = 1e-78, 0.5",
         "sample_count = 201": "sample_count = 41",
@@ -189,6 +197,9 @@ def test_reproduce_stops_at_a_failed_simulate(tmp_path, monkeypatch, capsys):
     rc, out, err, files = both_paths(monkeypatch, capsys, tmp_path, ["reproduce", "--config", cfg])
     assert rc == 2 and out == "" and err == "error: occupation overflowed (at t = 5.5e-79)\n"
     assert len(files) == 12 and not {"out/sweep.csv", "out/report.json", "out/manifest.json"} & set(files)
+    for name in ("n_bar_t", "t_eff_t", "moments_t"):
+        lines = files[f"out/{name}_tf1e-78.csv"].decode().splitlines()
+        assert len(lines) == 24 and lines[-1] == "# integration_error: occupation overflowed (at t = 5.5e-79)"
 
     def refused(*args):
         raise ValueError("sweep row refused")
@@ -242,7 +253,11 @@ def test_simulate_files_are_write_table_of_the_rows(tmp_path, monkeypatch, capsy
         argv = ["simulate", "--config", cfg_path, "--out", "out"]
         rc, out, err, files, forks = run(monkeypatch, capsys, tmp_path / f"many{workers}", argv, workers)
         assert files == expected
-        assert (rc, forks) == (0 if ramps == "inverted" else 2, workers - 1)
+        assert (rc, forks) == (0 if ramps == "inverted" else 2, 0)
+    # reproduce's ramps are tasks of its fork round, so a forked worker may write them
+    argv = ["reproduce", "--config", cfg_path, "--out", "out"]
+    rc, out, err, files, forks = run(monkeypatch, capsys, tmp_path / "reproduce", argv, 2)
+    assert {name: files[name] for name in expected} == expected and forks == 1
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -273,7 +288,11 @@ def test_design_files_are_write_table_of_the_rows(tmp_path, monkeypatch, capsys,
         argv = ["design", "--config", cfg_path, "--out", "out"]
         rc, out, err, files, forks = run(monkeypatch, capsys, tmp_path / f"many{workers}", argv, workers)
         assert files == expected
-        assert (rc, out, err, forks) == (0, "".join(f"{name}\n" for name in expected), "", workers - 1)
+        assert (rc, out, err, forks) == (0, "".join(f"{name}\n" for name in expected), "", 0)
+    # reproduce's ramps are tasks of its fork round, so a forked worker may write them
+    argv = ["reproduce", "--config", cfg_path, "--out", "out"]
+    rc, out, err, files, forks = run(monkeypatch, capsys, tmp_path / "reproduce", argv, 2)
+    assert {name: files[name] for name in expected} == expected and forks == 1
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -303,42 +322,47 @@ def test_sweep_files_are_write_table_of_the_cells(tmp_path, monkeypatch, capsys,
 
 
 def test_a_raising_ramp_stops_the_files_there(tmp_path, monkeypatch, capsys):
-    # only the range that holds sample 22 of the t_f 1 ramp raises
+    # only simulate's t_f 1 ramp raises: simulate writes the t_f 0.5 tables before it, and
+    # reproduce, whose ramps are tasks of its fork round, every design table as well
     blocks = cli._ramp_blocks
-    refused = linspace(0.0, 1.0, 41)[22]
 
     def raising(cfg, tables, t_final, times):
-        if t_final == 1.0 and refused in times:
+        if t_final == 1.0 and tables is cli._SIMULATE_TABLES:
             raise ValueError("ramp refused")
         return blocks(cfg, tables, t_final, times)
 
     monkeypatch.setattr(cli, "_ramp_blocks", raising)
     cfg = config(tmp_path, **{"sample_count = 201": "sample_count = 41"})
-    rc, out, err, files = both_paths(monkeypatch, capsys, tmp_path, ["simulate", "--config", cfg], (2, 3))
-    assert rc == 1 and out == "" and err == "config error: ramp refused\n"
-    assert sorted(files) == [f"out/{stem}_tf0.5.csv" for stem in ("moments_t", "n_bar_t", "t_eff_t")]
+    simulated = [f"out/{stem}_tf0.5.csv" for stem in ("moments_t", "n_bar_t", "t_eff_t")]
+    designed = [f"out/{stem}_tf{label}.csv" for stem in ("b_t", "f_t", "omega_eff_t") for label in ("0.5", "1", "2")]
+    for command, written in (("simulate", simulated), ("reproduce", designed + simulated)):
+        (tmp_path / command).mkdir()
+        argv = [command, "--config", cfg]
+        rc, out, err, files = both_paths(monkeypatch, capsys, tmp_path / command, argv, (2, 3))
+        assert rc == 1 and out == "" and err == "config error: ramp refused\n"
+        assert sorted(files) == sorted(written)
 
 
 def test_a_worker_that_dies_is_an_io_error(tmp_path, monkeypatch, capsys):
-    # the parent's first task waits until the child has taken one, so the child
+    # the parent's first sweep row waits until the child has taken one, so the child
     # dies with a task whatever the scheduling
     parent = os.getpid()
-    blocks = cli._ramp_blocks
+    row = cli.sweep_row
     taken_read, taken_write = os.pipe()
     waited = []
 
-    def dying(cfg, tables, t_final, times):
+    def dying(*args):
         if os.getpid() != parent:
             os.write(taken_write, b"x")
             os._exit(1)
         if not waited:
             waited.append(select.select([taken_read], [], [], 30.0)[0])
-        return blocks(cfg, tables, t_final, times)
+        return row(*args)
 
-    monkeypatch.setattr(cli, "_ramp_blocks", dying)
-    cfg = config(tmp_path, **{"sample_count = 201": "sample_count = 41"})
+    monkeypatch.setattr(cli, "sweep_row", dying)
+    cfg = config(tmp_path, **{"t_final = 0.5, 1.0, 2.0": "t_final = 0.5, 1.0"})
     try:
-        rc, out, err, files, forks = run(monkeypatch, capsys, tmp_path / "many", ["simulate", "--config", cfg], 2)
+        rc, out, err, files, forks = run(monkeypatch, capsys, tmp_path / "many", ["sweep", "--config", cfg], 2)
     finally:
         os.close(taken_read)
         os.close(taken_write)
@@ -351,8 +375,8 @@ def test_a_worker_that_dies_is_an_io_error(tmp_path, monkeypatch, capsys):
 def test_runs_in_process(tmp_path, monkeypatch, capsys, reason):
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(cli, "_forked_outcomes", lambda *args: pytest.fail("forked"))
-    cfg = config(tmp_path, **{"sample_count = 201": "sample_count = 41"})
-    argv = ["simulate", "--config", cfg, "--out", str(tmp_path / "out")]
+    cfg = config(tmp_path, **{"t_final = 0.5, 1.0, 2.0": "t_final = 0.5, 1.0"})
+    argv = ["sweep", "--config", cfg, "--out", str(tmp_path / "out")]
     if reason == "no fork":
         monkeypatch.delattr(os, "fork")
         assert cli.main(argv) == 0
@@ -493,25 +517,25 @@ def test_errors_are_rebuilt_from_their_class_and_args(error):
     ids=lambda value: type(value).__name__ if isinstance(value, Exception) else None,
 )
 def test_an_error_raised_in_a_child_reaches_main(tmp_path, monkeypatch, capsys, error, code, kind):
-    # only the child raises, from every range it takes, and this process's first range waits
+    # only the child raises, from every sweep row it takes, and this process's first row waits
     # until it has taken one; main maps the error as if it had been raised here
     parent = os.getpid()
-    blocks = cli._ramp_blocks
+    row = cli.sweep_row
     taken_read, taken_write = os.pipe()
     waited = []
 
-    def raising(cfg, tables, t_final, times):
+    def raising(*args):
         if os.getpid() != parent:
             os.write(taken_write, b"x")
             raise error
         if not waited:
             waited.append(select.select([taken_read], [], [], 30.0)[0])
-        return blocks(cfg, tables, t_final, times)
+        return row(*args)
 
-    monkeypatch.setattr(cli, "_ramp_blocks", raising)
-    cfg = config(tmp_path, **{"sample_count = 201": "sample_count = 41"})
+    monkeypatch.setattr(cli, "sweep_row", raising)
+    cfg = config(tmp_path, **{"t_final = 0.5, 1.0, 2.0": "t_final = 0.5, 1.0"})
     try:
-        rc, out, err, files, forks = run(monkeypatch, capsys, tmp_path / "many", ["simulate", "--config", cfg], 2)
+        rc, out, err, files, forks = run(monkeypatch, capsys, tmp_path / "many", ["sweep", "--config", cfg], 2)
     finally:
         os.close(taken_read)
         os.close(taken_write)
@@ -631,10 +655,10 @@ def forked(tasks, costs):
 
 design, rows, hot, tiny = map(load_config, sys.argv[1:])
 rounds = [
-    ("design", cli._ramp_stage(design, cli._DESIGN_TABLES, 1), ",-"),
+    ("design", cli._ramp_stage(design, cli._DESIGN_TABLES), ",-"),
     ("sweep", cli._sweep_stage(rows), "nan"),
-    ("simulate", cli._ramp_stage(hot, cli._SIMULATE_TABLES, 1), "occupation overflowed"),
-    ("raised", cli._ramp_stage(tiny, cli._SIMULATE_TABLES, 1), "ParameterError: eta"),
+    ("simulate", cli._ramp_stage(hot, cli._SIMULATE_TABLES), "occupation overflowed"),
+    ("raised", cli._ramp_stage(tiny, cli._SIMULATE_TABLES), "ParameterError: eta"),
 ]
 print("imported", "pickle" in sys.modules)
 for name, (tasks, costs, _), marker in rounds:
