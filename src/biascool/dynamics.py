@@ -18,7 +18,12 @@ Two code paths live here:
   invariants are conserved structurally, not by luck of the tolerance.
   ``transfer_series`` samples it as GaussianStates; ``propagate_row``
   marches ramps differing only in the drive's gain as the lanes of one
-  march, one per t_final in the sweep.
+  march, one per t_final in the sweep.  A row first takes the closed-form
+  ``_adiabatic_segment`` over [0, t_s]: in the invariant's Pinney time the
+  designed ramp is an oscillator of constant frequency omega_0, exactly
+  for epsilon = 0 and slowly detuned (second-order WKB) otherwise; t_s is
+  the longest start whose estimated error stays within tol/10 for every
+  lane, and the march covers [t_s, t_f].
   No CLI command samples it: ``simulate`` writes the nominal ramp's
   exact moments from the Lewis-Riesenfeld invariant (``cli._ramp_blocks``).
 * ``solve_ermakov_forward`` -- oracle for the auxiliary nonlinear
@@ -35,7 +40,7 @@ import math
 from collections.abc import Callable, Sequence
 
 from . import thermometry
-from .design import ControlTrajectory, _drive
+from .design import ControlTrajectory, _b_derivs, _drive
 from .integrate import IntegrationError, RKResult, solve_rk
 from .physical import PhysicalParams
 from .records import Record
@@ -433,9 +438,142 @@ def propagate_row(
     trajs: Sequence[ControlTrajectory], t0: float, t1: float, tol: float = 1e-10
 ) -> list[TransferMatrix]:
     """The transfer matrices from t0 to t1 of ramps with one nominal drive (spec and eta), such as one
-    ramp's ``perturb_trajectory`` copies: the lanes (1, eta f_scale) of the first's kernel f0, one march."""
+    ramp's ``perturb_trajectory`` copies: the lanes (1, eta f_scale) of the first's kernel f0.
+
+    From t0 = 0 the row starts with ``_adiabatic_segment`` over [0, t_s]; one march of all lanes
+    covers [t_s, t1], and a lane's matrix is the marched one times its segment's.  With t_s = 0
+    the row is the march from t0 alone.
+    """
     kernel, lanes = _drive(trajs[0], 1.0, 0.0), [(1.0, r.eta * r.f_scale) for r in trajs]
-    return [TransferMatrix(*m) for m in _integrate_transfer(kernel, t0, t1, tol, lanes=lanes)]
+    t_s, starts = _adiabatic_segment(trajs[0].spec, [r.f_scale for r in trajs], t1, tol) if t0 == 0.0 else (0.0, [])
+    marched = _integrate_transfer(kernel, t0 + t_s, t1, tol, lanes=lanes)
+    if not t_s:
+        return [TransferMatrix(*m) for m in marched]
+    return [TransferMatrix(*_mmul(m, s)) for m, s in zip(marched, starts)]
+
+
+# --- adiabatic start of a row ----------------------------------------------
+
+#: 12-point Gauss-Legendre nodes and weights on [0, 1] (Abramowitz & Stegun, table 25.4).
+_GAUSS12 = [(0.5 + sign * x / 2.0, w / 2.0) for x, w in (
+    (0.1252334085114689154724414, 0.2491470458134027850005624), (0.3678314989981801937526915, 0.2334925365383548087608499),
+    (0.5873179542866174472967024, 0.2031674267230659217490645), (0.7699026741943046870368938, 0.1600783285433462263346525),
+    (0.9041172563704748566784659, 0.1069393259953184309602547), (0.9815606342467192506905491, 0.04717533638651182719461596),
+) for sign in (-1.0, 1.0)]
+#: Panels of the phase quadrature over [0, t_s]: one missed by 1e-6 at t_f = 8.
+_PHASE_PANELS = 4
+#: The switch search's first and last stride, and its end, as fractions of t_f.
+_SWITCH_STRIDE, _SWITCH_FINE, _SWITCH_LAST = 1.0 / 32.0, 1.0 / 128.0, 0.25
+
+
+def _series_mul(a: Sequence[float], b: Sequence[float], n: int) -> list[float]:
+    """The first n Taylor coefficients of the product of two series."""
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(n)]
+
+
+def _pinney_terms(t: float, c: float, t_f: float) -> tuple[float, float, list[float]]:
+    """b, b_t and [g, D g, ..., D^4 g] at t, g = b^4 + b^3 b_tt, D = b^2 d/dt = d/dtau: truncated
+    Taylor arithmetic in t on the quintic b of c = chi - 1, whose series is exact."""
+    h = 1.0 / t_f
+    b, b1, b2, b3, b4 = _b_derivs(t * h, c)
+    series = (b, b1 * h, b2 * h * h / 2.0, b3 * h**3 / 6.0, b4 * h**4 / 24.0, 6.0 * c * h**5, 0.0)
+    bb = _series_mul(series, series, 5)
+    g = _series_mul(_series_mul(bb, series, 5), [series[k] + (k + 1) * (k + 2) * series[k + 2] for k in range(5)], 5)
+    terms = [g[0]]
+    for k in range(4, 0, -1):
+        g = _series_mul(bb, [j * x for j, x in enumerate(g) if j], k)
+        terms.append(g[0])
+    return b, b1 * h, terms
+
+
+def _delta(u: float, u1: float, u2: float) -> float:
+    """The second-order WKB correction delta = u_tautau/(16 u^2) - 5 u_tau^2/(64 u^3)."""
+    return (u2 - 1.25 * u1 * u1 / u) / (16.0 * u * u)
+
+
+def _wkb(u: float, u1: float, u2: float, u3: float, u4: float) -> tuple[float, float, float]:
+    """rho = u^(-1/4) (1 + delta), rho_tau and rho's Ermakov residual rho_tautau + u rho - 1/rho^3,
+    from u and its first four tau-derivatives."""
+    v, w, d = u * u, u * u * u, _delta(u, u1, u2)
+    d1 = u3 / (16.0 * v) - 9.0 * u1 * u2 / (32.0 * w) + 15.0 * u1**3 / (64.0 * w * u)
+    e = 1.0 + d
+    rho = u**-0.25 * e
+    q2 = u4 / 16.0 - (7.0 / 16.0 * u1 * u3 + 19.0 / 64.0 * u2 * u2) / u
+    q2 = (q2 + (221.0 / 128.0 * u1 * u1 * u2 - 1105.0 / 1024.0 * u1**4 / u) / v) * u**-2.25  # (u^(-1/4) delta)_tautau
+    return rho, rho * (d1 / e - u1 / (4.0 * u)), q2 + u**0.75 * (e - e**-3 - 4.0 * d)
+
+
+def _adiabatic_segment(spec, scales: Sequence[float], t1: float, tol: float) -> tuple[float, list]:
+    """The switch time t_s and each lane's transfer matrix over [0, t_s], or (0.0, []).
+
+    For a lane with drive scale S, x = b y and tau = int dt/b^2 (b the designed Pinney scale) give
+    y_tautau + u y = 0, u = S omega_0^2 + (1 - S)(b^4 + b^3 b_tt), exactly (Lewis & Riesenfeld,
+    J. Math. Phys. 10 (1969) 1458): S = 1 is the exact rotation at omega_0.  With ``_wkb``'s rho,
+    rho cos(Phi) and rho sin(Phi), Phi_tau = 1/rho^2, solve y_tautau + (u - r/rho) y = 0, r the
+    residual of rho, so the matrix is [[b, 0], [b_t, 1/b]](t_s) V(t_s) V(0)^-1 for the unimodular
+    V = [[rho cos, rho sin], [rho_tau cos - sin/rho, rho_tau sin + cos/rho]], with
+    Phi = int sqrt(u) / ((1 + delta)^2 b^2) dt by composite Gauss-Legendre, nodes shared by all
+    lanes, and its error is estimated as E = |int r / (2 rho sqrt(u) b^2) dt| + max |r| / (rho u)
+    (phase and amplitude; the integral by trapezoids).  The search steps from t = 0 by t_f/32
+    while every lane keeps E within tol/10, halving the stride where one would not, down to
+    t_f/128; t_s is where it stops, at most t_f/4 and before t1.  No segment (t_s = 0) for S = 1
+    lanes only, where u or the matrices are not positive and finite, or where the first t_f/128
+    fails the budget.
+    """
+    if all(s == 1.0 for s in scales):
+        return 0.0, []
+    c, t_f, budget, sqrt = spec.chi - 1.0, spec.t_final, 0.1 * tol, _sqrt
+    lanes = [(s * spec.omega0_sq, 1.0 - s) for s in scales]
+
+    def node(t):  # (t, b, b_t, each lane's _wkb, E's rate and amplitude term); None where u or 1 + delta <= 0
+        b, bd, terms = _pinney_terms(t, c, t_f)
+        us = [a + e * terms[0] for a, e in lanes]
+        if not all(0.0 < u < math.inf for u in us):
+            return None
+        wkbs = [_wkb(u, *(e * x for x in terms[1:])) for u, (_, e) in zip(us, lanes)]
+        return (t, b, bd, wkbs, [r / (2.0 * rho * sqrt(u) * b * b) for u, (rho, _, r) in zip(us, wkbs)],
+                [abs(r) / (rho * u) for u, (rho, _, r) in zip(us, wkbs)]) if all(w[0] > 0.0 for w in wkbs) else None
+
+    try:
+        here = start = node(0.0)
+        sums, peaks, stride = [0.0] * len(lanes), start and start[5], _SWITCH_STRIDE * t_f
+        while start is not None and stride >= _SWITCH_FINE * t_f:
+            t = here[0] + stride
+            there = node(t) if t < t1 and t <= _SWITCH_LAST * t_f else None
+            if there is not None:
+                new_sums = [x + 0.5 * stride * (p + q) for x, p, q in zip(sums, here[4], there[4])]
+                new_peaks = [max(p, m) for p, m in zip(there[5], peaks)]  # a NaN peak stays
+                if all(abs(x) + m <= budget for x, m in zip(new_sums, new_peaks)):
+                    here, sums, peaks = there, new_sums, new_peaks
+                    continue
+            stride *= 0.5
+        if here is start:
+            return 0.0, []
+        t_s, b, bd, wkbs = here[:4]
+        h, width, phases = 1.0 / t_f, t_s / _PHASE_PANELS, [0.0] * len(lanes)
+        for x, w in ((p + x, w * width) for p in range(_PHASE_PANELS) for x, w in _GAUSS12):
+            bn, b1, b2, b3, b4 = _b_derivs(x * width * h, c)
+            b1, b2, b3, b4 = b1 * h, b2 * h * h, b3 * h**3, b4 * h**4
+            g = bn**3 * (bn + b2)
+            g1 = bn * bn * (4.0 * bn * b1 + 3.0 * b1 * b2 + bn * b3)
+            g2 = (12.0 * bn * b1 * b1 + 4.0 * bn * bn * b2 + 6.0 * b1 * b1 * b2 + 3.0 * bn * b2 * b2
+                  + 6.0 * bn * b1 * b3 + bn * bn * b4) * bn
+            d1, d2 = bn * bn * g1, bn**4 * g2 + 2.0 * bn**3 * b1 * g1
+            for i, (a, e) in enumerate(lanes):
+                u = a + e * g
+                d = 1.0 + _delta(u, e * d1, e * d2)
+                phases[i] += w * sqrt(u) / (d * d * bn * bn)
+    except (ArithmeticError, ValueError):  # a 1 + delta of 0, an overflow, a negative u at a phase node
+        return 0.0, []
+    matrices = []
+    for phi, (rho0, rho0_t, _), (rho, rho_t, _) in zip(phases, start[3], wkbs):
+        cos, sin = _cos(phi), _sin(phi)
+        v21, v22 = rho_t * cos - sin / rho, rho_t * sin + cos / rho
+        y11, y12, y21, y22 = rho * (cos / rho0 - sin * rho0_t), rho * sin * rho0, v21 / rho0 - v22 * rho0_t, v22 * rho0
+        matrices.append((b * y11, b * y12, bd * y11 + y21 / b, bd * y12 + y22 / b))
+    if not all(math.isfinite(x) for m in matrices for x in m):
+        return 0.0, []
+    return t_s, matrices
 
 
 def transfer_series(

@@ -17,11 +17,15 @@ Proc. AMS 1 (1950) 681; Lewis & Riesenfeld, J. Math. Phys. 10 (1969)
 1458).  That matrix is the one the occupation columns come from, and a
 row's ramps differ only in the drive's gain, so one march gives all
 their matrices, end point only (``propagate_row``): a cell's last digits
-depend on the other epsilons of its row, not on their order.  At the
-default tolerance the extrapolated Magnus march keeps n and b within
-1e-10 relative of an extended-precision reference; the epsilon = 0 cell
-is the march that ``reproduce`` checks against the invariant's closed
-form.
+depend on the other epsilons of its row, not on their order.  The row
+starts with the closed-form adiabatic segment over [0, t_s], t_s chosen
+so that its estimated error stays within tol/10, and marches [t_s, t_f].
+At the default tolerance n and b stay within 1e-10 relative of an
+extended-precision reference.  The epsilon = 0 segment is the exact
+nominal rotation, so the epsilon = 0 cell that ``reproduce`` checks
+against the invariant's closed form certifies the marched stretch
+[t_s, t_f] and the frame change; an all-nominal row has no segment and
+certifies the whole march.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ from biascool.design import (
     ControlTrajectory,
     DesignError,
     TrajectorySpec,
+    _drive,
     b_polynomial,
     linspace,
     make_trajectory,
@@ -29,7 +30,7 @@ from biascool.dynamics import (
 )
 from biascool.records import astuple
 from biascool.robustness import perturb_trajectory
-from biascool.thermometry import occupation_from_state, thermal_occupation
+from biascool.thermometry import occupation, occupation_from_state, thermal_occupation
 
 from conftest import NBAR_COLD
 from oracles import as_array, invariant_expectation, invariant_moments, propagate_covariance_ode
@@ -390,10 +391,26 @@ class TestRowMarch:
     @pytest.mark.parametrize("t_final,epsilon", [(0.1, 0.0), (0.5, -0.1), (1.0, 0.3), (2.0, -1.2)])
     def test_one_lane_row_is_the_profile_march(self, device_params, t_final, epsilon):
         # the kernel f0 on the lane (1, eta f_scale) has the bits of the profile 1 + eta f_scale f0
+        # where the row has no adiabatic segment (epsilon = 0; -1.2, whose u < 0).  A lane that
+        # starts with one stays within tol of the profile's march at tol 1e-13: n + 1/2 of a
+        # thermal start at omega_0 and the Pinney b
         ramp = perturb_trajectory(make_trajectory(device_params, t_final), epsilon)
         (row,) = propagate_row([ramp], 0.0, t_final)
-        _, alone = propagate_transfer(ramp.frequency_sq_fn(), squeezed_state(), 0.0, t_final)
-        assert row == alone
+        t_s, _ = dynamics._adiabatic_segment(ramp.spec, [ramp.f_scale], t_final, 1e-10)
+        assert (t_s == 0.0) == (epsilon in (0.0, -1.2))
+        _, alone = propagate_transfer(ramp.frequency_sq_fn(), squeezed_state(), 0.0, t_final, 1e-13 if t_s else 1e-10)
+        if not t_s:
+            assert row == alone
+            return
+        omega0_sq = ramp.spec.omega0_sq
+        start = thermal_state(device_params, omega0_sq, device_params.bath_temperature)
+
+        def n_and_b(m):
+            final = m.apply(start)
+            return occupation(final.xx, final.pp, 1.0) + 0.5, math.hypot(m.m11, math.sqrt(omega0_sq) * m.m12)
+
+        for value, expected in zip(n_and_b(row), n_and_b(alone)):
+            assert value == pytest.approx(expected, rel=1e-10, abs=0.0)
 
     def test_lane_order_changes_no_lane(self, device_params):
         nominal = make_trajectory(device_params, 0.5)
@@ -416,9 +433,12 @@ class TestRowMarch:
 
         monkeypatch.setattr(dynamics, "_integrate_transfer", counted_march)
         nominal = make_trajectory(device_params, 0.5)
-        propagate_row([perturb_trajectory(nominal, e) for e in (-0.1, 0.0, 0.1)], 0.0, 0.5)
-        propagate_row([perturb_trajectory(nominal, 0.1)], 0.0, 0.5)
-        assert counts[0] == counts[1] < 6000
+        ramps = [perturb_trajectory(nominal, e) for e in (-0.1, 0.0, 0.1)]
+        t_s, _ = dynamics._adiabatic_segment(nominal.spec, [r.f_scale for r in ramps], 0.5, 1e-10)
+        propagate_row(ramps, 0.0, 0.5)
+        # the one-lane row that starts at the same t_s: its march alone
+        dynamics._integrate_transfer(_drive(nominal, 1.0, 0.0), t_s, 0.5, 1e-10, lanes=[(1.0, ramps[2].eta * ramps[2].f_scale)])
+        assert t_s > 0.0 and counts[0] == counts[1] < 6000
 
 
 class TestCovarianceOracle:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from biascool import cli, integrate, robustness
+from biascool import cli, dynamics, integrate, robustness
 from biascool.config import load_config
 from biascool.constants import BOLTZMANN, HBAR
 from biascool.design import control_function, linspace, make_trajectory
@@ -133,10 +133,12 @@ class TestSweep:
             assert a.ermakov_b_final == b.ermakov_b_final
 
     @pytest.mark.parametrize("t_final,missing", [(0.5, -1.2), (0.5, -1.5), (1.0, -2.0)])
-    def test_lanes_ignore_a_missing_start_state(self, device_params, t_final, missing):
+    def test_lanes_ignore_a_missing_start_state(self, device_params, t_final, missing, monkeypatch):
         # the first epsilon has no perturbed start, but its lane still marches: the row's
         # other cells keep the bits they have under the nominal start.  The -1.5 and -2
-        # lanes set the row's steps, and the -2 cell's nominal moments overflow
+        # lanes set the row's steps, and the -2 cell's nominal moments overflow.  Each
+        # missing lane has u < 0 at t = 0, so its row has no adiabatic segment: the row
+        # without it is compared as the march from t = 0, without one too
         grid = [missing, -0.1, 0.0, 0.1]
         nominal = run_sweep(device_params, [t_final], grid)
         perturbed = run_sweep(device_params, [t_final], grid, SweepOptions(initial_state="perturbed"))
@@ -145,6 +147,7 @@ class TestSweep:
         assert all(row.status == "ok" for row in nominal[1:] + perturbed[1:])
         b_perturbed = [row.ermakov_b_final for row in perturbed[1:]]
         assert [row.ermakov_b_final for row in nominal[1:]] == b_perturbed
+        monkeypatch.setattr(dynamics, "_adiabatic_segment", lambda *args: (0.0, []))
         alone = run_sweep(device_params, [t_final], grid[1:])
         assert ([row.ermakov_b_final for row in alone] == b_perturbed) == (missing == -1.2)
 
@@ -296,7 +299,8 @@ class TestOverflow:
 class TestReference:
     def test_rows_meet_the_extended_precision_reference(self):
         # reproduce's rows at the default tolerance against the mpmath end points that
-        # perfbench/make_reference.py wrote: at worst 3.0e-11 (n) and 4.6e-11 (b)
+        # perfbench/make_reference.py wrote: at worst 2.8e-11 (n, t_f 0.5, epsilon 0.1) and
+        # 3.3e-11 (b, t_f 2, epsilon 0), each row after its adiabatic segment
         params = load_config(None).physical
         path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
         cells = json.loads(path.read_text(encoding="utf-8"))["cells"]
