@@ -18,12 +18,10 @@ Two code paths live here:
   invariants are conserved structurally, not by luck of the tolerance.
   ``transfer_series`` samples it as GaussianStates; ``propagate_row``
   marches ramps differing only in the drive's gain as the lanes of one
-  march, one per t_final in the sweep.  A row first takes the closed-form
-  ``_adiabatic_segment`` over [0, t_s]: in the invariant's Pinney time the
-  designed ramp is an oscillator of constant frequency omega_0, exactly
-  for epsilon = 0 and slowly detuned (second-order WKB) otherwise; t_s is
-  the longest start whose estimated error stays within tol/10 for every
-  lane, and the march covers [t_s, t_f].
+  march, one per t_final in the sweep, after a closed-form start over
+  [0, t_s] (``_adiabatic_segment``: in the invariant's Pinney time, the
+  exact rotation at omega_0 for epsilon = 0 and second-order WKB for the
+  others; t_s the furthest start whose estimated error is within tol/10).
   No CLI command samples it: ``simulate`` writes the nominal ramp's
   exact moments from the Lewis-Riesenfeld invariant (``cli._ramp_blocks``).
 * ``solve_ermakov_forward`` -- oracle for the auxiliary nonlinear
@@ -434,19 +432,13 @@ def propagate_transfer(
     return matrix.apply(state0, time=t1), matrix
 
 
-def propagate_row(
-    trajs: Sequence[ControlTrajectory], t0: float, t1: float, tol: float = 1e-10
-) -> list[TransferMatrix]:
-    """The transfer matrices from t0 to t1 of ramps with one nominal drive (spec and eta), such as one
-    ramp's ``perturb_trajectory`` copies: the lanes (1, eta f_scale) of the first's kernel f0.
-
-    From t0 = 0 the row starts with ``_adiabatic_segment`` over [0, t_s]; one march of all lanes
-    covers [t_s, t1], and a lane's matrix is the marched one times its segment's.  With t_s = 0
-    the row is the march from t0 alone.
-    """
+def propagate_row(trajs: Sequence[ControlTrajectory], t1: float, tol: float = 1e-10) -> list[TransferMatrix]:
+    """The transfer matrices from 0 to t1 of ramps with one nominal drive (spec and eta), such as one
+    ramp's ``perturb_trajectory`` copies: the lanes (1, eta f_scale) of the first's kernel f0, one march
+    over [t_s, t1] times ``_adiabatic_segment``'s matrices over [0, t_s] (the march alone where t_s = 0)."""
     kernel, lanes = _drive(trajs[0], 1.0, 0.0), [(1.0, r.eta * r.f_scale) for r in trajs]
-    t_s, starts = _adiabatic_segment(trajs[0].spec, [r.f_scale for r in trajs], t1, tol) if t0 == 0.0 else (0.0, [])
-    marched = _integrate_transfer(kernel, t0 + t_s, t1, tol, lanes=lanes)
+    t_s, starts = _adiabatic_segment(trajs[0].spec, [r.f_scale for r in trajs], t1, tol)
+    marched = _integrate_transfer(kernel, t_s, t1, tol, lanes=lanes)
     if not t_s:
         return [TransferMatrix(*m) for m in marched]
     return [TransferMatrix(*_mmul(m, s)) for m, s in zip(marched, starts)]
@@ -506,50 +498,47 @@ def _wkb(u: float, u1: float, u2: float, u3: float, u4: float) -> tuple[float, f
 def _adiabatic_segment(spec, scales: Sequence[float], t1: float, tol: float) -> tuple[float, list]:
     """The switch time t_s and each lane's transfer matrix over [0, t_s], or (0.0, []).
 
-    For a lane with drive scale S, x = b y and tau = int dt/b^2 (b the designed Pinney scale) give
-    y_tautau + u y = 0, u = S omega_0^2 + (1 - S)(b^4 + b^3 b_tt), exactly (Lewis & Riesenfeld,
-    J. Math. Phys. 10 (1969) 1458): S = 1 is the exact rotation at omega_0.  With ``_wkb``'s rho,
-    rho cos(Phi) and rho sin(Phi), Phi_tau = 1/rho^2, solve y_tautau + (u - r/rho) y = 0, r the
-    residual of rho, so the matrix is [[b, 0], [b_t, 1/b]](t_s) V(t_s) V(0)^-1 for the unimodular
-    V = [[rho cos, rho sin], [rho_tau cos - sin/rho, rho_tau sin + cos/rho]], with
-    Phi = int sqrt(u) / ((1 + delta)^2 b^2) dt by composite Gauss-Legendre, nodes shared by all
-    lanes, and its error is estimated as E = |int r / (2 rho sqrt(u) b^2) dt| + max |r| / (rho u)
-    (phase and amplitude; the integral by trapezoids).  The search steps from t = 0 by t_f/32
-    while every lane keeps E within tol/10, halving the stride where one would not, down to
-    t_f/128; t_s is where it stops, at most t_f/4 and before t1.  No segment (t_s = 0) for S = 1
-    lanes only, where u or the matrices are not positive and finite, or where the first t_f/128
-    fails the budget.
+    A lane of drive scale S is y_tautau + u y = 0 in x = b y, tau = int dt/b^2 (b the designed Pinney
+    scale), u = S omega_0^2 + (1 - S)(b^4 + b^3 b_tt) (Lewis & Riesenfeld, J. Math. Phys. 10 (1969)
+    1458): S = 1 is the exact rotation at omega_0.  Its matrix is [[b, 0], [b_t, 1/b]](t_s) V(t_s) V(0)^-1,
+    V = [[rho cos, rho sin], [rho_tau cos - sin/rho, rho_tau sin + cos/rho]] of ``_wkb``'s rho and
+    Phi = int sqrt(u) / ((1 + delta)^2 b^2) dt (Gauss-Legendre).  With r rho's residual, its error is
+    E = |int r / (2 rho sqrt(u) b^2) dt| + max |r| / (rho u) (trapezoids).  t_s ends steps of t_f/32,
+    halved down to t_f/128 where a lane's E would pass tol/10, at most t_f/4 and before t1; it is 0 for
+    S = 1 lanes only, a u or rho not positive and finite, a matrix not finite or a first step over budget.
     """
     if all(s == 1.0 for s in scales):
         return 0.0, []
     c, t_f, budget, sqrt = spec.chi - 1.0, spec.t_final, 0.1 * tol, _sqrt
     lanes = [(s * spec.omega0_sq, 1.0 - s) for s in scales]
 
-    def node(t):  # (t, b, b_t, each lane's _wkb, E's rate and amplitude term); None where u or 1 + delta <= 0
-        b, bd, terms = _pinney_terms(t, c, t_f)
-        us = [a + e * terms[0] for a, e in lanes]
-        if not all(0.0 < u < math.inf for u in us):
-            return None
-        wkbs = [_wkb(u, *(e * x for x in terms[1:])) for u, (_, e) in zip(us, lanes)]
-        return (t, b, bd, wkbs, [r / (2.0 * rho * sqrt(u) * b * b) for u, (rho, _, r) in zip(us, wkbs)],
-                [abs(r) / (rho * u) for u, (rho, _, r) in zip(us, wkbs)]) if all(w[0] > 0.0 for w in wkbs) else None
+    def node(t):  # (t, b, b_t, each lane's (rho, rho_tau, E's rate, E's amplitude term)), or None
+        b, bd, (g, *dg) = _pinney_terms(t, c, t_f)
+        out = []
+        for a, e in lanes:
+            u = a + e * g
+            rho, rho_t, r = _wkb(u, *(e * x for x in dg)) if 0.0 < u < math.inf else (0.0, 0.0, 0.0)
+            if not rho > 0.0:
+                return None
+            out.append((rho, rho_t, r / (2.0 * rho * sqrt(u) * b * b), abs(r) / (rho * u)))
+        return t, b, bd, out
 
     try:
         here = start = node(0.0)
-        sums, peaks, stride = [0.0] * len(lanes), start and start[5], _SWITCH_STRIDE * t_f
+        errs, stride = start and [(0.0, lane[3]) for lane in start[3]], _SWITCH_STRIDE * t_f
         while start is not None and stride >= _SWITCH_FINE * t_f:
             t = here[0] + stride
             there = node(t) if t < t1 and t <= _SWITCH_LAST * t_f else None
-            if there is not None:
-                new_sums = [x + 0.5 * stride * (p + q) for x, p, q in zip(sums, here[4], there[4])]
-                new_peaks = [max(p, m) for p, m in zip(there[5], peaks)]  # a NaN peak stays
-                if all(abs(x) + m <= budget for x, m in zip(new_sums, new_peaks)):
-                    here, sums, peaks = there, new_sums, new_peaks
+            if there is not None:  # each lane's integral and peak; a NaN peak stays
+                new = [(x + 0.5 * stride * (p[2] + q[2]), max(q[3], m)) for (x, m), p, q in zip(errs, here[3], there[3])]
+                if all(abs(x) + m <= budget for x, m in new):
+                    here, errs = there, new
                     continue
             stride *= 0.5
         if here is start:
             return 0.0, []
-        t_s, b, bd, wkbs = here[:4]
+        t_s, b, bd, ends = here
+        # closed forms of g, D g, D^2 g: Taylor arithmetic to 3 terms took 0.55 ms more a row (2 vCPUs, Python 3.11)
         h, width, phases = 1.0 / t_f, t_s / _PHASE_PANELS, [0.0] * len(lanes)
         for x, w in ((p + x, w * width) for p in range(_PHASE_PANELS) for x, w in _GAUSS12):
             bn, b1, b2, b3, b4 = _b_derivs(x * width * h, c)
@@ -566,7 +555,7 @@ def _adiabatic_segment(spec, scales: Sequence[float], t1: float, tol: float) -> 
     except (ArithmeticError, ValueError):  # a 1 + delta of 0, an overflow, a negative u at a phase node
         return 0.0, []
     matrices = []
-    for phi, (rho0, rho0_t, _), (rho, rho_t, _) in zip(phases, start[3], wkbs):
+    for phi, (rho0, rho0_t, *_), (rho, rho_t, *_) in zip(phases, start[3], ends):
         cos, sin = _cos(phi), _sin(phi)
         v21, v22 = rho_t * cos - sin / rho, rho_t * sin + cos / rho
         y11, y12, y21, y22 = rho * (cos / rho0 - sin * rho0_t), rho * sin * rho0, v21 / rho0 - v22 * rho0_t, v22 * rho0

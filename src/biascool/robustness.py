@@ -17,15 +17,13 @@ Proc. AMS 1 (1950) 681; Lewis & Riesenfeld, J. Math. Phys. 10 (1969)
 1458).  That matrix is the one the occupation columns come from, and a
 row's ramps differ only in the drive's gain, so one march gives all
 their matrices, end point only (``propagate_row``): a cell's last digits
-depend on the other epsilons of its row, not on their order.  The row
-starts with the closed-form adiabatic segment over [0, t_s], t_s chosen
-so that its estimated error stays within tol/10, and marches [t_s, t_f].
-At the default tolerance n and b stay within 1e-10 relative of an
-extended-precision reference.  The epsilon = 0 segment is the exact
-nominal rotation, so the epsilon = 0 cell that ``reproduce`` checks
-against the invariant's closed form certifies the marched stretch
-[t_s, t_f] and the frame change; an all-nominal row has no segment and
-certifies the whole march.
+depend on the other epsilons of its row, not on their order.  A row
+starts with the closed-form adiabatic segment over [0, t_s] (within
+tol/10) and marches [t_s, t_f]; at the default tolerance n and b stay
+within 1e-10 relative of an extended-precision reference.  The
+epsilon = 0 segment is the exact nominal rotation, so the epsilon = 0
+cell that ``reproduce`` checks against the invariant's closed form
+certifies the march over [t_s, t_f] and the frame change.
 """
 
 from __future__ import annotations
@@ -94,7 +92,7 @@ def sweep_row(
             starts.append(f"perturbed start frequency squared {start_omega_sq:.3e} {problem}")
     marched = any(isinstance(start, GaussianState) for start in starts)
     try:
-        matrices = propagate_row(ramps, 0.0, t_final, options.tolerance) if marched else [None] * len(ramps)
+        matrices = propagate_row(ramps, t_final, options.tolerance) if marched else [None] * len(ramps)
     except IntegrationError as exc:
         if len(ramps) > 1:
             return [cell for epsilon in epsilons for cell in sweep_row(params, t_final, [epsilon], options)]

@@ -295,7 +295,7 @@ class TestTransferPropagation:
         for march in (
             lambda: propagate_transfer(traj, state0, 0.0, 1.0, tol=tol),
             lambda: transfer_series(traj, state0, [0.0, 0.5, 1.0], tol=tol),
-            lambda: propagate_row([traj], 0.0, 1.0, tol),
+            lambda: propagate_row([traj], 1.0, tol),
         ):
             start = time.perf_counter()
             with pytest.raises(ValueError, match="tol"):
@@ -395,7 +395,7 @@ class TestRowMarch:
         # starts with one stays within tol of the profile's march at tol 1e-13: n + 1/2 of a
         # thermal start at omega_0 and the Pinney b
         ramp = perturb_trajectory(make_trajectory(device_params, t_final), epsilon)
-        (row,) = propagate_row([ramp], 0.0, t_final)
+        (row,) = propagate_row([ramp], t_final)
         t_s, _ = dynamics._adiabatic_segment(ramp.spec, [ramp.f_scale], t_final, 1e-10)
         assert (t_s == 0.0) == (epsilon in (0.0, -1.2))
         _, alone = propagate_transfer(ramp.frequency_sq_fn(), squeezed_state(), 0.0, t_final, 1e-13 if t_s else 1e-10)
@@ -415,9 +415,9 @@ class TestRowMarch:
     def test_lane_order_changes_no_lane(self, device_params):
         nominal = make_trajectory(device_params, 0.5)
         epsilons = [-0.9, 0.0, 3.0]
-        first = propagate_row([perturb_trajectory(nominal, e) for e in epsilons], 0.0, 0.5)
+        first = propagate_row([perturb_trajectory(nominal, e) for e in epsilons], 0.5)
         for order in itertools.permutations(range(len(epsilons))):
-            marched = propagate_row([perturb_trajectory(nominal, epsilons[k]) for k in order], 0.0, 0.5)
+            marched = propagate_row([perturb_trajectory(nominal, epsilons[k]) for k in order], 0.5)
             assert [marched[order.index(k)] for k in range(len(epsilons))] == first
 
     def test_row_evaluates_the_kernel_once_per_node(self, device_params, monkeypatch):
@@ -435,7 +435,7 @@ class TestRowMarch:
         nominal = make_trajectory(device_params, 0.5)
         ramps = [perturb_trajectory(nominal, e) for e in (-0.1, 0.0, 0.1)]
         t_s, _ = dynamics._adiabatic_segment(nominal.spec, [r.f_scale for r in ramps], 0.5, 1e-10)
-        propagate_row(ramps, 0.0, 0.5)
+        propagate_row(ramps, 0.5)
         # the one-lane row that starts at the same t_s: its march alone
         dynamics._integrate_transfer(_drive(nominal, 1.0, 0.0), t_s, 0.5, 1e-10, lanes=[(1.0, ramps[2].eta * ramps[2].f_scale)])
         assert t_s > 0.0 and counts[0] == counts[1] < 6000

@@ -137,8 +137,9 @@ class TestSweep:
         # the first epsilon has no perturbed start, but its lane still marches: the row's
         # other cells keep the bits they have under the nominal start.  The -1.5 and -2
         # lanes set the row's steps, and the -2 cell's nominal moments overflow.  Each
-        # missing lane has u < 0 at t = 0, so its row has no adiabatic segment: the row
-        # without it is compared as the march from t = 0, without one too
+        # missing lane has u < 0 at t = 0, so its row has no adiabatic segment, while the
+        # row without it has one: that row holds the 1e-9 lane-against-alone bound, and,
+        # with the segment patched out, keeps the bits at -1.2 (the same step sequence)
         grid = [missing, -0.1, 0.0, 0.1]
         nominal = run_sweep(device_params, [t_final], grid)
         perturbed = run_sweep(device_params, [t_final], grid, SweepOptions(initial_state="perturbed"))
@@ -147,9 +148,15 @@ class TestSweep:
         assert all(row.status == "ok" for row in nominal[1:] + perturbed[1:])
         b_perturbed = [row.ermakov_b_final for row in perturbed[1:]]
         assert [row.ermakov_b_final for row in nominal[1:]] == b_perturbed
-        monkeypatch.setattr(dynamics, "_adiabatic_segment", lambda *args: (0.0, []))
+        ramp = make_trajectory(device_params, t_final)
+        scales = [perturb_trajectory(ramp, epsilon).f_scale for epsilon in grid]
+        assert dynamics._adiabatic_segment(ramp.spec, scales, t_final, 1e-10) == (0.0, [])
+        assert dynamics._adiabatic_segment(ramp.spec, scales[1:], t_final, 1e-10)[0] > 0.0
         alone = run_sweep(device_params, [t_final], grid[1:])
-        assert ([row.ermakov_b_final for row in alone] == b_perturbed) == (missing == -1.2)
+        assert [row.ermakov_b_final for row in alone] == pytest.approx(b_perturbed, rel=1e-9, abs=0.0)
+        monkeypatch.setattr(dynamics, "_adiabatic_segment", lambda *args: (0.0, []))
+        marched = run_sweep(device_params, [t_final], grid[1:])
+        assert ([row.ermakov_b_final for row in marched] == b_perturbed) == (missing == -1.2)
 
     def test_one_march_per_row(self, device_params, monkeypatch):
         calls = []
@@ -162,7 +169,7 @@ class TestSweep:
         monkeypatch.setattr(robustness, "propagate_row", counted)
         rows = run_sweep(device_params, [0.5, 1.0], [-0.1, 0.0, 0.1], SweepOptions(tolerance=1e-10))
         assert len(rows) == 6 and all(row.status == "ok" for row in rows)
-        assert calls == [(3, (0.0, 0.5, 1e-10)), (3, (0.0, 1.0, 1e-10))]
+        assert calls == [(3, (0.5, 1e-10)), (3, (1.0, 1e-10))]
 
     @pytest.mark.parametrize(
         "t_final,epsilons",
@@ -242,7 +249,7 @@ class TestSweep:
             SweepOptions(tolerance=tolerance)
         ramp = make_trajectory(device_params, 0.5)
         with pytest.raises(ValueError, match="tol must be positive and finite"):
-            propagate_row([ramp], 0.0, 0.5, tolerance)
+            propagate_row([ramp], 0.5, tolerance)
 
 
 class TestOverflow:
@@ -308,7 +315,7 @@ class TestReference:
         for t_final in sorted({cell["t_final"] for cell in cells}):
             nominal = make_trajectory(params, t_final)
             ramps = [perturb_trajectory(nominal, epsilon) for epsilon in epsilons]
-            assert all(abs(m.det - 1.0) <= 1e-13 for m in propagate_row(ramps, 0.0, t_final))
+            assert all(abs(m.det - 1.0) <= 1e-13 for m in propagate_row(ramps, t_final))
             row = dict(zip(epsilons, sweep_row(params, t_final, epsilons)))
             state0 = thermal_state(params, nominal.spec.omega0_sq, params.bath_temperature)
             for cell in (c for c in cells if c["t_final"] == t_final):

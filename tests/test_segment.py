@@ -29,7 +29,7 @@ def ramps(t_final, epsilons):
 
 
 def march(rows, t_final, tol):
-    """The parent march of a row: every lane from t = 0, no segment."""
+    """The plain march of a row: every lane from t = 0, no segment."""
     kernel = _drive(rows[0], 1.0, 0.0)
     return dynamics._integrate_transfer(kernel, 0.0, t_final, tol, lanes=[(1.0, r.eta * r.f_scale) for r in rows])
 
@@ -38,7 +38,7 @@ def n_and_b(matrix, omega0_sq):
     """n + 1/2 at t_f, n the sweep's occupation from the thermal start at omega_0, and the Pinney b.
 
     The occupation's error is measured against n + 1/2, as everywhere in this project: relative
-    to n alone, the parent march of the epsilon = 0.3 lane at t_f 0.5 already misses tol 1e-8 by
+    to n alone, the plain march of the epsilon = 0.3 lane at t_f 0.5 already misses tol 1e-8 by
     1.8 times and tol 1e-12 by 1.3 times (a per-step tolerance is not a global promise).
     """
     m11, m12, m21, m22 = matrix
@@ -65,7 +65,7 @@ def outcome(fn):
 def test_rows_stay_within_tol_of_a_tight_march(t_final, tol):
     rows = ramps(t_final, EPSILONS)
     omega0_sq = rows[0].spec.omega0_sq
-    for epsilon, row, ref in zip(EPSILONS, propagate_row(rows, 0.0, t_final, tol), reference(t_final)):
+    for epsilon, row, ref in zip(EPSILONS, propagate_row(rows, t_final, tol), reference(t_final)):
         assert abs(row.det - 1.0) <= 1e-13
         for value, expected in zip(n_and_b(astuple(row), omega0_sq), n_and_b(ref, omega0_sq)):
             assert abs(value / expected - 1.0) <= tol, (epsilon, value, expected)
@@ -81,9 +81,9 @@ def test_default_rows_start_with_a_segment():
 
 
 def test_lane_order_changes_no_lane():
-    first = propagate_row(ramps(1.0, EPSILONS), 0.0, 1.0)
+    first = propagate_row(ramps(1.0, EPSILONS), 1.0)
     for order in itertools.permutations(range(len(EPSILONS))):
-        marched = propagate_row(ramps(1.0, [EPSILONS[k] for k in order]), 0.0, 1.0)
+        marched = propagate_row(ramps(1.0, [EPSILONS[k] for k in order]), 1.0)
         assert [marched[order.index(k)] for k in range(len(EPSILONS))] == first
 
 
@@ -91,11 +91,11 @@ def test_lane_order_changes_no_lane():
     (1.0, (0.0,)),  # all nominal: the row still certifies the march
     (1.0, (0.0, 0.0)),
     (0.5, (-1.2, -0.1, 0.0, 0.1)),  # u < 0 at t = 0 on the -1.2 lane
-    (1.0, (-0.1, 1e308)),  # an infinite gain: the march fails, as the parent's did
+    (1.0, (-0.1, 1e308)),  # an infinite gain: the march fails, as it does without a segment
     (1e-6, (-0.1, 0.0, 0.1)),  # short ramps: the budget fails on the first grid cell
     (1e-3, (-0.1, 0.0, 0.1)),
 ])
 def test_rows_without_a_segment_are_the_march_bit_for_bit(t_final, epsilons):
     rows = ramps(t_final, epsilons)
     assert dynamics._adiabatic_segment(rows[0].spec, [r.f_scale for r in rows], t_final, 1e-10) == (0.0, [])
-    assert outcome(lambda: propagate_row(rows, 0.0, t_final)) == outcome(lambda: march(rows, t_final, 1e-10))
+    assert outcome(lambda: propagate_row(rows, t_final)) == outcome(lambda: march(rows, t_final, 1e-10))
