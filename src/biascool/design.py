@@ -93,21 +93,14 @@ def b_polynomial(s, chi: float):
     b(s) = 6(chi-1)s^5 - 15(chi-1)s^4 + 10(chi-1)s^3 + 1 interpolates
     b(0)=1 to b(1)=chi with b' = b'' = 0 at both ends.  Derivatives are
     with respect to s; divide by t_f and t_f^2 for time derivatives.
-    A scalar s gives three floats, an array three arrays and any other
-    sequence three lists (see ``_elementwise``); s must lie in [0, 1].
+    A float s gives three floats and an array three arrays, with the
+    float's bits per element; s must lie in [0, 1].
     """
     c = chi - 1.0
-
-    def terms(s):
-        outside = (s < 0.0) | (s > 1.0)
-        if (outside.any() if hasattr(outside, "any") else outside):  # an array or a bool
-            raise DesignError("s must lie in [0, 1]")
-        return (*_quintic(s, c), 60.0 * c * s * (2.0 * s - 1.0) * (s - 1.0))
-
-    result = _elementwise(terms, s)
-    if isinstance(result, list):  # one triple per item -> three lists
-        return tuple(map(list, zip(*result))) if result else ([], [], [])
-    return result
+    outside = (s < 0.0) | (s > 1.0)
+    if (outside.any() if hasattr(outside, "any") else outside):  # an array or a bool
+        raise DesignError("s must lie in [0, 1]")
+    return (*_quintic(s, c), 60.0 * c * s * (2.0 * s - 1.0) * (s - 1.0))
 
 
 def _quintic(s, c: float):
@@ -195,25 +188,9 @@ def _drive_terms(traj: ControlTrajectory) -> tuple[float, ...]:
     return eta, traj.spec.omega0_sq, t_f, t_f * t_f, 6.0 * c, 15.0 * c, 10.0 * c, 60.0 * c
 
 
-def _elementwise(fn, x):
-    """fn over a scalar, an array or a sequence, with the scalar call's bits per element.
-
-    A scalar (a 0-d array too) gives fn(float(x)); an array -- anything
-    with a nonzero ``ndim``, as numpy arrays have -- goes through fn's
-    arithmetic at once, as float64; any other iterable gives a list of
-    fn(item).  Nothing here imports numpy.
-    """
-    ndim = getattr(x, "ndim", None)
-    if ndim:
-        return fn(x.astype(float))
-    if ndim == 0 or not hasattr(x, "__iter__"):
-        return fn(float(x))
-    return list(map(fn, x))
-
-
 def control_function(traj: ControlTrajectory, t):
-    """Gate drive f(t) for a scalar, array or sequence t; f_scale multiplies f0."""
-    return _elementwise(_drive(traj, traj.f_scale, 0.0), t)
+    """Gate drive f(t) for a float or an array t; f_scale multiplies f0."""
+    return _drive(traj, traj.f_scale, 0.0)(t)
 
 
 def effective_frequency_profile(traj: ControlTrajectory, t):
@@ -222,7 +199,7 @@ def effective_frequency_profile(traj: ControlTrajectory, t):
     For the unperturbed ramp this equals omega_0^2/b^4 - b''/b by the
     Ermakov equation; both forms agree to rounding.
     """
-    return _elementwise(_drive(traj, traj.eta * traj.f_scale, 1.0), t)
+    return _drive(traj, traj.eta * traj.f_scale, 1.0)(t)
 
 
 class TrajectoryValidation(Record):

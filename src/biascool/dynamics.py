@@ -16,12 +16,13 @@ Two code paths live here:
   3 equal sub-steps into an 8th-order update, and normalises it to unit
   determinant, so each step is unimodular to rounding and the symplectic
   invariants are conserved structurally, not by luck of the tolerance.
-  ``transfer_series`` samples it as GaussianStates; ``propagate_row``
-  marches ramps differing only in the drive's gain as the lanes of one
-  march, one per t_final in the sweep, after a closed-form start over
-  [0, t_s] (``_adiabatic_segment``: in the invariant's Pinney time, the
-  exact rotation at omega_0 for epsilon = 0 and second-order WKB for the
-  others; t_s the furthest start whose estimated error is within tol/10).
+  ``transfer_series`` stops the march at each sample time and maps the
+  start state there; ``propagate_row`` marches ramps differing only in
+  the drive's gain as the lanes of one march, one per t_final in the
+  sweep, after a closed-form start over [0, t_s] (``_adiabatic_segment``:
+  in the invariant's Pinney time, the exact rotation at omega_0 for
+  epsilon = 0 and second-order WKB for the others; t_s the furthest start
+  whose estimated error is within tol/10).
   No CLI command samples it: ``simulate`` writes the nominal ramp's
   exact moments from the Lewis-Riesenfeld invariant (``cli._ramp_blocks``).
 * ``solve_ermakov_forward`` -- oracle for the auxiliary nonlinear
@@ -35,7 +36,7 @@ DOP853) live with the tests, in ``tests/oracles.py``.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 
 from . import thermometry
 from .design import ControlTrajectory, _b_derivs, _drive
@@ -287,12 +288,10 @@ def _extrapolated_step(
 
 def _integrate_transfer(
     q: FrequencyProfile,
-    t0: float, t1: float, tol: float,
-    samples: Sequence[float] | None = None,
-    emitted: list[list[tuple[float, float, float, float]]] | None = None,
+    t0: float, ends: Sequence[float], tol: float,
     lanes: Sequence[tuple[float, float]] = ((0.0, 1.0),),
-) -> list[tuple[float, float, float, float]]:
-    """Accumulate the fundamental matrix of each lane; return them at t1.
+) -> Iterator[list[tuple[float, float, float, float]]]:
+    """Accumulate the fundamental matrix of each lane; yield them at each end time, in order.
 
     A lane (offset, gain) marches the profile offset + gain * q(t); a plain
     profile is q itself, the lane (0.0, 1.0).  The lanes share one step
@@ -316,33 +315,25 @@ def _integrate_transfer(
     non-positive or non-finite determinant is rejected, as one with a NaN
     estimate is.
 
-    The lanes' matrices at each sample time are appended to ``emitted`` as
-    soon as the march passes it, so a caller that catches IntegrationError
-    keeps the samples reached before the failure.  An interior sample is
-    the same update over the sub-step from the last accepted point, so
-    sampling never alters the step sequence or the final matrices.
+    The ends ascend from t0, and the march stops at each: the step that
+    would pass an end is clipped to land on it, as the last step always
+    was on t1.  So interior ends shape the step sequence, and the last
+    end's matrices agree with a march to it alone within tol, not bit
+    for bit.  A caller that iterates keeps the matrices yielded before a
+    failure.
 
     Raises IntegrationError, with the time reached, on step-size
     underflow or once ``_MAX_STEPS`` steps have been attempted; a march
     whose estimated phase cannot fit in that budget is refused before the
     first step.  A matrix that overflowed is an IntegrationError too, at
     the time reached: the matrices are checked every
-    ``_OVERFLOW_CHECK_STEPS`` accepted steps and at the end, so sampled
-    matrices between the overflow and its check may already be emitted,
-    and a caller checks each sample it maps.
+    ``_OVERFLOW_CHECK_STEPS`` accepted steps and at each end.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    span = t1 - t0
-    if not span > 0.0:
-        raise ValueError("require t1 > t0")
-    targets = [float(v) for v in samples] if samples is not None else []
-    for a, b in zip(targets, targets[1:]):
-        if not b > a:
-            raise ValueError("samples must be strictly ascending")
-    # sample times match the march's to 1e-15 relative, on either side and whatever the sign
-    if targets and (targets[0] <= t0 or targets[-1] > max(t1 * (1 + 1e-15), t1 * (1 - 1e-15))):
-        raise ValueError("samples must lie in (t0, t1]")
+    if not ends or not all(b > a for a, b in zip((t0, *ends), ends)):
+        raise ValueError("end times must ascend from t0")
+    span = ends[-1] - t0
     max_phase = 1.5  # keep per-step phase below the Magnus convergence radius
     probe = span / _PHASE_PROBES  # the phase estimate is never below the span
     probes = [q(t0 + (k + 0.5) * probe) for k in range(_PHASE_PROBES)]
@@ -353,67 +344,49 @@ def _integrate_transfer(
             t0,
         )
 
-    if emitted is None:
-        emitted = []
     update, mmul, sqrt, isfinite = _extrapolated_step, _mmul, _sqrt, math.isfinite
-    n_targets = len(targets)
     t = t0
     Ms = [(1.0, 0.0, 0.0, 1.0)] * len(lanes)
-    next_target = 0
     h = span * 1e-4
     steps = accepted_steps = 0
     check_every = _OVERFLOW_CHECK_STEPS
 
-    while t < t1:
-        if h <= abs(t) * 1e-15 + span * 1e-16:
-            raise IntegrationError("transfer-matrix step size underflow", t)
-        if steps == _MAX_STEPS:
-            raise IntegrationError(f"transfer-matrix step budget ({_MAX_STEPS}) exhausted", t)
-        steps += 1
-        h_try = min(h, t1 - t)
-        qmid = q(t + 0.5 * h_try)
-        wscales = [sqrt(max(abs(o + g * qmid), 1.0)) for o, g in lanes]
-        wscale = max(wscales)
-        if wscale * h_try > max_phase:
-            h_try = max_phase / wscale
-            qmid = q(t + 0.5 * h_try)  # the midpoint of the clipped step
-        clipped = h_try < h
-        err, updates = update(q, lanes, wscales, t, h_try, qmid)
+    for end in ends:
+        while t < end:
+            if h <= abs(t) * 1e-15 + span * 1e-16:
+                raise IntegrationError("transfer-matrix step size underflow", t)
+            if steps == _MAX_STEPS:
+                raise IntegrationError(f"transfer-matrix step budget ({_MAX_STEPS}) exhausted", t)
+            steps += 1
+            h_try = min(h, end - t)
+            qmid = q(t + 0.5 * h_try)
+            wscales = [sqrt(max(abs(o + g * qmid), 1.0)) for o, g in lanes]
+            wscale = max(wscales)
+            if wscale * h_try > max_phase:
+                h_try = max_phase / wscale
+                qmid = q(t + 0.5 * h_try)  # the midpoint of the clipped step
+            clipped = h_try < h
+            err, updates = update(q, lanes, wscales, t, h_try, qmid)
 
-        accepted = err <= tol  # NaN error estimates reject
-        if accepted:
-            t_new = t + h_try
-            Ms_new = list(map(mmul, updates, Ms))
-            if next_target < n_targets:
-                hi, lo = t_new * (1 + 1e-15), t_new * (1 - 1e-15)
-                if t_new < 0.0:  # the relative slack flips with the sign
-                    hi, lo = lo, hi
-                while next_target < n_targets and targets[next_target] <= hi:
-                    target = targets[next_target]
-                    if target >= lo:
-                        emitted.append(Ms_new)
-                    else:
-                        sub = target - t
-                        _, partial = update(q, lanes, wscales, t, sub, q(t + 0.5 * sub))
-                        emitted.append(list(map(mmul, partial, Ms)))
-                    next_target += 1
-            t = t_new
-            Ms = Ms_new
-            accepted_steps += 1
-            if not accepted_steps % check_every and not all(isfinite(x) for M in Ms for x in M):
-                raise IntegrationError("transfer matrix overflowed", t)
-        if not isfinite(err):
-            factor = 0.2
-        elif err > 0.0:
-            factor = 0.9 * (tol / err) ** (1.0 / 9.0)
-        else:
-            factor = 5.0
-        h_new = h_try * min(5.0, max(0.2, factor))
-        h = max(h_new, h) if (clipped and accepted) else h_new
+            accepted = err <= tol  # NaN error estimates reject
+            if accepted:
+                t += h_try
+                Ms = list(map(mmul, updates, Ms))
+                accepted_steps += 1
+                if not accepted_steps % check_every and not all(isfinite(x) for M in Ms for x in M):
+                    raise IntegrationError("transfer matrix overflowed", t)
+            if not isfinite(err):
+                factor = 0.2
+            elif err > 0.0:
+                factor = 0.9 * (tol / err) ** (1.0 / 9.0)
+            else:
+                factor = 5.0
+            h_new = h_try * min(5.0, max(0.2, factor))
+            h = max(h_new, h) if (clipped and accepted) else h_new
 
-    if not all(isfinite(x) for M in Ms for x in M):
-        raise IntegrationError("transfer matrix overflowed", t)
-    return Ms
+        if not all(isfinite(x) for M in Ms for x in M):
+            raise IntegrationError("transfer matrix overflowed", t)
+        yield Ms
 
 
 def propagate_transfer(
@@ -428,7 +401,8 @@ def propagate_transfer(
     Inverted-potential windows (omega_eff^2 < 0) need no special
     handling: the elementary exponential simply goes hyperbolic.
     """
-    matrix = TransferMatrix(*_integrate_transfer(_profile(traj), t0, t1, tol)[0])
+    ((m,),) = _integrate_transfer(_profile(traj), t0, [t1], tol)
+    matrix = TransferMatrix(*m)
     return matrix.apply(state0, time=t1), matrix
 
 
@@ -438,7 +412,7 @@ def propagate_row(trajs: Sequence[ControlTrajectory], t1: float, tol: float = 1e
     over [t_s, t1] times ``_adiabatic_segment``'s matrices over [0, t_s] (the march alone where t_s = 0)."""
     kernel, lanes = _drive(trajs[0], 1.0, 0.0), [(1.0, r.eta * r.f_scale) for r in trajs]
     t_s, starts = _adiabatic_segment(trajs[0].spec, [r.f_scale for r in trajs], t1, tol)
-    marched = _integrate_transfer(kernel, t_s, t1, tol, lanes=lanes)
+    (marched,) = _integrate_transfer(kernel, t_s, [t1], tol, lanes=lanes)
     if not t_s:
         return [TransferMatrix(*m) for m in marched]
     return [TransferMatrix(*_mmul(m, s)) for m, s in zip(marched, starts)]
@@ -573,32 +547,25 @@ def transfer_series(
 ) -> tuple[list[GaussianState], TransferMatrix]:
     """States at the given times (ascending, starting at state0.time), and the span's matrix.
 
-    state0 itself comes first; every later state maps state0 by the matrix
-    the march emits at its time, through the one moment formula, with no
-    TransferMatrix built per sample.  An IntegrationError -- the march's, or a
-    sample whose moments overflowed, whichever comes first in time --
-    carries the states before it, state0 first, as ``.states``.
+    state0 itself comes first; the march stops at every later time, and
+    its state maps state0 by the matrix there, through the one moment
+    formula, with no TransferMatrix built per sample.  An IntegrationError
+    -- the march's, or a sample whose moments overflowed -- carries the
+    states before it, state0 first, as ``.states``.
     """
     times = [float(v) for v in times]
     if not times or not math.isclose(times[0], state0.time, rel_tol=0.0, abs_tol=1e-12):
         raise ValueError("times must start at the state's own time")
-    emitted: list[list[tuple[float, float, float, float]]] = []
-    failure: IntegrationError | None = None
-    try:
-        (m,) = _integrate_transfer(_profile(traj), times[0], times[-1], tol, times[1:], emitted)
-    except IntegrationError as exc:
-        failure = exc
     xx0, pp0, xp0 = state0.xx, state0.pp, state0.xp
     states = [state0]
     try:
-        for t, (mat,) in zip(times[1:], emitted):
-            _, xx, pp, xp = _moment_row(mat, xx0, pp0, xp0, t)
+        # strict: with no time past the first, the march is still asked for, and refuses
+        for t, (m,) in zip(times[1:], _integrate_transfer(_profile(traj), times[0], times[1:], tol), strict=True):
+            _, xx, pp, xp = _moment_row(m, xx0, pp0, xp0, t)
             states.append(GaussianState(xx, pp, xp, t))
     except IntegrationError as exc:
-        failure = exc
-    if failure is not None:
-        failure.states = states
-        raise failure
+        exc.states = states
+        raise
     return states, TransferMatrix(*m)
 
 
@@ -608,9 +575,9 @@ def transfer_series(
 class ErmakovResult(Record):
     """Sampled auxiliary scale factor; last entry is the end point."""
 
-    t: np.ndarray
-    b: np.ndarray
-    b_dot: np.ndarray
+    t: Sequence[float]  # numpy arrays, as RKResult's
+    b: Sequence[float]
+    b_dot: Sequence[float]
 
     @property
     def b_final(self) -> float:

@@ -51,8 +51,8 @@ _MAX_FACTOR = 10.0
 class RKResult(Record):
     """Sampled solution; ``t[0]`` is the start and ``t[-1]`` the end point."""
 
-    t: np.ndarray
-    y: np.ndarray  # shape (len(t), dim)
+    t: Sequence[float]  # a numpy array
+    y: Sequence[Sequence[float]]  # a numpy array of shape (len(t), dim)
     n_steps: int
     n_rejected: int
 

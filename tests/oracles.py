@@ -238,7 +238,7 @@ def simulate_rows(cfg: RunConfig, t_final: float, times: Sequence[float]) -> tup
     purity = e * e
     if purity == math.inf:
         return [], str(IntegrationError("purity (n_bar + 1/2)^2 overflowed", 0.0))
-    w_refs = traj.omega_eff_sq(list(times))
+    w_refs = traj.omega_eff_sq(np.asarray(times, dtype=float)).tolist()
     rows = []
     for (t, xx, pp, xp), w_ref in zip(invariant_moments(traj.spec, times, e), w_refs):
         n_inst = thermometry.occupation(xx, pp, w_ref) if w_ref > 0.0 else math.nan

@@ -363,10 +363,11 @@ class TestRampBlocks:
         for t_final in cfg.protocol.t_final:
             traj = make_trajectory(cfg.physical, t_final)
             for times in ranges(linspace(0.0, t_final, 41)):
-                b, _, _ = b_polynomial([t / t_final for t in times], traj.spec.chi)
-                omega_eff = [signed_sqrt(w) for w in traj.omega_eff_sq(times)]
+                t = np.array(times)
+                b, _, _ = b_polynomial(t / t_final, traj.spec.chi)
+                omega_eff = [signed_sqrt(w) for w in traj.omega_eff_sq(t).tolist()]
                 expected = [format_rows(zip(times, column), precision, fmt)
-                            for column in (control_function(traj, times), omega_eff, b)]
+                            for column in (control_function(traj, t).tolist(), omega_eff, b.tolist())]
                 assert cli._ramp_blocks(cfg, cli._DESIGN_TABLES, t_final, times) == (expected, None, None)
 
 

@@ -409,21 +409,6 @@ class TestStandardLibraryHelpers:
             expected = (np.sign(values) * np.sqrt(np.abs(values))).tolist()
         assert list(map(repr, map(signed_sqrt, values))) == list(map(repr, expected))
 
-    def test_sequences_give_lists_with_the_scalar_bits(self, device_params):
-        traj = make_trajectory(device_params, 0.5)
-        t = linspace(0.0, 0.5, 33)
-        for fn in (control_function, effective_frequency_profile):
-            values = fn(traj, t)
-            assert type(values) is list and values == [fn(traj, ti) for ti in t]
-            assert values == fn(traj, np.array(t)).tolist()
-        s = [ti / 0.5 for ti in t]
-        columns = b_polynomial(s, traj.spec.chi)
-        assert type(columns[0]) is list
-        assert columns == tuple(map(list, zip(*(b_polynomial(v, traj.spec.chi) for v in s))))
-        assert b_polynomial([], 2.0) == ([], [], [])
-        with pytest.raises(DesignError):
-            b_polynomial([0.5, 1.5], 2.0)
-
 
 class TestProperties:
     """Property tests of the standard-library paths against numpy; fixed seed, no database."""

@@ -152,18 +152,9 @@ class TestTransferPropagation:
             scale = np.abs(as_array(m_full)) + 1.0
             assert np.max(np.abs(composed - as_array(m_full)) / scale) < 1e-8
 
-    def test_series_endpoint_equals_one_shot(self, device_params):
-        # sampling must not alter the marching steps: bit-identical finals
-        traj = make_trajectory(device_params, 1.0)
-        state0 = thermal_state(device_params, traj.spec.omega0_sq, device_params.bath_temperature)
-        times = np.linspace(0.0, 1.0, 41).tolist()
-        states, m_series = transfer_series(traj, state0, times, tol=1e-10)
-        final, m_one = propagate_transfer(traj, state0, 0.0, 1.0, tol=1e-10)
-        assert (states[-1].xx, states[-1].pp, states[-1].xp) == (final.xx, final.pp, final.xp)
-        assert m_series == m_one
-
     def test_negative_times_match_the_shifted_grid(self):
-        # the sample window's 1e-15 slack must widen (t0, t1] whatever the sign of t
+        # the march stops at each sample time whatever its sign: the same ramp shifted
+        # to positive times gives the same states to rounding
         w = lambda t: 1.0 + 3.0 * math.sin(2.0 * t) ** 2
         shift = 3.0
         times = [-2.0, -1.5, -1.0, -0.5]
@@ -221,7 +212,7 @@ class TestTransferPropagation:
         def step(h):
             ws = math.sqrt(max(abs(w(t0 + 0.5 * h)), 1.0))
             estimate, (update,) = dynamics._extrapolated_step(w, [(0.0, 1.0)], [ws], t0, h, w(t0 + 0.5 * h))
-            (reference,) = dynamics._integrate_transfer(w, t0, t0 + h, 1e-14)
+            ((reference,),) = dynamics._integrate_transfer(w, t0, [t0 + h], 1e-14)
             d11, d12, d21, d22 = (a - b for a, b in zip(update, reference))
             return max(abs(d11), abs(d22), abs(d12) * ws, abs(d21) / ws), estimate
 
@@ -319,21 +310,20 @@ class TestTransferPropagation:
 
 class TestMomentRows:
     def test_states_are_the_moment_rows(self, device_params):
-        # each sampled state maps state0 by the matrix the march emits, through the
-        # one moment formula, and the series ends on the one-shot propagation's bits
+        # each sampled state maps state0 by the matrix the march yields at its time,
+        # through the one moment formula, and the series' matrix is the last of them
         traj = make_trajectory(device_params, 0.1)  # inverted windows: hyperbolic steps
         state0 = thermal_state(device_params, traj.spec.omega0_sq, device_params.bath_temperature)
         times = np.linspace(0.0, 0.1, 201).tolist()
-        emitted = []
-        dynamics._integrate_transfer(traj.frequency_sq_fn(), 0.0, 0.1, 1e-10, times[1:], emitted)
+        stops = list(dynamics._integrate_transfer(traj.frequency_sq_fn(), 0.0, times[1:], 1e-10))
         states, matrix = transfer_series(traj, state0, times)
         rows = [
-            dynamics._moment_row(m, state0.xx, state0.pp, state0.xp, t) for t, (m,) in zip(times[1:], emitted)
+            dynamics._moment_row(m, state0.xx, state0.pp, state0.xp, t) for t, (m,) in zip(times[1:], stops, strict=True)
         ]
         assert states[0] is state0
         assert [(s.time, s.xx, s.pp, s.xp) for s in states[1:]] == rows
         assert [s.time for s in states] == times
-        assert (states[-1], matrix) == propagate_transfer(traj, state0, 0.0, 0.1)
+        assert matrix == TransferMatrix(*stops[-1][0])
 
     @pytest.mark.parametrize("epsilon,what", [(-1.25, "second moments"), (-2.0, "transfer matrix")])
     def test_overflowing_propagation_is_an_integration_error(self, device_params, epsilon, what):
@@ -427,7 +417,7 @@ class TestRowMarch:
 
         def counted_march(kernel, *args, **kwargs):
             calls = []
-            result = integrate(lambda t: calls.append(t) or kernel(t), *args, **kwargs)
+            result = list(integrate(lambda t: calls.append(t) or kernel(t), *args, **kwargs))
             counts.append(len(calls))
             return result
 
@@ -437,7 +427,7 @@ class TestRowMarch:
         t_s, _ = dynamics._adiabatic_segment(nominal.spec, [r.f_scale for r in ramps], 0.5, 1e-10)
         propagate_row(ramps, 0.5)
         # the one-lane row that starts at the same t_s: its march alone
-        dynamics._integrate_transfer(_drive(nominal, 1.0, 0.0), t_s, 0.5, 1e-10, lanes=[(1.0, ramps[2].eta * ramps[2].f_scale)])
+        list(dynamics._integrate_transfer(_drive(nominal, 1.0, 0.0), t_s, [0.5], 1e-10, lanes=[(1.0, ramps[2].eta * ramps[2].f_scale)]))
         assert t_s > 0.0 and counts[0] == counts[1] < 6000
 
 

@@ -6,6 +6,7 @@ and hashing by field values, and the ``Name(field=value, ...)`` repr.
 
 import math
 import pickle
+import typing
 
 import numpy as np
 import pytest
@@ -71,6 +72,12 @@ def test_every_record_class_is_covered():
 
     product = {cls for cls in subclasses(Record) if cls.__module__.startswith("biascool.")} - {Record}
     assert product == set(CASES) and len(CASES) == 15
+
+
+@parametrize
+def test_annotations_resolve(cls):
+    # every field's annotation names something its module defines or imports
+    assert list(typing.get_type_hints(cls)) == list(cls._fields)
 
 
 @parametrize

@@ -31,7 +31,8 @@ def ramps(t_final, epsilons):
 def march(rows, t_final, tol):
     """The plain march of a row: every lane from t = 0, no segment."""
     kernel = _drive(rows[0], 1.0, 0.0)
-    return dynamics._integrate_transfer(kernel, 0.0, t_final, tol, lanes=[(1.0, r.eta * r.f_scale) for r in rows])
+    (matrices,) = dynamics._integrate_transfer(kernel, 0.0, [t_final], tol, lanes=[(1.0, r.eta * r.f_scale) for r in rows])
+    return matrices
 
 
 def n_and_b(matrix, omega0_sq):

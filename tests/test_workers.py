@@ -20,6 +20,7 @@ import time
 from functools import partial
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from biascool import cli
@@ -277,10 +278,11 @@ def test_design_files_are_write_table_of_the_rows(tmp_path, monkeypatch, capsys,
     for t_final in cfg.protocol.t_final:
         traj = make_trajectory(cfg.physical, t_final)
         t = linspace(0.0, t_final, 41)
-        omega_eff = [signed_sqrt(w) for w in traj.omega_eff_sq(t)]
+        omega_eff = [signed_sqrt(w) for w in traj.omega_eff_sq(np.array(t)).tolist()]
         assert (min(omega_eff) < 0.0) == (t_final == 0.1)
-        b, _, _ = b_polynomial([ti / t_final for ti in t], traj.spec.chi)
-        for name, values in (("f_t", control_function(traj, t)), ("omega_eff_t", omega_eff), ("b_t", b)):
+        b, _, _ = b_polynomial(np.array(t) / t_final, traj.spec.chi)
+        for name, values in (("f_t", control_function(traj, np.array(t)).tolist()), ("omega_eff_t", omega_eff),
+                             ("b_t", b.tolist())):
             path = tmp_path / "expected" / f"{name}_{tf_label(t_final)}.{fmt}"
             write_table(path, ("t_omega_m", "value"), zip(t, values), precision, fmt)
             expected[f"out/{path.name}"] = path.read_bytes()
