@@ -149,33 +149,28 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _one_round(*stages: tuple[list, list[float], Callable]) -> Iterator:
-    """Run every stage's tasks in one round; yield each stage's writer's return, in order.
+def _one_round(tasks: list[Callable]) -> Iterator:
+    """The results of the zero-argument ``tasks``, in list order, from one round.
 
-    A stage is ``_ramp_stage``'s or ``_sweep_stage``'s: zero-argument tasks, their costs, and the
-    writer of their results, which it takes as an iterator over every stage's results in task order.
-    ``sweep`` runs one round of ``_sweep_stage``, and ``reproduce`` one of design's and simulate's
-    ``_ramp_stage`` and ``_sweep_stage``.  A writer not reached raises none of its tasks' errors.
+    ``sweep`` runs its rows in one round, and ``reproduce`` its design ramps, its simulate ramps
+    and its sweep rows, in that order; each writer reads its own count of results from the one
+    iterator.  A result not read raises none of its task's errors.
 
     The tasks must be independent, do no I/O and print nothing.  They run on up to one worker per
     usable CPU, this process and forked children, which take the next task from one shared queue,
-    costliest first, whenever they finish one; so a worker on a slower CPU takes fewer.  In
-    ``reproduce`` the sweep rows (cost t_final > 0) start first, and the design and simulate ramps
-    (cost 0) fill the other workers.  Each child sends its results back marshalled, so they must be
-    plain data.  A task's exception comes back as its class's module and name and its args
-    (``_outcome``), and is rebuilt and raised when its turn comes, so the caller does what a one-CPU
-    run does and its output is the same bytes.  With one CPU or one task, without ``os.fork``, or
-    with a second Python thread alive, the tasks run here, lazily, one by one.
+    last first, whenever they finish one; so a worker on a slower CPU takes fewer, and in
+    ``reproduce`` the sweep rows start first while the ramps fill the other workers.  Each child
+    sends its results back marshalled, so they must be plain data.  A task's exception comes back
+    as its class's module and name and its args (``_outcome``), and is rebuilt and raised when its
+    turn comes, so the caller does what a one-CPU run does and its output is the same bytes.  With
+    one CPU or one task, without ``os.fork``, or with a second Python thread alive, the tasks run
+    here, lazily, one by one.
     """
-    tasks, costs, writers = zip(*stages)
-    tasks, costs = list(chain(*tasks)), list(chain(*costs))
     workers = min(len(tasks), _usable_cpus())
     threading = sys.modules.get("threading")  # never imported: no threading.Thread was started
     if workers < 2 or not hasattr(os, "fork") or (threading and threading.active_count() > 1):
-        results = (task() for task in tasks)
-    else:
-        results = _raise_in_order(_forked_outcomes(tasks, costs, workers))
-    return (write(results) for write in writers)
+        return (task() for task in tasks)
+    return _raise_in_order(_forked_outcomes(tasks, workers))
 
 
 def _outcome(task: Callable) -> tuple:
@@ -191,18 +186,17 @@ def _outcome(task: Callable) -> tuple:
         return (type(exc).__module__, type(exc).__qualname__, exc.args), None
 
 
-def _forked_outcomes(tasks: Sequence[Callable], costs: Sequence[float], workers: int) -> list:
+def _forked_outcomes(tasks: Sequence[Callable], workers: int) -> list:
     """The outcome of each task, run here and in ``workers - 1`` forked children.
 
-    The queue is a pipe holding one 8-byte record, the place in the costliest-first order of
-    the next task; a worker takes that task by reading the record and writing the next place
-    back, so claims wait for each other (a worker killed between the two would stall the rest).
-    Children always leave through ``os._exit`` and are reaped before this returns, killed first
-    on an exception (Ctrl-C included).  A child sends its ``(index, outcome)`` list marshalled
-    (``marshal`` is built in and loaded).  A task whose child ended without sending all its
-    outcomes fails with an OSError.
+    The queue is a pipe holding one 8-byte record, the place of the next task counted from the
+    list's end (place k is task ``len(tasks) - 1 - k``); a worker takes that task by reading the
+    record and writing the next place back, so claims wait for each other (a worker killed
+    between the two would stall the rest).  Children always leave through ``os._exit`` and are
+    reaped before this returns, killed first on an exception (Ctrl-C included).  A child sends
+    its ``(index, outcome)`` list marshalled (``marshal`` is built in and loaded).  A task whose
+    child ended without sending all its outcomes fails with an OSError.
     """
-    order = sorted(range(len(tasks)), key=lambda i: -costs[i])
     died = ("builtins", "OSError", ("a worker process ended without sending its results",))
     outcomes = [(died, None)] * len(tasks)
     queue_read, queue_write = os.pipe()
@@ -212,9 +206,9 @@ def _forked_outcomes(tasks: Sequence[Callable], costs: Sequence[float], workers:
         while True:
             place = int.from_bytes(os.read(queue_read, 8), "little")
             os.write(queue_write, (place + 1).to_bytes(8, "little"))
-            if place >= len(order):
+            if place >= len(tasks):
                 return
-            yield order[place]
+            yield len(tasks) - 1 - place
 
     children: list[tuple[int, int]] = []  # pid, read end of its pipe
     try:
@@ -346,11 +340,10 @@ def _ramp_blocks(cfg: RunConfig, tables: tuple, t_final: float, times: list[floa
     return blocks, rows[-1][2] if simulate and rows else None, failure
 
 
-def _ramp_stage(cfg: RunConfig, tables: tuple) -> tuple[list, list[float], Callable]:
-    """Each ramp as a task of cost 0 (one ``_ramp_blocks`` pass that returns ``tables``' text), and ``_ramp_files``."""
+def _ramp_tasks(cfg: RunConfig, tables: tuple) -> list:
+    """Each ramp as a task: one ``_ramp_blocks`` pass that returns ``tables``' text."""
     n = cfg.protocol.sample_count
-    tasks = [partial(_ramp_blocks, cfg, tables, t, linspace(0.0, t, n)) for t in cfg.protocol.t_final]
-    return tasks, [0.0] * len(tasks), partial(_ramp_files, cfg, tables)
+    return [partial(_ramp_blocks, cfg, tables, t, linspace(0.0, t, n)) for t in cfg.protocol.t_final]
 
 
 def _ramp_files(cfg: RunConfig, tables: tuple, ramps: Iterator) -> tuple:
@@ -361,7 +354,7 @@ def _ramp_files(cfg: RunConfig, tables: tuple, ramps: Iterator) -> tuple:
     written: list[Path] = []
     finals: dict[str, float] = {}
     first_failure: str | None = None
-    # zip draws a t_final before each result, so it reads no result of the round's next stage
+    # zip draws a t_final before each result, so it reads no result past its own ramps
     for t_final, (blocks, n_final, failure) in zip(cfg.protocol.t_final, ramps):
         first_failure = first_failure or failure
         if failure is None:
@@ -374,8 +367,7 @@ def _ramp_files(cfg: RunConfig, tables: tuple, ramps: Iterator) -> tuple:
 
 def cmd_ramps(cfg: RunConfig, tables: tuple) -> int:
     """``design`` and ``simulate``: run each ramp here, write its tables, print their paths, report a failure."""
-    tasks, _, write = _ramp_stage(cfg, tables)
-    written, _, failure = write(task() for task in tasks)
+    written, _, failure = _ramp_files(cfg, tables, (task() for task in _ramp_tasks(cfg, tables)))
     for path in written:
         print(path)
     return _report_failures(failure, [])
@@ -397,11 +389,10 @@ def _sweep_cells(*args) -> list[tuple]:
     return [astuple(result) for result in sweep_row(*args)]
 
 
-def _sweep_stage(cfg: RunConfig) -> tuple[list, list[float], Callable]:
-    """A task per sweep row (its cells march together) at cost t_final > 0, and ``_sweep_file``."""
+def _sweep_tasks(cfg: RunConfig) -> list:
+    """A task per sweep row: its cells march together."""
     options = SweepOptions(tolerance=cfg.protocol.tolerance, initial_state=cfg.sweep.initial_state)
-    tasks = [partial(_sweep_cells, cfg.physical, t, cfg.sweep.epsilon, options) for t in cfg.protocol.t_final]
-    return tasks, list(cfg.protocol.t_final), partial(_sweep_file, cfg)
+    return [partial(_sweep_cells, cfg.physical, t, cfg.sweep.epsilon, options) for t in cfg.protocol.t_final]
 
 
 def _sweep_file(cfg: RunConfig, rows: Iterator[list[tuple]]) -> tuple[Path, list[SweepResult]]:
@@ -412,7 +403,7 @@ def _sweep_file(cfg: RunConfig, rows: Iterator[list[tuple]]) -> tuple[Path, list
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    path, results = next(_one_round(_sweep_stage(cfg)))
+    path, results = _sweep_file(cfg, _one_round(_sweep_tasks(cfg)))
     print(path)
     return _report_failures(None, results)
 
@@ -453,23 +444,19 @@ def cmd_reproduce(cfg: RunConfig) -> int:
     out_dir = Path(cfg.output.directory)
     report = build_report(cfg)
 
-    stages = _one_round(
-        _ramp_stage(cfg, _DESIGN_TABLES),
-        _ramp_stage(cfg, _SIMULATE_TABLES),
-        _sweep_stage(cfg),
+    round_results = _one_round(
+        [*_ramp_tasks(cfg, _DESIGN_TABLES), *_ramp_tasks(cfg, _SIMULATE_TABLES), *_sweep_tasks(cfg)]
     )
-    written = next(stages)[0]
-    sim_written, finals, failure = next(stages)
+    written = _ramp_files(cfg, _DESIGN_TABLES, round_results)[0]
+    sim_written, finals, failure = _ramp_files(cfg, _SIMULATE_TABLES, round_results)
     written.extend(sim_written)
     if failure is not None:
         return _report_failures(failure, [])
     for label, n_final in finals.items():
         report.n_bar_final[label] = n_final
-        report.t_eff_final[label] = thermometry.effective_temperature(
-            cfg.physical.bare_frequency, n_final
-        )
+        report.t_eff_final[label] = thermometry.effective_temperature(cfg.physical.bare_frequency, n_final)
 
-    sweep_path, results = next(stages)
+    sweep_path, results = _sweep_file(cfg, round_results)
     written.append(sweep_path)
 
     report_path = out_dir / "report.json"

@@ -406,13 +406,13 @@ def propagate_transfer(
     return matrix.apply(state0, time=t1), matrix
 
 
-def propagate_row(trajs: Sequence[ControlTrajectory], t1: float, tol: float = 1e-10) -> list[TransferMatrix]:
-    """The transfer matrices from 0 to t1 of ramps with one nominal drive (spec and eta), such as one
+def propagate_row(trajs: Sequence[ControlTrajectory], tol: float = 1e-10) -> list[TransferMatrix]:
+    """The transfer matrices over [0, t_f] of ramps with one nominal drive (spec and eta), such as one
     ramp's ``perturb_trajectory`` copies: the lanes (1, eta f_scale) of the first's kernel f0, one march
-    over [t_s, t1] times ``_adiabatic_segment``'s matrices over [0, t_s] (the march alone where t_s = 0)."""
+    over [t_s, t_f] times ``_adiabatic_segment``'s matrices over [0, t_s] (the march alone where t_s = 0)."""
     kernel, lanes = _drive(trajs[0], 1.0, 0.0), [(1.0, r.eta * r.f_scale) for r in trajs]
-    t_s, starts = _adiabatic_segment(trajs[0].spec, [r.f_scale for r in trajs], t1, tol)
-    (marched,) = _integrate_transfer(kernel, t_s, [t1], tol, lanes=lanes)
+    t_s, starts = _adiabatic_segment(trajs[0].spec, [r.f_scale for r in trajs], tol)
+    (marched,) = _integrate_transfer(kernel, t_s, [trajs[0].t_final], tol, lanes=lanes)
     if not t_s:
         return [TransferMatrix(*m) for m in marched]
     return [TransferMatrix(*_mmul(m, s)) for m, s in zip(marched, starts)]
@@ -469,7 +469,7 @@ def _wkb(u: float, u1: float, u2: float, u3: float, u4: float) -> tuple[float, f
     return rho, rho * (d1 / e - u1 / (4.0 * u)), q2 + u**0.75 * (e - e**-3 - 4.0 * d)
 
 
-def _adiabatic_segment(spec, scales: Sequence[float], t1: float, tol: float) -> tuple[float, list]:
+def _adiabatic_segment(spec, scales: Sequence[float], tol: float) -> tuple[float, list]:
     """The switch time t_s and each lane's transfer matrix over [0, t_s], or (0.0, []).
 
     A lane of drive scale S is y_tautau + u y = 0 in x = b y, tau = int dt/b^2 (b the designed Pinney
@@ -478,7 +478,7 @@ def _adiabatic_segment(spec, scales: Sequence[float], t1: float, tol: float) -> 
     V = [[rho cos, rho sin], [rho_tau cos - sin/rho, rho_tau sin + cos/rho]] of ``_wkb``'s rho and
     Phi = int sqrt(u) / ((1 + delta)^2 b^2) dt (Gauss-Legendre).  With r rho's residual, its error is
     E = |int r / (2 rho sqrt(u) b^2) dt| + max |r| / (rho u) (trapezoids).  t_s ends steps of t_f/32,
-    halved down to t_f/128 where a lane's E would pass tol/10, at most t_f/4 and before t1; it is 0 for
+    halved down to t_f/128 where a lane's E would pass tol/10, and at most t_f/4; it is 0 for
     S = 1 lanes only, a u or rho not positive and finite, a matrix not finite or a first step over budget.
     """
     if all(s == 1.0 for s in scales):
@@ -502,7 +502,7 @@ def _adiabatic_segment(spec, scales: Sequence[float], t1: float, tol: float) -> 
         errs, stride = start and [(0.0, lane[3]) for lane in start[3]], _SWITCH_STRIDE * t_f
         while start is not None and stride >= _SWITCH_FINE * t_f:
             t = here[0] + stride
-            there = node(t) if t < t1 and t <= _SWITCH_LAST * t_f else None
+            there = node(t) if t <= _SWITCH_LAST * t_f else None
             if there is not None:  # each lane's integral and peak; a NaN peak stays
                 new = [(x + 0.5 * stride * (p[2] + q[2]), max(q[3], m)) for (x, m), p, q in zip(errs, here[3], there[3])]
                 if all(abs(x) + m <= budget for x, m in new):

@@ -69,93 +69,76 @@ def solve_rk(
 ) -> RKResult:
     """Integrate y' = fun(t, y) forward from t0 to t1.
 
-    ``t_eval`` points (strictly inside (t0, t1], ascending) are hit
-    exactly by clipping the step; without it, every accepted step is
-    recorded.  ``guard`` runs after each accepted step and may raise
-    IntegrationError to abort (used for singularity detection).
+    The march stops at each ``t_eval`` point (strictly inside (t0, t1],
+    ascending) and at t1: the step that would pass a stop is clipped to
+    land on it, and the state there is recorded; without ``t_eval``,
+    every accepted step is recorded.  ``guard`` runs after each accepted
+    step and may raise IntegrationError to abort (used for singularity
+    detection).
     """
-    if not t1 > t0:
-        raise ValueError("require t1 > t0")
-    t = t0
-    y = tuple(float(v) for v in y0)
-    dim = len(y)
-    k = [None] * 7
-    k[0] = fun(t, y)
-
-    capture_all = t_eval is None
-    targets = [] if capture_all else [float(v) for v in t_eval]
-    for a, b in zip(targets, targets[1:]):
-        if not b > a:
-            raise ValueError("t_eval must be strictly ascending")
-    if targets and (targets[0] <= t0 or targets[-1] > t1 * (1 + 1e-15)):
-        raise ValueError("t_eval must lie in (t0, t1]")
-    next_target = 0
-
-    ts = [t]
-    ys = [y]
+    every = t_eval is None  # record every accepted step, not only the stops
+    ends = [] if every else [float(v) for v in t_eval]
+    if not ends or ends[-1] != t1:
+        ends.append(t1)
+    if not all(b > a for a, b in zip((t0, *ends), ends)):
+        raise ValueError("require t1 > t0, and t_eval ascending strictly within (t0, t1]")
+    t, y = t0, tuple(float(v) for v in y0)
+    dim, k = len(y), [fun(t0, y)] + [None] * 6
+    ts, ys = [t], [y]
     span = t1 - t0
     h = span * 1e-4
-    n_steps = 0
-    n_rejected = 0
+    n_steps = n_rejected = 0
 
-    while t < t1:
-        if h <= abs(t) * 1e-15 + span * 1e-16:
-            raise IntegrationError("step size underflow", t)
-        h_try = min(h, t1 - t)
-        if not capture_all and next_target < len(targets):
-            h_try = min(h_try, targets[next_target] - t)
-        clipped = h_try < h
+    for end in ends:
+        while t < end:
+            if h <= abs(t) * 1e-15 + span * 1e-16:
+                raise IntegrationError("step size underflow", t)
+            h_try = min(h, end - t)
+            clipped = h_try < h
 
-        for i in range(1, 7):
-            ai = _A[i]
-            yi = tuple(
-                y[j] + h_try * sum(ai[l] * k[l][j] for l in range(i)) for j in range(dim)
-            )
-            k[i] = fun(t + _C[i] * h_try, yi)
-        y_new = yi  # 7th stage state is the 5th-order solution
+            for i in range(1, 7):
+                ai = _A[i]
+                yi = tuple(y[j] + h_try * sum(ai[l] * k[l][j] for l in range(i)) for j in range(dim))
+                k[i] = fun(t + _C[i] * h_try, yi)
+            y_new = yi  # 7th stage state is the 5th-order solution
 
-        err = 0.0
-        for j in range(dim):
-            e = h_try * sum(_E[l] * k[l][j] for l in range(7))
-            sc = atol + rtol * max(abs(y[j]), abs(y_new[j]))
-            q = abs(e) / sc
-            if not q >= 0.0:  # non-finite state or error estimate
-                err = math.inf
-                break
-            if q > err:
-                err = q
+            err = 0.0
+            for j in range(dim):
+                e = h_try * sum(_E[l] * k[l][j] for l in range(7))
+                sc = atol + rtol * max(abs(y[j]), abs(y_new[j]))
+                q = abs(e) / sc
+                if not q >= 0.0:  # non-finite state or error estimate
+                    err = math.inf
+                    break
+                if q > err:
+                    err = q
 
-        if err <= 1.0:
-            t = t + h_try
-            y = y_new
-            k[0] = k[6]
-            n_steps += 1
-            if guard is not None:
-                guard(t, y)
-            if capture_all:
-                ts.append(t)
-                ys.append(y)
-            elif next_target < len(targets) and t >= targets[next_target] * (1 - 1e-15):
-                ts.append(t)
-                ys.append(y)
-                next_target += 1
-        else:
-            n_rejected += 1
+            if err <= 1.0:
+                t, y, k[0] = t + h_try, y_new, k[6]
+                n_steps += 1
+                if guard is not None:
+                    guard(t, y)
+                if every:
+                    ts.append(t)
+                    ys.append(y)
+            else:
+                n_rejected += 1
 
-        if not math.isfinite(err):
-            factor = _MIN_FACTOR
-        elif err > 0.0:
-            factor = _SAFETY * (1.0 / err) ** 0.2
-        else:
-            factor = _MAX_FACTOR
-        h_new = h_try * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-        # a step shortened only to land on an output point must not
-        # shrink the controller's idea of the feasible step
-        h = max(h_new, h) if (clipped and err <= 1.0) else h_new
+            if not math.isfinite(err):
+                factor = _MIN_FACTOR
+            elif err > 0.0:
+                factor = _SAFETY * (1.0 / err) ** 0.2
+            else:
+                factor = _MAX_FACTOR
+            h_new = h_try * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+            # a step shortened only to land on a stop must not
+            # shrink the controller's idea of the feasible step
+            h = max(h_new, h) if (clipped and err <= 1.0) else h_new
 
-    if ts[-1] != t:
-        ts.append(t)
-        ys.append(y)
+        if not every:
+            ts.append(t)
+            ys.append(y)
+
     import numpy as np  # here only: no CLI command runs this solver
 
     return RKResult(np.asarray(ts), np.asarray(ys), n_steps, n_rejected)

@@ -92,7 +92,7 @@ def sweep_row(
             starts.append(f"perturbed start frequency squared {start_omega_sq:.3e} {problem}")
     marched = any(isinstance(start, GaussianState) for start in starts)
     try:
-        matrices = propagate_row(ramps, t_final, options.tolerance) if marched else [None] * len(ramps)
+        matrices = propagate_row(ramps, options.tolerance) if marched else [None] * len(ramps)
     except IntegrationError as exc:
         if len(ramps) > 1:
             return [cell for epsilon in epsilons for cell in sweep_row(params, t_final, [epsilon], options)]

@@ -64,3 +64,30 @@ def test_step_counts_reported():
     result = solve_rk(lambda t, y: (y[1], -y[0]), 0.0, (1.0, 0.0), 6.28, rtol=1e-9, atol=1e-12)
     assert result.n_steps > 10
     assert result.n_rejected >= 0
+
+
+def oscillator_from_minus_two(t_eval, guard=None):
+    """y'' = -y from y(-2) = 1, y'(-2) = 0 to t1 = -0.5: y = cos(t + 2), all at negative times."""
+    return solve_rk(lambda t, y: (y[1], -y[0]), -2.0, (1.0, 0.0), -0.5, rtol=1e-11, atol=1e-12, t_eval=t_eval, guard=guard)
+
+
+def assert_negative_samples(result):
+    assert list(result.t) == [-2.0, -1.5, -1.0, -0.6, -0.5]
+    np.testing.assert_allclose(result.y[:, 0], np.cos(result.t + 2.0), rtol=0.0, atol=1e-10)
+
+
+def test_samples_at_negative_times_are_stops():
+    # each sample time is a stop of the march, whatever its sign; the guard ends the run
+    # should a stop never be reached, as a step clipped to length 0 would repeat forever
+    steps = []
+
+    def guard(t, y):
+        steps.append(t)
+        if len(steps) > 100_000:
+            raise IntegrationError("no progress", t)
+
+    assert_negative_samples(oscillator_from_minus_two([-1.5, -1.0, -0.6], guard))
+
+
+def test_samples_may_end_at_a_negative_t1():
+    assert_negative_samples(oscillator_from_minus_two([-1.5, -1.0, -0.6, -0.5]))

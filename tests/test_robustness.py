@@ -150,8 +150,8 @@ class TestSweep:
         assert [row.ermakov_b_final for row in nominal[1:]] == b_perturbed
         ramp = make_trajectory(device_params, t_final)
         scales = [perturb_trajectory(ramp, epsilon).f_scale for epsilon in grid]
-        assert dynamics._adiabatic_segment(ramp.spec, scales, t_final, 1e-10) == (0.0, [])
-        assert dynamics._adiabatic_segment(ramp.spec, scales[1:], t_final, 1e-10)[0] > 0.0
+        assert dynamics._adiabatic_segment(ramp.spec, scales, 1e-10) == (0.0, [])
+        assert dynamics._adiabatic_segment(ramp.spec, scales[1:], 1e-10)[0] > 0.0
         alone = run_sweep(device_params, [t_final], grid[1:])
         assert [row.ermakov_b_final for row in alone] == pytest.approx(b_perturbed, rel=1e-9, abs=0.0)
         monkeypatch.setattr(dynamics, "_adiabatic_segment", lambda *args: (0.0, []))
@@ -163,13 +163,13 @@ class TestSweep:
         propagate = robustness.propagate_row
 
         def counted(ramps, *args):
-            calls.append((len(ramps), args))
+            calls.append((len(ramps), ramps[0].t_final, args))
             return propagate(ramps, *args)
 
         monkeypatch.setattr(robustness, "propagate_row", counted)
         rows = run_sweep(device_params, [0.5, 1.0], [-0.1, 0.0, 0.1], SweepOptions(tolerance=1e-10))
         assert len(rows) == 6 and all(row.status == "ok" for row in rows)
-        assert calls == [(3, (0.5, 1e-10)), (3, (1.0, 1e-10))]
+        assert calls == [(3, 0.5, (1e-10,)), (3, 1.0, (1e-10,))]
 
     @pytest.mark.parametrize(
         "t_final,epsilons",
@@ -249,7 +249,7 @@ class TestSweep:
             SweepOptions(tolerance=tolerance)
         ramp = make_trajectory(device_params, 0.5)
         with pytest.raises(ValueError, match="tol must be positive and finite"):
-            propagate_row([ramp], 0.5, tolerance)
+            propagate_row([ramp], tolerance)
 
 
 class TestOverflow:
@@ -315,7 +315,7 @@ class TestReference:
         for t_final in sorted({cell["t_final"] for cell in cells}):
             nominal = make_trajectory(params, t_final)
             ramps = [perturb_trajectory(nominal, epsilon) for epsilon in epsilons]
-            assert all(abs(m.det - 1.0) <= 1e-13 for m in propagate_row(ramps, t_final))
+            assert all(abs(m.det - 1.0) <= 1e-13 for m in propagate_row(ramps))
             row = dict(zip(epsilons, sweep_row(params, t_final, epsilons)))
             state0 = thermal_state(params, nominal.spec.omega0_sq, params.bath_temperature)
             for cell in (c for c in cells if c["t_final"] == t_final):

@@ -66,7 +66,7 @@ def outcome(fn):
 def test_rows_stay_within_tol_of_a_tight_march(t_final, tol):
     rows = ramps(t_final, EPSILONS)
     omega0_sq = rows[0].spec.omega0_sq
-    for epsilon, row, ref in zip(EPSILONS, propagate_row(rows, t_final, tol), reference(t_final)):
+    for epsilon, row, ref in zip(EPSILONS, propagate_row(rows, tol), reference(t_final)):
         assert abs(row.det - 1.0) <= 1e-13
         for value, expected in zip(n_and_b(astuple(row), omega0_sq), n_and_b(ref, omega0_sq)):
             assert abs(value / expected - 1.0) <= tol, (epsilon, value, expected)
@@ -76,15 +76,15 @@ def test_default_rows_start_with_a_segment():
     # reproduce's rows: the segment covers the start of each, so the march begins later
     for t_final in (0.5, 1.0, 2.0):
         rows = ramps(t_final, (-0.1, 0.0, 0.1))
-        t_s, matrices = dynamics._adiabatic_segment(rows[0].spec, [r.f_scale for r in rows], t_final, 1e-10)
+        t_s, matrices = dynamics._adiabatic_segment(rows[0].spec, [r.f_scale for r in rows], 1e-10)
         assert 0.04 * t_final < t_s < 0.25 * t_final and len(matrices) == 3
         assert all(abs(a * d - b * c - 1.0) <= 1e-13 for a, b, c, d in matrices)
 
 
 def test_lane_order_changes_no_lane():
-    first = propagate_row(ramps(1.0, EPSILONS), 1.0)
+    first = propagate_row(ramps(1.0, EPSILONS))
     for order in itertools.permutations(range(len(EPSILONS))):
-        marched = propagate_row(ramps(1.0, [EPSILONS[k] for k in order]), 1.0)
+        marched = propagate_row(ramps(1.0, [EPSILONS[k] for k in order]))
         assert [marched[order.index(k)] for k in range(len(EPSILONS))] == first
 
 
@@ -98,5 +98,5 @@ def test_lane_order_changes_no_lane():
 ])
 def test_rows_without_a_segment_are_the_march_bit_for_bit(t_final, epsilons):
     rows = ramps(t_final, epsilons)
-    assert dynamics._adiabatic_segment(rows[0].spec, [r.f_scale for r in rows], t_final, 1e-10) == (0.0, [])
-    assert outcome(lambda: propagate_row(rows, t_final)) == outcome(lambda: march(rows, t_final, 1e-10))
+    assert dynamics._adiabatic_segment(rows[0].spec, [r.f_scale for r in rows], 1e-10) == (0.0, [])
+    assert outcome(lambda: propagate_row(rows)) == outcome(lambda: march(rows, t_final, 1e-10))

@@ -47,9 +47,9 @@ def config(tmp_path, **replacements):
     return str(path)
 
 
-def round_of(fn, costs):
-    """``fn(i)`` for each task i, one per cost, from one ``cli._one_round`` whose writer lists its results."""
-    return next(cli._one_round(([partial(fn, i) for i in range(len(costs))], costs, list)))
+def round_of(fn, n):
+    """``fn(i)`` for each of n tasks i, listed from one ``cli._one_round``."""
+    return list(cli._one_round([partial(fn, i) for i in range(n)]))
 
 
 def run(monkeypatch, capsys, workdir, argv, workers):
@@ -420,24 +420,64 @@ def test_one_cpu_in_the_affinity_mask_runs_in_process(tmp_path):
     assert run.stdout.splitlines()[-1] == "1 0 0"
 
 
-def test_each_worker_takes_the_costliest_task_left(monkeypatch):
+def test_each_worker_takes_the_last_task_left(monkeypatch):
     # every worker's tasks, in the order it ran them, follow the queue's
-    # costliest-first order; equal costs keep the item order
+    # last-first order; the results come back in list order
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-    costs = [0.5, 0.0, 0.5, 1.0, 0.0, 1.0, 2.0, 0.0, 2.0] * 20
-    queue = sorted(range(len(costs)), key=lambda i: -costs[i])
+    n = 180
+    queue = list(reversed(range(n)))
     runs = itertools.count()  # each process counts its own calls from 0
 
     def task(i):
         return os.getpid(), next(runs), i
 
-    results = round_of(task, costs)
-    assert [i for _, _, i in results] == list(range(len(costs)))
+    results = round_of(task, n)
+    assert [i for _, _, i in results] == list(range(n))
     by_worker = {}
     for pid, run_number, i in sorted(results):
         by_worker.setdefault(pid, []).append(i)
     for taken in by_worker.values():
         assert taken == [i for i in queue if i in taken]
+
+
+def test_reproduce_claims_its_sweep_rows_first(tmp_path, monkeypatch, capsys):
+    # on 2 workers the queue's first three claims are the sweep rows, largest t_final first, then
+    # simulate's ramps and design's, each last first.  A worker logs the place it reads from the
+    # queue while it holds the queue's one record (during main only the queue is read with
+    # os.read), and the task it runs next; its k-th task is its k-th claim
+    log = os.open(tmp_path / "log", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+    read = os.read
+
+    def claiming(fd, n):
+        data = read(fd, n)
+        os.write(log, b"claim %d %d\n" % (os.getpid(), int.from_bytes(data, "little")))
+        return data
+
+    def logged(fn, kind):
+        def task(*args):
+            os.write(log, f"task {os.getpid()} {kind(*args)}\n".encode())
+            return fn(*args)
+        return task
+
+    monkeypatch.setattr(os, "read", claiming)
+    monkeypatch.setattr(cli, "_sweep_cells", logged(cli._sweep_cells, lambda params, t_final, *_: f"sweep {t_final}"))
+    monkeypatch.setattr(cli, "_ramp_blocks", logged(cli._ramp_blocks, lambda cfg, tables, t_final, times: (
+        f"{'design' if tables is cli._DESIGN_TABLES else 'simulate'} {t_final}"
+    )))
+    try:
+        rc, out, err, files, forks = run(monkeypatch, capsys, tmp_path / "many", ["reproduce", "--out", "out"], 2)
+    finally:
+        os.close(log)
+    assert (rc, err, forks) == (0, "", 1)
+    claims, tasks = {}, {}
+    for line in (tmp_path / "log").read_text().splitlines():
+        event, pid, what = line.split(" ", 2)
+        (claims if event == "claim" else tasks).setdefault(pid, []).append(what)
+    claimed = sorted((int(place), task) for pid in tasks for place, task in zip(claims[pid], tasks[pid]))
+    assert [place for place, _ in claimed] == list(range(9))
+    assert [task for _, task in claimed] == [
+        f"{kind} {t_final}" for kind in ("sweep", "simulate", "design") for t_final in (2.0, 1.0, 0.5)
+    ]
 
 
 def test_any_number_of_tasks(monkeypatch):
@@ -452,7 +492,7 @@ def test_any_number_of_tasks(monkeypatch):
 
     monkeypatch.setattr(os, "fork", counted_fork)
     n = 20_000
-    assert round_of(lambda i: -i, [1.0] * n) == [-i for i in range(n)]
+    assert round_of(lambda i: -i, n) == [-i for i in range(n)]
     assert len(forks) == 1
     with pytest.raises(ChildProcessError):  # the worker was reaped
         os.waitpid(-1, os.WNOHANG)
@@ -470,7 +510,7 @@ def test_an_interrupt_kills_the_workers(monkeypatch):
 
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
-        round_of(task, [1.0, 1.0])
+        round_of(task, 2)
     assert time.monotonic() - start < 30
     with pytest.raises(ChildProcessError):  # the worker was reaped
         os.waitpid(-1, os.WNOHANG)
@@ -592,7 +632,7 @@ def test_a_child_sends_marshal(tmp_path, monkeypatch, result):
 
         monkeypatch.setattr(cli, "marshal", SimpleNamespace(dumps=dumps, loads=marshal.loads))
         try:
-            outcomes = cli._forked_outcomes([task, task], [1.0, 1.0], 2)
+            outcomes = cli._forked_outcomes([task, task], 2)
         finally:
             for fd in (taken_read, taken_write, parent_read, parent_write):
                 os.close(fd)
@@ -637,7 +677,7 @@ def given(run):
         return f"{type(exc).__module__}.{type(exc).__qualname__}: {exc}"
 
 
-def forked(tasks, costs):
+def forked(tasks):
     taken_read, taken_write = os.pipe()
     waited = []
 
@@ -649,7 +689,7 @@ def forked(tasks, costs):
         return task()
 
     try:
-        return given(lambda: next(cli._one_round(([partial(call, task) for task in tasks], costs, list)))), waited
+        return given(lambda: list(cli._one_round([partial(call, task) for task in tasks]))), waited
     finally:
         os.close(taken_read)
         os.close(taken_write)
@@ -657,14 +697,14 @@ def forked(tasks, costs):
 
 design, rows, hot, tiny = map(load_config, sys.argv[1:])
 rounds = [
-    ("design", cli._ramp_stage(design, cli._DESIGN_TABLES), ",-"),
-    ("sweep", cli._sweep_stage(rows), "nan"),
-    ("simulate", cli._ramp_stage(hot, cli._SIMULATE_TABLES), "occupation overflowed"),
-    ("raised", cli._ramp_stage(tiny, cli._SIMULATE_TABLES), "ParameterError: eta"),
+    ("design", cli._ramp_tasks(design, cli._DESIGN_TABLES), ",-"),
+    ("sweep", cli._sweep_tasks(rows), "nan"),
+    ("simulate", cli._ramp_tasks(hot, cli._SIMULATE_TABLES), "occupation overflowed"),
+    ("raised", cli._ramp_tasks(tiny, cli._SIMULATE_TABLES), "ParameterError: eta"),
 ]
 print("imported", "pickle" in sys.modules)
-for name, (tasks, costs, _), marker in rounds:
-    results, waited = forked(tasks, costs)
+for name, tasks, marker in rounds:
+    results, waited = forked(tasks)
     one = given(lambda: [task() for task in tasks])
     print(name, waited in ([], [True]), results == one, "pickle" in sys.modules, marker in one)
 """
