@@ -21,7 +21,7 @@ Two code paths live here:
   the drive's gain as the lanes of one march, one per t_final in the
   sweep, after a closed-form start over [0, t_s] (``_adiabatic_segment``:
   in the invariant's Pinney time, the exact rotation at omega_0 for
-  epsilon = 0 and second-order WKB for the others; t_s the furthest start
+  epsilon = 0 and fourth-order WKB for the others; t_s the furthest start
   whose estimated error is within tol/10).
   No CLI command samples it: ``simulate`` writes the nominal ramp's
   exact moments from the Lewis-Riesenfeld invariant (``cli._ramp_blocks``).
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterator, Sequence
+from operator import mul as _mul
 
 from . import thermometry
 from .design import ControlTrajectory, _b_derivs, _drive
@@ -434,39 +435,79 @@ _SWITCH_STRIDE, _SWITCH_FINE, _SWITCH_LAST = 1.0 / 32.0, 1.0 / 128.0, 0.25
 
 def _series_mul(a: Sequence[float], b: Sequence[float], n: int) -> list[float]:
     """The first n Taylor coefficients of the product of two series."""
-    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(n)]
+    return [sum(map(_mul, a, b[k::-1])) for k in range(n)]
 
 
 def _pinney_terms(t: float, c: float, t_f: float) -> tuple[float, float, list[float]]:
-    """b, b_t and [g, D g, ..., D^4 g] at t, g = b^4 + b^3 b_tt, D = b^2 d/dt = d/dtau: truncated
+    """b, b_t and [g, D g, ..., D^6 g] at t, g = b^4 + b^3 b_tt, D = b^2 d/dt = d/dtau: truncated
     Taylor arithmetic in t on the quintic b of c = chi - 1, whose series is exact."""
     h = 1.0 / t_f
     b, b1, b2, b3, b4 = _b_derivs(t * h, c)
-    series = (b, b1 * h, b2 * h * h / 2.0, b3 * h**3 / 6.0, b4 * h**4 / 24.0, 6.0 * c * h**5, 0.0)
-    bb = _series_mul(series, series, 5)
-    g = _series_mul(_series_mul(bb, series, 5), [series[k] + (k + 1) * (k + 2) * series[k + 2] for k in range(5)], 5)
+    series = (b, b1 * h, b2 * h * h / 2.0, b3 * h**3 / 6.0, b4 * h**4 / 24.0, 6.0 * c * h**5, 0.0, 0.0, 0.0)
+    bb = _series_mul(series, series, 7)
+    g = _series_mul(_series_mul(bb, series, 7), [series[k] + (k + 1) * (k + 2) * series[k + 2] for k in range(7)], 7)
     terms = [g[0]]
-    for k in range(4, 0, -1):
+    for k in range(6, 0, -1):
         g = _series_mul(bb, [j * x for j, x in enumerate(g) if j], k)
         terms.append(g[0])
     return b, b1 * h, terms
 
 
-def _delta(u: float, u1: float, u2: float) -> float:
-    """The second-order WKB correction delta = u_tautau/(16 u^2) - 5 u_tau^2/(64 u^3)."""
-    return (u2 - 1.25 * u1 * u1 / u) / (16.0 * u * u)
+def _wkb(
+    u: float, u1: float, u2: float, u3: float, u4: float, u5: float, u6: float
+) -> tuple[float, float, float, float] | None:
+    """rho = W^(-1/2), rho_tau, the phase's end term P and W's residual R = u - W^2 + W^(1/2) (W^(-1/2))_tautau,
+    from u and its first six tau-derivatives; None if u, or W^2 at an iterate, is not positive and finite.
+
+    W is the second iterate of W^2 = u + F from W^2 = u, F = W^(1/2) (W^(-1/2))_tautau = l_tau^2/16 -
+    l_tautau/4 for l = log W^2: fourth-order WKB (Bender & Orszag, Advanced Mathematical Methods, ch. 10).
+    Each iterate multiplies W^2 by 1 + x, x carried by its derivatives and those of log(1 + x) (the
+    recurrence of (log a)' a = a'), so R = F(l_2) - F(l_1), a sixth-order difference, comes without
+    cancellation.  The phase int W dtau is, to fourth order and by parts, P(t_s) - P(0) plus the integral
+    of ``_phase_rate``, with P = (-p1/8 + (p3/32 - 9 p1 p2/64 + 95 p1^3/768)/u)/sqrt(u), p_k = u^(k)/u.
+    """
+    if not 0.0 < u < math.inf:
+        return None
+    v = 1.0 / u
+    p1, p2, p3, p4, p5, p6 = u1 * v, u2 * v, u3 * v, u4 * v, u5 * v, u6 * v
+    l2 = p2 - p1 * p1  # the derivatives of log u
+    l3 = p3 - 2.0 * p1 * l2 - p2 * p1
+    l4 = p4 - 3.0 * p1 * l3 - 3.0 * p2 * l2 - p3 * p1
+    l5 = p5 - 4.0 * p1 * l4 - 6.0 * p2 * l3 - 4.0 * p3 * l2 - p4 * p1
+    l6 = p6 - 5.0 * p1 * l5 - 10.0 * p2 * l4 - 10.0 * p3 * l3 - 5.0 * p4 * l2 - p5 * p1
+    v = v / 16.0  # 16 F(log u)/u = x, W_1^2 = u (1 + x), and its derivatives
+    x0 = (p1 * p1 - 4.0 * l2) * v
+    x1 = (2.0 * p1 * l2 - 4.0 * l3) * v - p1 * x0
+    x2 = (2.0 * (l2 * l2 + p1 * l3) - 4.0 * l4) * v - 2.0 * p1 * x1 - p2 * x0
+    x3 = (2.0 * (3.0 * l2 * l3 + p1 * l4) - 4.0 * l5) * v - 3.0 * p1 * x2 - 3.0 * p2 * x1 - p3 * x0
+    x4 = (2.0 * (3.0 * l3 * l3 + 4.0 * l2 * l4 + p1 * l5) - 4.0 * l6) * v
+    x4 -= 4.0 * p1 * x3 + 6.0 * p2 * x2 + 4.0 * p3 * x1 + p4 * x0
+    w = 1.0 + x0
+    if not w > 0.0:
+        return None
+    y1, y2, y3, y4 = x1 / w, x2 / w, x3 / w, x4 / w
+    m2 = y2 - y1 * y1  # the derivatives of log(1 + x)
+    m3 = y3 - 2.0 * y1 * m2 - y2 * y1
+    m4 = y4 - 3.0 * y1 * m3 - 3.0 * y2 * m2 - y3 * y1
+    a1, a2, v = p1 + y1, l2 + m2, v / w  # the derivatives of l_1 = log W_1^2; z = 16 (F(l_1) - F(log u))/W_1^2
+    z0 = (y1 * (2.0 * p1 + y1) - 4.0 * m2) * v
+    z1 = (m2 * (2.0 * p1 + y1) + y1 * (2.0 * l2 + m2) - 4.0 * m3) * v - a1 * z0
+    z2 = (m3 * (2.0 * p1 + y1) + 2.0 * m2 * (2.0 * l2 + m2) + y1 * (2.0 * l3 + m3) - 4.0 * m4) * v
+    z2 -= 2.0 * a1 * z1 + (a2 + a1 * a1) * z0
+    w2 = u * w * (1.0 + z0)  # W_2^2
+    if not 0.0 < w2 < math.inf:
+        return None
+    n1 = z1 / (1.0 + z0)
+    n2 = z2 / (1.0 + z0) - n1 * n1
+    rho = w2**-0.25
+    end = (-p1 / 8.0 + (p3 / 32.0 - 9.0 / 64.0 * p1 * p2 + 95.0 / 768.0 * p1**3) / u) / _sqrt(u)
+    return rho, -0.25 * rho * (a1 + n1), end, n1 * (2.0 * a1 + n1) / 16.0 - n2 / 4.0
 
 
-def _wkb(u: float, u1: float, u2: float, u3: float, u4: float) -> tuple[float, float, float]:
-    """rho = u^(-1/4) (1 + delta), rho_tau and rho's Ermakov residual rho_tautau + u rho - 1/rho^3,
-    from u and its first four tau-derivatives."""
-    v, w, d = u * u, u * u * u, _delta(u, u1, u2)
-    d1 = u3 / (16.0 * v) - 9.0 * u1 * u2 / (32.0 * w) + 15.0 * u1**3 / (64.0 * w * u)
-    e = 1.0 + d
-    rho = u**-0.25 * e
-    q2 = u4 / 16.0 - (7.0 / 16.0 * u1 * u3 + 19.0 / 64.0 * u2 * u2) / u
-    q2 = (q2 + (221.0 / 128.0 * u1 * u1 * u2 - 1105.0 / 1024.0 * u1**4 / u) / v) * u**-2.25  # (u^(-1/4) delta)_tautau
-    return rho, rho * (d1 / e - u1 / (4.0 * u)), q2 + u**0.75 * (e - e**-3 - 4.0 * d)
+def _phase_rate(u: float, u1: float, u2: float) -> float:
+    """W to fourth order less the tau-derivative of ``_wkb``'s end term P, from u, u_tau and u_tautau."""
+    p1, p2 = u1 / u, u2 / u
+    return _sqrt(u) * (1.0 - (p1 * p1 + (0.25 * p2 * p2 - 35.0 / 64.0 * p1**4) / u) / (32.0 * u))
 
 
 def _adiabatic_segment(spec, scales: Sequence[float], tol: float) -> tuple[float, list]:
@@ -475,37 +516,42 @@ def _adiabatic_segment(spec, scales: Sequence[float], tol: float) -> tuple[float
     A lane of drive scale S is y_tautau + u y = 0 in x = b y, tau = int dt/b^2 (b the designed Pinney
     scale), u = S omega_0^2 + (1 - S)(b^4 + b^3 b_tt) (Lewis & Riesenfeld, J. Math. Phys. 10 (1969)
     1458): S = 1 is the exact rotation at omega_0.  Its matrix is [[b, 0], [b_t, 1/b]](t_s) V(t_s) V(0)^-1,
-    V = [[rho cos, rho sin], [rho_tau cos - sin/rho, rho_tau sin + cos/rho]] of ``_wkb``'s rho and
-    Phi = int sqrt(u) / ((1 + delta)^2 b^2) dt (Gauss-Legendre).  With r rho's residual, its error is
-    E = |int r / (2 rho sqrt(u) b^2) dt| + max |r| / (rho u) (trapezoids).  t_s ends steps of t_f/32,
-    halved down to t_f/128 where a lane's E would pass tol/10, and at most t_f/4; it is 0 for
-    S = 1 lanes only, a u or rho not positive and finite, a matrix not finite or a first step over budget.
+    V = [[rho cos, rho sin], [rho_tau cos - sin/rho, rho_tau sin + cos/rho]] of ``_wkb``'s rho and phase
+    Phi (its integral by Gauss-Legendre).  With R the residual of rho's W, its error is
+    E = |int R / (2 sqrt(u) b^2) dt| + max |R| / u + 2^-53 int sqrt(u) / b^2 dt (trapezoids), the last
+    term the rounding of Phi: without it a phase of ~1e28 rad (bare_frequency 1e-20) passed, and the
+    row's eps = 0.1 cell moved by 2 % between tol 1e-8 and 1e-12.  t_s ends steps of t_f/32, halved
+    down to t_f/128 where a lane's E would pass tol/10, and at most t_f/4; it is 0 for S = 1 lanes
+    only, a u or W^2 not positive and finite, a matrix not finite or a first step over budget.
     """
     if all(s == 1.0 for s in scales):
         return 0.0, []
     c, t_f, budget, sqrt = spec.chi - 1.0, spec.t_final, 0.1 * tol, _sqrt
     lanes = [(s * spec.omega0_sq, 1.0 - s) for s in scales]
 
-    def node(t):  # (t, b, b_t, each lane's (rho, rho_tau, E's rate, E's amplitude term)), or None
+    def node(t):  # (t, b, b_t, each lane's (rho, rho_tau, P, E's rate, E's amplitude term, phase rate)), or None
         b, bd, (g, *dg) = _pinney_terms(t, c, t_f)
         out = []
         for a, e in lanes:
             u = a + e * g
-            rho, rho_t, r = _wkb(u, *(e * x for x in dg)) if 0.0 < u < math.inf else (0.0, 0.0, 0.0)
-            if not rho > 0.0:
+            lane = _wkb(u, *[e * x for x in dg])
+            if lane is None:
                 return None
-            out.append((rho, rho_t, r / (2.0 * rho * sqrt(u) * b * b), abs(r) / (rho * u)))
+            rho, rho_t, end, r = lane
+            rate = sqrt(u) / (b * b)
+            out.append((rho, rho_t, end, 0.5 * r * rate / u, abs(r) / u, rate))
         return t, b, bd, out
 
     try:
         here = start = node(0.0)
-        errs, stride = start and [(0.0, lane[3]) for lane in start[3]], _SWITCH_STRIDE * t_f
+        errs, stride = start and [(0.0, lane[4], 0.0) for lane in start[3]], _SWITCH_STRIDE * t_f
         while start is not None and stride >= _SWITCH_FINE * t_f:
             t = here[0] + stride
             there = node(t) if t <= _SWITCH_LAST * t_f else None
-            if there is not None:  # each lane's integral and peak; a NaN peak stays
-                new = [(x + 0.5 * stride * (p[2] + q[2]), max(q[3], m)) for (x, m), p, q in zip(errs, here[3], there[3])]
-                if all(abs(x) + m <= budget for x, m in new):
+            if there is not None:  # each lane's integral, peak and phase; a NaN peak stays
+                new = [(x + 0.5 * stride * (p[3] + q[3]), max(q[4], m), f + 0.5 * stride * (p[5] + q[5]))
+                       for (x, m, f), p, q in zip(errs, here[3], there[3])]
+                if all(abs(x) + m + f * 2.0**-53 <= budget for x, m, f in new):
                     here, errs = there, new
                     continue
             stride *= 0.5
@@ -513,7 +559,8 @@ def _adiabatic_segment(spec, scales: Sequence[float], tol: float) -> tuple[float
             return 0.0, []
         t_s, b, bd, ends = here
         # closed forms of g, D g, D^2 g: Taylor arithmetic to 3 terms took 0.55 ms more a row (2 vCPUs, Python 3.11)
-        h, width, phases = 1.0 / t_f, t_s / _PHASE_PANELS, [0.0] * len(lanes)
+        h, width = 1.0 / t_f, t_s / _PHASE_PANELS
+        phases = [end[2] - end0[2] for end0, end in zip(start[3], ends)]
         for x, w in ((p + x, w * width) for p in range(_PHASE_PANELS) for x, w in _GAUSS12):
             bn, b1, b2, b3, b4 = _b_derivs(x * width * h, c)
             b1, b2, b3, b4 = b1 * h, b2 * h * h, b3 * h**3, b4 * h**4
@@ -523,10 +570,8 @@ def _adiabatic_segment(spec, scales: Sequence[float], tol: float) -> tuple[float
                   + 6.0 * bn * b1 * b3 + bn * bn * b4) * bn
             d1, d2 = bn * bn * g1, bn**4 * g2 + 2.0 * bn**3 * b1 * g1
             for i, (a, e) in enumerate(lanes):
-                u = a + e * g
-                d = 1.0 + _delta(u, e * d1, e * d2)
-                phases[i] += w * sqrt(u) / (d * d * bn * bn)
-    except (ArithmeticError, ValueError):  # a 1 + delta of 0, an overflow, a negative u at a phase node
+                phases[i] += w * _phase_rate(a + e * g, e * d1, e * d2) / (bn * bn)
+    except (ArithmeticError, ValueError):  # an overflow, a negative u at a phase node
         return 0.0, []
     matrices = []
     for phi, (rho0, rho0_t, *_), (rho, rho_t, *_) in zip(phases, start[3], ends):

@@ -502,10 +502,11 @@ class TestReproduce:
         monkeypatch.setattr(dynamics, "_integrate_transfer", counted_march)
         assert main(["reproduce", "--out", str(tmp_path / "out")]) == 0
         assert before_sweep == [0] and marches == [3, 3, 3]
-        # 91,767 when each cell marched alone, 27,047 as rows marched from t = 0, and
-        # 8,239 as rows marched after their adiabatic segments (2,735, 2,701 and 2,803),
-        # the phase preflight's probes included; the bound is that count plus 5 %
-        assert evaluations <= 8_650
+        # 91,767 when each cell marched alone, 27,047 as rows marched from t = 0, 8,239
+        # after second-order adiabatic segments, and 4,125 as rows marched after their
+        # fourth-order segments (1,426, 1,324 and 1,375), the phase preflight's probes
+        # included; the bound is that count plus 5 %
+        assert evaluations <= 4_331
 
     @pytest.mark.parametrize("initial_state", ["nominal", "perturbed"])
     def test_only_nominal_drive_cells_reuse_a_march(self, tmp_path, initial_state):
